@@ -1,4 +1,5 @@
-//! The branch-and-bound mapping algorithm (paper Fig. 5).
+//! The branch-and-bound mapping algorithm (paper Fig. 5): the mapping
+//! entry points and the exact depth-first driver.
 //!
 //! The search walks the signal-flow graph from its outputs towards its
 //! inputs. At each uncovered block the **branching rule** enumerates
@@ -11,29 +12,35 @@
 //! current_best`). The **sequencing rule** visits larger covers first
 //! so a good solution is found early and the bound becomes effective.
 //!
-//! Beyond the paper, this implementation (a) consults a per-block
-//! [`MatchCache`] so the pattern matcher runs exactly once per block
-//! per [`map_graph`] call instead of once per visited decision-tree
+//! The branching step, the dominance memo and the leaf evaluation live
+//! once in [`crate::search`]; this module contributes the DFS frontier
+//! (plain recursion) and the op-amp-count bound. Beyond the paper, the
+//! implementation (a) consults a per-block [`MatchCache`] so the
+//! pattern matcher runs exactly once per block per mapping call —
+//! greedy seed included — instead of once per visited decision-tree
 //! node, (b) keys the dominance memo by an allocation-free
 //! [`CoverSet`](crate::cover::CoverSet) bitset, and (c) optionally
 //! splits the decision tree across worker threads (see
 //! [`crate::parallel`]) around a shared incumbent bound.
+//!
+//! Each layer has one plain and one full entry point: [`map_graph`] and
+//! [`map_graph_with_cache`] here, [`crate::synthesize`] and
+//! [`crate::synthesize_with_cache`] for whole designs.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use vase_budget::{BudgetMeter, CancelToken};
-use vase_estimate::{EstimateMemo, Estimator, NetlistEstimate};
-use vase_library::{MatchCache, Netlist, PatternMatch};
+use vase_estimate::{Estimator, NetlistEstimate};
+use vase_library::{MatchCache, Netlist};
 use vase_vhif::{BlockId, GraphBounds, SignalFlowGraph};
 
 use crate::cache::CoverCache;
 use crate::config::{MapStats, MapperConfig, SearchStrategy};
-use crate::cover::CoverSet;
 use crate::error::MapError;
-use crate::parallel::{run_parallel, ShardedMemo, SharedSearchState};
-use crate::plan::{resolve, Plan, PlannedComponent};
+use crate::parallel::{run_parallel, SharedSearchState};
+use crate::plan::Plan;
+use crate::search::{Best, Branch, Driver, MemoBackend, SearchCtx};
 
 /// The result of mapping one signal-flow graph.
 #[derive(Debug, Clone)]
@@ -63,10 +70,11 @@ pub fn map_graph(
     estimator: &Estimator,
     config: &MapperConfig,
 ) -> Result<MapResult, MapError> {
-    map_graph_with_cancel(graph, estimator, config, None)
+    map_graph_with_cache(graph, estimator, config, None, None)
 }
 
-/// [`map_graph`] with an optional cooperative [`CancelToken`].
+/// [`map_graph`] with an optional cooperative [`CancelToken`] and an
+/// optional content-addressed [`CoverCache`].
 ///
 /// Tripping the token (from any thread) stops the search at the next
 /// metering checkpoint; like budget exhaustion it is *anytime* — the
@@ -76,63 +84,47 @@ pub fn map_graph(
 /// search starts, so exhaustion at any point still yields a feasible,
 /// verifier-clean plan whenever one exists.
 ///
+/// When the cache holds a valid best-known cover for a structurally
+/// identical graph under the same constraints/options, the mapping is
+/// answered in O(lookup) with `stats.cache_hits = 1` and no search at
+/// all; otherwise the search runs normally and its optimal cover is
+/// recorded (unless it stopped on a budget).
+///
 /// # Errors
 ///
 /// As [`map_graph`]; additionally, cancellation or exhaustion before
 /// *any* feasible mapping (including the greedy seed) was found
 /// reports [`MapError::NoFeasibleMapping`].
-pub fn map_graph_with_cancel(
-    graph: &SignalFlowGraph,
-    estimator: &Estimator,
-    config: &MapperConfig,
-    token: Option<CancelToken>,
-) -> Result<MapResult, MapError> {
-    let seed_incumbent = config.budget.is_limited() || token.is_some();
-    let meter = BudgetMeter::new(config.effective_budget(), token);
-    map_graph_metered(graph, estimator, config, &meter, seed_incumbent)
-}
-
-/// [`map_graph`] consulting (and updating) a content-addressed
-/// [`CoverCache`]: when the cache holds a valid best-known cover for a
-/// structurally identical graph under the same constraints/options, the
-/// mapping is answered in O(lookup) with `stats.cache_hits = 1` and no
-/// search at all; otherwise the search runs normally and its optimal
-/// cover is recorded (unless it stopped on a budget).
-///
-/// # Errors
-///
-/// As [`map_graph`].
 pub fn map_graph_with_cache(
     graph: &SignalFlowGraph,
     estimator: &Estimator,
     config: &MapperConfig,
-    cache: &CoverCache,
+    token: Option<CancelToken>,
+    cache: Option<&CoverCache>,
 ) -> Result<MapResult, MapError> {
-    let seed_incumbent = config.budget.is_limited();
-    let meter = BudgetMeter::new(config.effective_budget(), None);
-    map_graph_metered_cached(graph, estimator, config, &meter, seed_incumbent, Some(cache), None)
+    let seed_incumbent = config.budget.is_limited() || token.is_some();
+    let meter = BudgetMeter::new(config.effective_budget(), token);
+    map_graph_metered_cached(
+        graph,
+        estimator,
+        config,
+        &meter,
+        seed_incumbent,
+        cache,
+        None,
+    )
 }
 
 /// The budget-aware mapping core: meters node visits on `meter`
-/// (shareable across several graphs of one design) and, when
-/// `seed_incumbent` is set, pre-seeds the search with a greedy mapping
-/// so exhaustion always has an incumbent to return. The greedy seed
-/// runs outside the meter — it is linear in the graph and counts as
-/// setup, not search.
-pub(crate) fn map_graph_metered(
-    graph: &SignalFlowGraph,
-    estimator: &Estimator,
-    config: &MapperConfig,
-    meter: &BudgetMeter,
-    seed_incumbent: bool,
-) -> Result<MapResult, MapError> {
-    map_graph_metered_cached(graph, estimator, config, meter, seed_incumbent, None, None)
-}
-
-/// [`map_graph_metered`] with an optional cover cache consulted before
-/// branching and updated after a completed (non-exhausted) search, and
-/// optional proven value bounds for the swing-aware candidate pruning
-/// (only consulted when `config.range_prune` is set).
+/// (shareable across several graphs of one design), consults the cover
+/// cache before branching and updates it after a completed
+/// (non-exhausted) search, and passes proven value bounds to the
+/// swing-aware candidate pruning (only consulted when
+/// `config.range_prune` is set). When `seed_incumbent` is set the
+/// search starts from a greedy mapping over the same [`SearchCtx`], so
+/// exhaustion always has an incumbent to return; the greedy seed runs
+/// off the meter — it is linear in the graph and counts as setup, not
+/// search.
 pub(crate) fn map_graph_metered_cached(
     graph: &SignalFlowGraph,
     estimator: &Estimator,
@@ -143,8 +135,8 @@ pub(crate) fn map_graph_metered_cached(
     bounds: Option<&GraphBounds>,
 ) -> Result<MapResult, MapError> {
     let start = Instant::now();
-    // Run the matcher once per block, up front; both the pre-check and
-    // every decision-tree visit read from this cache.
+    // Run the matcher once per block, up front; the pre-check, the
+    // greedy seed and every decision-tree visit read from this cache.
     let cache = MatchCache::build(graph, &config.match_options);
     // Pre-check: every operation block must have at least one pattern.
     for (id, block) in graph.iter() {
@@ -157,8 +149,12 @@ pub(crate) fn map_graph_metered_cached(
     // Content-addressed reuse: a structurally identical graph mapped
     // before (under the same constraints and options) resolves in
     // O(lookup), skipping the search entirely.
-    let cache_key =
-        cover_cache.map(|c| (c, CoverCache::key_with_bounds(graph, estimator, config, bounds)));
+    let cache_key = cover_cache.map(|c| {
+        (
+            c,
+            CoverCache::key_with_bounds(graph, estimator, config, bounds),
+        )
+    });
     if let Some((cc, key)) = &cache_key {
         if let Some((netlist, estimate)) = cc.lookup(*key, graph, estimator, config) {
             let stats = MapStats {
@@ -166,28 +162,24 @@ pub(crate) fn map_graph_metered_cached(
                 elapsed_us: start.elapsed().as_micros() as u64,
                 ..MapStats::default()
             };
-            return Ok(MapResult { netlist, estimate, stats });
+            return Ok(MapResult {
+                netlist,
+                estimate,
+                stats,
+            });
         }
     }
+    let ctx = SearchCtx::new(graph, estimator, config, cache, meter, bounds);
     let seed = if seed_incumbent {
-        crate::greedy::map_graph_greedy_planned(graph, estimator, config)
-            .ok()
-            .map(|(r, components, opamps)| Best {
-                area: r.estimate.area_m2,
-                netlist: r.netlist,
-                estimate: r.estimate,
-                components,
-                opamps,
-            })
+        crate::greedy::seed(&ctx)
     } else {
         None
     };
-    let ctx = SearchCtx::new(graph, estimator, config, cache, meter, bounds);
     let jobs = config.effective_parallelism();
     let (best, mut stats) = match config.strategy {
         SearchStrategy::Guided => crate::guide::run_guided(&ctx, seed),
         SearchStrategy::Exact if jobs <= 1 => {
-            let mut search = Search::sequential(&ctx);
+            let mut search = Search::new(&ctx, None);
             search.best = seed;
             search.run(Plan::new(graph));
             (search.best, search.stats)
@@ -219,237 +211,8 @@ pub(crate) fn map_graph_metered_cached(
     }
 }
 
-/// The best complete mapping found by one search (or worker).
-pub(crate) struct Best {
-    pub(crate) area: f64,
-    pub(crate) netlist: Netlist,
-    pub(crate) estimate: NetlistEstimate,
-    /// The winning plan's components, for cover-cache insertion.
-    pub(crate) components: Vec<PlannedComponent>,
-    /// The winning plan's op-amp count (matches `components`).
-    pub(crate) opamps: usize,
-}
-
-/// Immutable, thread-shareable context of one `map_graph` call: the
-/// graph, the precomputed match cache and per-alternative spec
-/// feasibility, the block coverage order, and the bound constant.
-pub(crate) struct SearchCtx<'a> {
-    pub(crate) graph: &'a SignalFlowGraph,
-    pub(crate) estimator: &'a Estimator,
-    pub(crate) config: &'a MapperConfig,
-    pub(crate) cache: MatchCache,
-    /// `spec_ok[block][alternative]`: whether the matched component's
-    /// op-amp spec is achievable at all (computed once, not per node).
-    pub(crate) spec_ok: Vec<Vec<bool>>,
-    /// `alt_area[block][alternative]`: the matched component's
-    /// estimated area. The guided search accumulates these as its
-    /// admissible placed-area bound; computed alongside `spec_ok` from
-    /// the same (memoized) estimates, so the search itself never calls
-    /// the estimator per node.
-    pub(crate) alt_area: Vec<Vec<f64>>,
-    /// `range_pruned[block][alternative]`: whether a proven value bound
-    /// showed the alternative dominated at the proven swing (see
-    /// [`range_prune_table`]). `None` unless `config.range_prune` is
-    /// set *and* bounds were supplied, so the default path allocates
-    /// and checks nothing.
-    range_pruned: Option<Vec<Vec<bool>>>,
-    pub(crate) order: Vec<BlockId>,
-    pub(crate) min_area: f64,
-    /// The shared budget meter; every decision-tree visit notes a node
-    /// here, and exhaustion unwinds the search keeping its incumbent.
-    pub(crate) meter: &'a BudgetMeter,
-}
-
-impl<'a> SearchCtx<'a> {
-    pub(crate) fn new(
-        graph: &'a SignalFlowGraph,
-        estimator: &'a Estimator,
-        config: &'a MapperConfig,
-        cache: MatchCache,
-        meter: &'a BudgetMeter,
-        bounds: Option<&GraphBounds>,
-    ) -> Self {
-        // One estimator run per *distinct* kind: alternatives repeat
-        // kinds heavily (every Scale block matches the same follower /
-        // inverting-amp shapes), so the memo collapses the square-law
-        // sizing work while staying bitwise identical to fresh calls.
-        let mut memo = EstimateMemo::new();
-        let mut spec_ok = Vec::with_capacity(graph.len());
-        let mut alt_area = Vec::with_capacity(graph.len());
-        for i in 0..graph.len() {
-            let alternatives = cache.at(BlockId::from_index(i));
-            let mut ok = Vec::with_capacity(alternatives.len());
-            let mut area = Vec::with_capacity(alternatives.len());
-            for m in alternatives {
-                let e = memo.estimate(estimator, &m.kind);
-                ok.push(e.spec_met);
-                area.push(e.area_m2);
-            }
-            spec_ok.push(ok);
-            alt_area.push(area);
-        }
-        let range_pruned = bounds
-            .filter(|_| config.range_prune)
-            .map(|b| range_prune_table(graph, &cache, estimator, &spec_ok, &alt_area, b));
-        SearchCtx {
-            graph,
-            estimator,
-            config,
-            cache,
-            spec_ok,
-            alt_area,
-            range_pruned,
-            order: coverage_order(graph),
-            min_area: estimator.min_opamp_area(),
-            meter,
-        }
-    }
-
-    /// The next block the branching rule expands, in coverage order.
-    pub(crate) fn next_uncovered(&self, plan: &Plan) -> Option<BlockId> {
-        self.order.iter().copied().find(|&b| !plan.is_covered(b))
-    }
-
-    /// Whether the swing-aware dominance table marked this alternative
-    /// pruned (always false when range pruning is off).
-    pub(crate) fn is_range_pruned(&self, block: BlockId, alt: usize) -> bool {
-        self.range_pruned
-            .as_ref()
-            .is_some_and(|t| t[block.index()][alt])
-    }
-}
-
-/// Build the swing-aware dominance table for `range_prune`.
-///
-/// At a block whose output value the range analysis proved to lie in
-/// `[lo, hi]`, the real swing the placed component must deliver is
-/// `swing = max(|lo|, |hi|)` — possibly far below the full
-/// `signal_peak_v · gain` the default sizing assumes. Alternative `j`
-/// is marked pruned iff:
-///
-/// * its default sizing carries headroom beyond the proof
-///   (`signal_peak_v · gain_j > swing`), and
-/// * some other alternative `i` at the same block covers exactly the
-///   same blocks with the same inputs, is feasible under the *global*
-///   spec (so keeping only `i` can never turn a feasible mapping
-///   infeasible at the final netlist check), meets the spec when sized
-///   at the proven swing, and needs no more op amps and no more area
-///   than `j` under *both* sizings — the default full-swing estimate
-///   the search's cost function uses, and the proven-swing estimate —
-///   with ties broken towards the lower index so two equal
-///   alternatives never prune each other.
-///
-/// Requiring dominance under both sizings keeps the table sound in
-/// either ordering: the retained `i` is no worse in the area the
-/// search actually minimises, *and* no worse at the proven operating
-/// point (lowering the swing relaxes only the slew requirement — see
-/// [`Estimator::estimate_component_at_swing`] — which shifts bias
-/// currents, so the two orderings can differ). The table is still a
-/// heuristic with respect to global area optimality (a pruned
-/// alternative could have enabled sharing elsewhere), which is why the
-/// whole mechanism is opt-in and off by default.
-fn range_prune_table(
-    graph: &SignalFlowGraph,
-    cache: &MatchCache,
-    estimator: &Estimator,
-    spec_ok: &[Vec<bool>],
-    alt_area: &[Vec<f64>],
-    bounds: &GraphBounds,
-) -> Vec<Vec<bool>> {
-    let peak = estimator.constraints.signal_peak_v;
-    let mut table = Vec::with_capacity(graph.len());
-    for bi in 0..graph.len() {
-        let id = BlockId::from_index(bi);
-        let alternatives = cache.at(id);
-        let mut row = vec![false; alternatives.len()];
-        let swing = match bounds.get(id) {
-            Some((lo, hi)) => lo.abs().max(hi.abs()),
-            None => {
-                table.push(row);
-                continue;
-            }
-        };
-        if !swing.is_finite() {
-            table.push(row);
-            continue;
-        }
-        // Size every alternative for the swing it actually needs: the
-        // proven bound, capped at its own full-signal swing (sizing
-        // beyond the default would be needlessly conservative).
-        let at_swing: Vec<_> = alternatives
-            .iter()
-            .map(|m| {
-                let full = peak * m.kind.max_gain().max(1.0);
-                estimator.estimate_component_at_swing(&m.kind, swing.min(full))
-            })
-            .collect();
-        for j in 0..alternatives.len() {
-            let mj = &alternatives[j];
-            // Only candidates whose default sizing exceeds the proven
-            // range are ever pruned.
-            if peak * mj.kind.max_gain().max(1.0) <= swing {
-                continue;
-            }
-            row[j] = (0..alternatives.len()).any(|i| {
-                i != j
-                    && spec_ok[bi][i]
-                    && at_swing[i].spec_met
-                    && alternatives[i].kind.opamp_count() <= mj.kind.opamp_count()
-                    && same_cover_and_inputs(&alternatives[i], mj)
-                    && alt_area[bi][i] <= alt_area[bi][j]
-                    && (at_swing[i].area_m2 < at_swing[j].area_m2
-                        || (at_swing[i].area_m2 == at_swing[j].area_m2 && i < j))
-            });
-        }
-        table.push(row);
-    }
-    table
-}
-
-/// Whether two alternatives implement the same cover from the same
-/// inputs (input order is semantic — it is the component's wiring — so
-/// it must match exactly; the covered set is order-insensitive).
-fn same_cover_and_inputs(a: &PatternMatch, b: &PatternMatch) -> bool {
-    if a.inputs != b.inputs || a.covered.len() != b.covered.len() {
-        return false;
-    }
-    let mut ca: Vec<usize> = a.covered.iter().map(|b| b.index()).collect();
-    let mut cb: Vec<usize> = b.covered.iter().map(|b| b.index()).collect();
-    ca.sort_unstable();
-    cb.sort_unstable();
-    ca == cb
-}
-
-/// Dominance-memo storage: disabled, thread-local, or shared across
-/// workers.
-enum MemoBackend<'a> {
-    Off,
-    Local(HashMap<CoverSet, usize>),
-    Shared(&'a ShardedMemo),
-}
-
-impl MemoBackend<'_> {
-    /// Whether reaching `key` with `opamps` op amps is dominated by an
-    /// earlier visit; records the visit otherwise.
-    fn dominated(&mut self, key: &CoverSet, opamps: usize) -> bool {
-        match self {
-            MemoBackend::Off => false,
-            MemoBackend::Local(map) => match map.get_mut(key) {
-                Some(best) if *best <= opamps => true,
-                Some(best) => {
-                    *best = opamps;
-                    false
-                }
-                None => {
-                    map.insert(key.clone(), opamps);
-                    false
-                }
-            },
-            MemoBackend::Shared(memo) => memo.dominated(key, opamps),
-        }
-    }
-}
-
+/// The exact depth-first driver: plain recursion over the branching
+/// step, bounded by `(opamps + added) · MinArea` against the incumbent.
 pub(crate) struct Search<'a> {
     ctx: &'a SearchCtx<'a>,
     pub(crate) best: Option<Best>,
@@ -459,35 +222,15 @@ pub(crate) struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// A single-threaded search over the whole decision tree.
-    pub(crate) fn sequential(ctx: &'a SearchCtx<'a>) -> Self {
-        let memo = if ctx.config.memoize {
-            MemoBackend::Local(HashMap::new())
-        } else {
-            MemoBackend::Off
-        };
-        Search {
-            ctx,
-            best: None,
-            memo,
-            shared: None,
-            stats: MapStats::default(),
-        }
-    }
-
-    /// A worker search over one subtree, pruning against the shared
+    /// A search over the whole decision tree (`shared: None`), or a
+    /// worker search over one subtree, pruning against the shared
     /// incumbent bound and the shared dominance memo.
-    pub(crate) fn worker(ctx: &'a SearchCtx<'a>, shared: &'a SharedSearchState) -> Self {
-        let memo = if ctx.config.memoize {
-            MemoBackend::Shared(&shared.memo)
-        } else {
-            MemoBackend::Off
-        };
+    pub(crate) fn new(ctx: &'a SearchCtx<'a>, shared: Option<&'a SharedSearchState>) -> Self {
         Search {
             ctx,
             best: None,
-            memo,
-            shared: Some(shared),
+            memo: MemoBackend::new(ctx.config, shared.map(|s| &s.memo)),
+            shared,
             stats: MapStats::default(),
         }
     }
@@ -496,79 +239,13 @@ impl<'a> Search<'a> {
         // The anytime contract: once the budget trips, every pending
         // recursion unwinds immediately, leaving `self.best` as the
         // incumbent to return.
-        if !self.ctx.meter.note_node() {
-            self.stats.budget_exhausted = true;
+        if !self.ctx.note_visit(&mut self.stats) || self.memo.prunes(&plan, &mut self.stats) {
             return;
         }
-        self.stats.visited_nodes += 1;
-
-        if self.memo.dominated(&plan.covered, plan.opamps) {
-            self.stats.memo_pruned += 1;
-            return;
-        }
-
-        let Some(cur) = self.ctx.next_uncovered(&plan) else {
-            self.complete(&plan);
-            return;
-        };
-
-        let alternatives = self.ctx.cache.at(cur);
-        for k in 0..alternatives.len() {
-            // The cache stores alternatives largest-cover-first (the
-            // sequencing rule); the ablation visits them smallest-first.
-            let i = if self.ctx.config.sequencing {
-                k
-            } else {
-                alternatives.len() - 1 - k
-            };
-            let m = &alternatives[i];
-            // Overlap with already-covered blocks is illegal.
-            if m.covered.iter().any(|&b| plan.is_covered(b)) {
-                continue;
-            }
-            // Share branch first (sequencing rule: sharing before
-            // allocation).
-            if self.ctx.config.sharing {
-                if let Some(existing) = plan.find_shareable(&m.kind, &m.inputs) {
-                    let mut shared = plan.clone();
-                    for &b in &m.covered {
-                        shared.cover(b);
-                        shared.components[existing].covered.push(b);
-                    }
-                    self.run(shared);
-                }
-            }
-            // Allocate branch. A component whose op-amp spec no library
-            // topology can meet (e.g. a gain-200 amplifier over a wide
-            // band) can never appear in a feasible netlist — reject it
-            // locally so the functional-transformation alternatives
-            // (gain-split chains) are explored instead.
-            if !self.ctx.spec_ok[cur.index()][i] {
-                self.stats.pruned_nodes += 1;
-                continue;
-            }
-            // Swing-aware dominance: a proven value bound showed a
-            // same-cover alternative that suffices at the proven swing
-            // for no more area. Sharing is unaffected (it allocates
-            // nothing), so only the allocate branch is skipped.
-            if self.ctx.is_range_pruned(cur, i) {
-                self.stats.range_pruned += 1;
-                continue;
-            }
-            if self.ctx.config.bounding {
-                let bound = self.bound_area();
-                if bound.is_finite() {
-                    let added = m.kind.opamp_count();
-                    let lower_bound = (plan.opamps + added) as f64 * self.ctx.min_area;
-                    if lower_bound >= bound {
-                        self.stats.pruned_nodes += 1;
-                        continue;
-                    }
-                }
-            }
-            let mut allocated = plan.clone();
-            apply_match(&mut allocated, m, cur);
-            self.run(allocated);
+        let ctx = self.ctx;
+        match ctx.next_uncovered(&plan) {
+            Some(cur) => ctx.branch(&plan, cur, self),
+            None => self.complete(&plan),
         }
     }
 
@@ -583,24 +260,12 @@ impl<'a> Search<'a> {
     }
 
     fn complete(&mut self, plan: &Plan) {
-        self.stats.complete_mappings += 1;
-        let Ok(netlist) = resolve(self.ctx.graph, plan, self.ctx.config.fanout_limit) else {
+        let Ok((netlist, estimate)) = self.ctx.evaluate(plan, &mut self.stats) else {
             return;
         };
-        let estimate = self.ctx.estimator.estimate_netlist(&netlist);
-        if !estimate.feasible() {
-            self.stats.infeasible_mappings += 1;
-            return;
-        }
         let area = estimate.area_m2;
         if self.best.as_ref().is_none_or(|b| area < b.area) {
-            self.best = Some(Best {
-                area,
-                netlist,
-                estimate,
-                components: plan.components.clone(),
-                opamps: plan.opamps,
-            });
+            self.best = Some(Best::new(plan, netlist, estimate));
         }
         if let Some(shared) = self.shared {
             // Publish for cross-worker bounding. Non-negative IEEE
@@ -613,48 +278,24 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Extend `plan` with an allocated component for match `m` at `output`.
-pub(crate) fn apply_match(plan: &mut Plan, m: &PatternMatch, output: BlockId) {
-    for &b in &m.covered {
-        plan.cover(b);
+impl Driver for Search<'_> {
+    fn stats(&mut self) -> &mut MapStats {
+        &mut self.stats
     }
-    plan.opamps += m.kind.opamp_count();
-    plan.components.push(PlannedComponent {
-        kind: m.kind.clone(),
-        covered: m.covered.clone(),
-        inputs: m.inputs.clone(),
-        output,
-    });
-}
 
-/// The order in which uncovered blocks are picked: depth-first from the
-/// external outputs back through the drivers (the paper's "select an
-/// input signal of sub-graph" walk), followed by any remaining
-/// operation blocks (e.g. comparator networks feeding only control
-/// ports).
-pub(crate) fn coverage_order(graph: &SignalFlowGraph) -> Vec<BlockId> {
-    let mut order = Vec::new();
-    let mut seen = vec![false; graph.len()];
-    let mut stack: Vec<BlockId> = graph.outputs();
-    while let Some(b) = stack.pop() {
-        if seen[b.index()] {
-            continue;
+    fn bounded(&mut self, plan: &Plan, cur: BlockId, alt: usize) -> bool {
+        if !self.ctx.config.bounding {
+            return false;
         }
-        seen[b.index()] = true;
-        if !graph.block(b).kind.is_interface() {
-            order.push(b);
-        }
-        for driver in graph.block_inputs(b).iter().flatten() {
-            stack.push(*driver);
-        }
+        let bound = self.bound_area();
+        let added = self.ctx.cache.at(cur)[alt].kind.opamp_count();
+        bound.is_finite() && (plan.opamps + added) as f64 * self.ctx.min_area >= bound
     }
-    for (id, block) in graph.iter() {
-        if !seen[id.index()] && !block.kind.is_interface() {
-            order.push(id);
-            seen[id.index()] = true;
-        }
+
+    fn child(&mut self, plan: &Plan, cur: BlockId, _rank: usize, branch: Branch) {
+        let child = self.ctx.child(plan, cur, branch);
+        self.run(child);
     }
-    order
 }
 
 #[cfg(test)]
@@ -864,18 +505,33 @@ mod tests {
 
     #[test]
     fn matcher_runs_once_per_block_per_call() {
+        use vase_budget::Budget;
         use vase_library::matches_at_calls_on_thread;
-        let g = fig6_graph();
         // parallelism = 1 keeps the whole search on this thread, so the
-        // thread-local matcher-call counter sees every invocation.
-        let before = matches_at_calls_on_thread();
-        map_graph(&g, &estimator(), &MapperConfig::default()).expect("maps");
-        let calls = matches_at_calls_on_thread() - before;
-        assert_eq!(
-            calls,
-            g.len() as u64,
-            "matches_at must run exactly once per block per map_graph call"
-        );
+        // thread-local matcher-call counter sees every invocation. A
+        // limited budget or a token seeds the search with a greedy
+        // mapping, which must read the search's own match table.
+        let limited = MapperConfig {
+            budget: Budget::nodes(1_000_000),
+            ..MapperConfig::default()
+        };
+        for g in [fig6_graph(), buffer_chain(12)] {
+            for (path, config, token) in [
+                ("plain", MapperConfig::default(), None),
+                ("limited budget", limited, None),
+                ("token", MapperConfig::default(), Some(CancelToken::new())),
+                ("guided token", MapperConfig::guided(), Some(CancelToken::new())),
+            ] {
+                let before = matches_at_calls_on_thread();
+                map_graph_with_cache(&g, &estimator(), &config, token, None).expect("maps");
+                let calls = matches_at_calls_on_thread() - before;
+                assert_eq!(
+                    calls,
+                    g.len() as u64,
+                    "{path}: matches_at must run exactly once per block per mapping call"
+                );
+            }
+        }
     }
 
     #[test]
@@ -903,21 +559,6 @@ mod tests {
                     seq.estimate.area_m2
                 );
             }
-        }
-    }
-
-    #[test]
-    fn explicit_split_depth_matches_optimum_too() {
-        let g = buffer_chain(10);
-        let seq = map_graph(&g, &estimator(), &MapperConfig::default()).expect("maps");
-        for split_depth in [1usize, 2, 4] {
-            let config = MapperConfig {
-                parallelism: 3,
-                split_depth,
-                ..MapperConfig::default()
-            };
-            let par = map_graph(&g, &estimator(), &config).expect("maps");
-            assert_eq!(par.netlist.opamp_count(), seq.netlist.opamp_count());
         }
     }
 
@@ -972,8 +613,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let g = buffer_chain(10);
-        let result = map_graph_with_cancel(&g, &estimator(), &MapperConfig::default(), Some(token))
-            .expect("cancellation is anytime, not an error");
+        let result =
+            map_graph_with_cache(&g, &estimator(), &MapperConfig::default(), Some(token), None)
+                .expect("cancellation is anytime, not an error");
         assert!(result.stats.budget_exhausted);
         result.netlist.validate().expect("valid");
         assert!(result.estimate.feasible());

@@ -58,18 +58,13 @@ pub struct MapperConfig {
     pub memoize: bool,
     /// Worker threads for the branch-and-bound search: `0` auto-detects
     /// from the host's available cores, `1` (the default) runs the
-    /// sequential search, `n > 1` splits the decision tree into subtree
-    /// tasks executed by `n` scoped threads around a shared incumbent
-    /// bound. The parallel search returns the same optimal area as the
-    /// sequential one (property-tested).
+    /// sequential search, `n > 1` expands the top of the decision tree
+    /// into about four subtree tasks per worker, executed by `n` scoped
+    /// threads around a shared incumbent bound. The parallel search
+    /// returns the same optimal area as the sequential one
+    /// (property-tested). The guided strategy ignores it.
     #[serde(default = "default_parallelism")]
     pub parallelism: usize,
-    /// How many decision-tree levels are expanded sequentially into
-    /// subtree tasks before the workers take over. `0` (the default)
-    /// auto-sizes: levels are expanded until roughly four tasks per
-    /// worker exist.
-    #[serde(default)]
-    pub split_depth: usize,
     /// Caller-facing compute budget (wall-clock deadline and/or node
     /// cap) on top of the `node_limit` safety cap. When any limit here
     /// is set the search runs in *anytime* mode: a greedy mapping seeds
@@ -109,7 +104,6 @@ impl Default for MapperConfig {
             node_limit: 2_000_000,
             memoize: true,
             parallelism: default_parallelism(),
-            split_depth: 0,
             budget: Budget::unlimited(),
             strategy: SearchStrategy::default(),
             range_prune: false,
@@ -304,7 +298,6 @@ mod tests {
         assert!(c.bounding && c.sequencing && c.sharing && c.memoize);
         assert!(c.match_options.multi_block && c.match_options.transforms);
         assert_eq!(c.parallelism, 1);
-        assert_eq!(c.split_depth, 0);
         assert_eq!(c.strategy, SearchStrategy::Exact);
     }
 

@@ -4,20 +4,24 @@
 //! time-complexity "might fail for larger designs" and that ongoing
 //! work targets "a more time-affective exploration heuristic". This is
 //! that heuristic, used as the comparison baseline in the benchmark
-//! harness: at each uncovered block take the largest-cover alternative
-//! (sharing when possible), never backtrack.
+//! harness and as the seed of every anytime search: at each uncovered
+//! block take the largest-cover alternative whose spec is achievable
+//! (sharing when possible), never backtrack. Its choice rule is its
+//! own; the overlap filter, spec table, share lookup and plan update
+//! are the branching step's (see [`crate::search`]).
 
 use std::time::Instant;
 
 use vase_budget::BudgetMeter;
-use vase_estimate::{EstimateMemo, Estimator};
+use vase_estimate::Estimator;
 use vase_library::MatchCache;
 use vase_vhif::SignalFlowGraph;
 
 use crate::bnb::MapResult;
 use crate::config::{MapStats, MapperConfig};
 use crate::error::MapError;
-use crate::plan::{resolve, Plan, PlannedComponent};
+use crate::plan::Plan;
+use crate::search::{fits, Best, Branch, SearchCtx};
 
 /// Map `graph` greedily: first (largest) match wins, no backtracking.
 ///
@@ -38,77 +42,52 @@ pub fn map_graph_greedy(
     estimator: &Estimator,
     config: &MapperConfig,
 ) -> Result<MapResult, MapError> {
-    map_graph_greedy_planned(graph, estimator, config).map(|(result, _, _)| result)
-}
-
-/// [`map_graph_greedy`] that also returns the winning plan's components
-/// and op-amp count, so a search seeded with the greedy incumbent can
-/// cache the cover when the seed survives to completion.
-pub(crate) fn map_graph_greedy_planned(
-    graph: &SignalFlowGraph,
-    estimator: &Estimator,
-    config: &MapperConfig,
-) -> Result<(MapResult, Vec<PlannedComponent>, usize), MapError> {
     let start = Instant::now();
     let meter = BudgetMeter::new(config.effective_budget(), None);
     let cache = MatchCache::build(graph, &config.match_options);
-    let mut plan = Plan::new(graph);
-    let order = crate::bnb::coverage_order(graph);
-    let mut stats = MapStats::default();
-    // Alternatives repeat the same few kinds across blocks; memoize so
-    // square-law sizing runs once per distinct kind, not per match.
-    let mut memo = EstimateMemo::new();
-    while let Some(cur) = order.iter().copied().find(|&b| !plan.is_covered(b)) {
-        stats.visited_nodes += 1;
-        let _ = meter.note_node();
-        let m = cache
-            .at(cur)
-            .iter()
-            .find(|m| {
-                !m.covered.iter().any(|&b| plan.is_covered(b))
-                    && memo.estimate(estimator, &m.kind).spec_met
-            })
-            .ok_or_else(|| MapError::NoPattern {
-                block: format!("{cur} ({})", graph.kind(cur)),
-            })?;
-        if config.sharing {
-            if let Some(existing) = plan.find_shareable(&m.kind, &m.inputs) {
-                for &b in &m.covered {
-                    plan.cover(b);
-                    plan.components[existing].covered.push(b);
-                }
-                continue;
-            }
-        }
-        for &b in &m.covered {
-            plan.cover(b);
-        }
-        plan.opamps += m.kind.opamp_count();
-        plan.components.push(PlannedComponent {
-            kind: m.kind.clone(),
-            covered: m.covered.clone(),
-            inputs: m.inputs.clone(),
-            output: cur,
-        });
-    }
-    stats.complete_mappings = 1;
-    let netlist = resolve(graph, &plan, config.fanout_limit)?;
-    let estimate = estimator.estimate_netlist(&netlist);
-    if !estimate.feasible() {
-        return Err(MapError::NoFeasibleMapping);
-    }
+    let ctx = SearchCtx::new(graph, estimator, config, cache, &meter, None);
+    let (best, mut stats) = run(&ctx, Some(&meter))?;
     stats.elapsed_us = start.elapsed().as_micros() as u64;
     stats.budget_exhausted = meter.exhausted();
-    let opamps = plan.opamps;
-    Ok((
-        MapResult {
-            netlist,
-            estimate,
-            stats,
-        },
-        plan.components,
-        opamps,
-    ))
+    Ok(MapResult {
+        netlist: best.netlist,
+        estimate: best.estimate,
+        stats,
+    })
+}
+
+/// The greedy incumbent that seeds an anytime search, built from the
+/// search's own context (no second match table or estimate memo) and
+/// kept off its budget meter. `None` when greedy finds no feasible
+/// mapping.
+pub(crate) fn seed(ctx: &SearchCtx) -> Option<Best> {
+    run(ctx, None).ok().map(|(best, _)| best)
+}
+
+/// The greedy pass over `ctx`, noting one node per decision on `meter`
+/// when given.
+fn run(ctx: &SearchCtx, meter: Option<&BudgetMeter>) -> Result<(Best, MapStats), MapError> {
+    let mut plan = Plan::new(ctx.graph);
+    let mut stats = MapStats::default();
+    while let Some(cur) = ctx.next_uncovered(&plan) {
+        stats.visited_nodes += 1;
+        if let Some(meter) = meter {
+            let _ = meter.note_node();
+        }
+        let alternatives = ctx.cache.at(cur);
+        let alt = (0..alternatives.len())
+            .find(|&i| fits(&plan, &alternatives[i]) && ctx.spec_ok[cur.index()][i])
+            .ok_or_else(|| MapError::NoPattern {
+                block: format!("{cur} ({})", ctx.graph.kind(cur)),
+            })?;
+        let branch = match ctx.share_target(&plan, &alternatives[alt]) {
+            Some(onto) => Branch::Share { alt, onto },
+            None => Branch::Allocate { alt },
+        };
+        ctx.apply(&mut plan, cur, branch);
+    }
+    let (netlist, estimate) = ctx.evaluate(&plan, &mut stats)?;
+    Ok((Best::new(&plan, netlist, estimate), stats))
 }
 
 #[cfg(test)]

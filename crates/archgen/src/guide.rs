@@ -23,8 +23,10 @@
 //!   on multi-block folds and shared components cannot affect the
 //!   result.
 //!
-//! Expansion order within a node, the dominance memo, and the
-//! completion check are identical to the exact search; ties on
+//! Expansion order within a node (the shared branching step of
+//! [`crate::search`]), the dominance memo, and the leaf evaluation are
+//! the exact search's own, so only the frontier order, the bound and
+//! the leaf tie-break are guided-specific; ties on
 //! bitwise-equal area are broken towards the leaf the DFS would have
 //! reported (smallest branch-choice path in preorder), so a guided run
 //! that reaches frontier exhaustion returns a bit-identical netlist to
@@ -36,20 +38,21 @@
 //! The guided search is sequential; `parallelism` is ignored.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::bnb::{apply_match, Best, SearchCtx};
+use vase_vhif::BlockId;
+
 use crate::config::MapStats;
-use crate::cover::CoverSet;
-use crate::plan::{resolve, Plan};
+use crate::plan::Plan;
+use crate::search::{Best, Branch, Driver, MemoBackend, SearchCtx};
 
 /// One frontier entry, stored copy-on-write: the *parent's* plan
-/// (shared with every sibling via `Arc`) plus the one pending branch
-/// action, materialized only if the node survives its pop-time bound
-/// check. This keeps plan cloning O(pops) instead of O(pushes) —
-/// branching-factor times fewer clones, and none at all for frontier
-/// entries killed by an improved incumbent.
+/// (shared with every sibling via `Arc`) plus the one pending branch,
+/// applied only if the node survives its pop-time bound check. This
+/// keeps plan cloning O(pops) instead of O(pushes) — branching-factor
+/// times fewer clones, and none at all for frontier entries killed by
+/// an improved incumbent.
 struct Node {
     /// `f = g + h` as ordered bits (non-negative IEEE doubles order the
     /// same as their bit patterns).
@@ -58,14 +61,14 @@ struct Node {
     /// matches the DFS visit order on equal-bound frontiers.
     seq: u64,
     /// Sum of placed component areas (admissible lower bound) *after*
-    /// the pending action.
+    /// the pending branch.
     g: f64,
-    /// The plan before this node's branch action (the root carries the
-    /// empty plan and no action).
+    /// The plan before this node's branch (the root carries the empty
+    /// plan and no branch).
     parent: Arc<Plan>,
-    /// The pending branch action — the last entry of `path` — or `None`
-    /// for the root. Replayed against `parent` at pop time.
-    action: Option<u16>,
+    /// The pending branch at the parent's next uncovered block, or
+    /// `None` for the root. Applied to `parent` at pop time.
+    branch: Option<Branch>,
     /// Branch choices from the root: `2k` = share at visit-rank `k`,
     /// `2k + 1` = allocate at visit-rank `k`. Lexicographic order over
     /// these paths is exactly the DFS preorder.
@@ -105,11 +108,7 @@ pub(crate) fn run_guided(ctx: &SearchCtx, seed: Option<Best>) -> (Option<Best>, 
     let mut stats = MapStats::default();
     let mut best = seed;
     let mut best_path: Option<Vec<u16>> = None;
-    let mut memo: Option<HashMap<CoverSet, usize>> = if ctx.config.memoize {
-        Some(HashMap::new())
-    } else {
-        None
-    };
+    let mut memo = MemoBackend::new(ctx.config, None);
     let mut heap = BinaryHeap::new();
     let mut seq: u64 = 0;
     let root = Arc::new(Plan::new(ctx.graph));
@@ -118,17 +117,14 @@ pub(crate) fn run_guided(ctx: &SearchCtx, seed: Option<Best>) -> (Option<Best>, 
         seq,
         g: 0.0,
         parent: root,
-        action: None,
+        branch: None,
         path: Vec::new(),
     });
 
     while let Some(node) = heap.pop() {
-        if !ctx.meter.note_node() {
-            stats.budget_exhausted = true;
+        if !ctx.note_visit(&mut stats) {
             break;
         }
-        stats.visited_nodes += 1;
-
         let bound = best.as_ref().map_or(f64::INFINITY, |b| b.area);
         // The incumbent may have improved since this node was pushed:
         // re-check the admissible bound at pop time so stale frontier
@@ -138,115 +134,104 @@ pub(crate) fn run_guided(ctx: &SearchCtx, seed: Option<Best>) -> (Option<Best>, 
             continue;
         }
         let plan = materialize(ctx, &node);
-        if let Some(memo) = memo.as_mut() {
-            if dominated(memo, &plan.covered, plan.opamps) {
-                stats.memo_pruned += 1;
-                continue;
-            }
+        if memo.prunes(&plan, &mut stats) {
+            continue;
         }
-
         let Some(cur) = ctx.next_uncovered(&plan) else {
-            complete(ctx, &plan, &node.path, &mut best, &mut best_path, &mut stats);
+            complete(
+                ctx,
+                &plan,
+                &node.path,
+                &mut best,
+                &mut best_path,
+                &mut stats,
+            );
             continue;
         };
-
-        let covered = plan.covered.count();
-        let alternatives = ctx.cache.at(cur);
-        for k in 0..alternatives.len() {
-            // Same visit order as the DFS (sequencing rule:
-            // largest-cover-first when enabled).
-            let i = if ctx.config.sequencing {
-                k
-            } else {
-                alternatives.len() - 1 - k
-            };
-            let m = &alternatives[i];
-            if m.covered.iter().any(|&b| plan.is_covered(b)) {
-                continue;
-            }
-            // Every block of `m.covered` is currently uncovered, so the
-            // child's covered count is exactly `covered + m.covered.len()`
-            // on both branches — no need to apply the action to rank it.
-            let child_covered = covered + m.covered.len();
-            // Share branch first, like the DFS. Sharing places no new
-            // component, so `g` is unchanged.
-            if ctx.config.sharing && plan.find_shareable(&m.kind, &m.inputs).is_some() {
-                let mut path = node.path.clone();
-                path.push((2 * k) as u16);
-                seq += 1;
-                heap.push(Node {
-                    f_bits: completion_f(ctx, node.g, child_covered).to_bits(),
-                    seq,
-                    g: node.g,
-                    parent: Arc::clone(&plan),
-                    action: Some((2 * k) as u16),
-                    path,
-                });
-            }
-            // Allocate branch: reject spec-impossible components
-            // locally (same as the DFS), then prune on the admissible
-            // placed-area bound.
-            if !ctx.spec_ok[cur.index()][i] {
-                stats.pruned_nodes += 1;
-                continue;
-            }
-            if ctx.is_range_pruned(cur, i) {
-                stats.range_pruned += 1;
-                continue;
-            }
-            let g_new = node.g + ctx.alt_area[cur.index()][i];
-            if ctx.config.bounding && g_new > bound {
-                stats.pruned_nodes += 1;
-                continue;
-            }
-            let mut path = node.path.clone();
-            path.push((2 * k + 1) as u16);
-            seq += 1;
-            heap.push(Node {
-                f_bits: completion_f(ctx, g_new, child_covered).to_bits(),
-                seq,
-                g: g_new,
-                parent: Arc::clone(&plan),
-                action: Some((2 * k + 1) as u16),
-                path,
-            });
-        }
+        let mut expand = Expand {
+            ctx,
+            heap: &mut heap,
+            seq: &mut seq,
+            stats: &mut stats,
+            node: &node,
+            parent: &plan,
+            covered: plan.covered.count(),
+            bound,
+        };
+        ctx.branch(&plan, cur, &mut expand);
     }
     (best, stats)
 }
 
-/// Apply a popped node's pending action to its (shared) parent plan.
-/// The replay is deterministic: the parent plan is in exactly the state
-/// it was in when the child was pushed, so `next_uncovered` and
-/// `find_shareable` re-derive the same block and share target.
+/// The guided frontier as a [`Driver`] of one popped node's branching
+/// step: children are pushed (not visited), ordered by `f`, and bounded
+/// by the admissible placed area `g`.
+struct Expand<'e> {
+    ctx: &'e SearchCtx<'e>,
+    heap: &'e mut BinaryHeap<Node>,
+    seq: &'e mut u64,
+    stats: &'e mut MapStats,
+    /// The popped node: its `g` and branch path.
+    node: &'e Node,
+    /// The popped node's materialized plan, shared by every child.
+    parent: &'e Arc<Plan>,
+    /// `parent`'s covered-block count.
+    covered: usize,
+    /// The incumbent area at pop time.
+    bound: f64,
+}
+
+impl Expand<'_> {
+    /// The child's placed area after `branch` at `cur`. Sharing places
+    /// no new component, so `g` is unchanged.
+    fn g(&self, cur: BlockId, branch: Branch) -> f64 {
+        match branch {
+            Branch::Share { .. } => self.node.g,
+            Branch::Allocate { alt } => self.node.g + self.ctx.alt_area[cur.index()][alt],
+        }
+    }
+}
+
+impl Driver for Expand<'_> {
+    fn stats(&mut self) -> &mut MapStats {
+        self.stats
+    }
+
+    fn bounded(&mut self, _plan: &Plan, cur: BlockId, alt: usize) -> bool {
+        self.ctx.config.bounding && self.g(cur, Branch::Allocate { alt }) > self.bound
+    }
+
+    fn child(&mut self, _plan: &Plan, cur: BlockId, rank: usize, branch: Branch) {
+        let g = self.g(cur, branch);
+        // Every block the alternative covers is currently uncovered, so
+        // the child's covered count follows without applying the branch.
+        let covered = self.covered + self.ctx.cache.at(cur)[branch.alt()].covered.len();
+        let code = 2 * rank + usize::from(matches!(branch, Branch::Allocate { .. }));
+        let mut path = self.node.path.clone();
+        path.push(code as u16);
+        *self.seq += 1;
+        self.heap.push(Node {
+            f_bits: completion_f(self.ctx, g, covered).to_bits(),
+            seq: *self.seq,
+            g,
+            parent: Arc::clone(self.parent),
+            branch: Some(branch),
+            path,
+        });
+    }
+}
+
+/// Apply a popped node's pending branch to its (shared) parent plan.
+/// The parent plan is in exactly the state it was in when the child
+/// was pushed, so `next_uncovered` re-derives the same block.
 fn materialize(ctx: &SearchCtx, node: &Node) -> Arc<Plan> {
-    let Some(entry) = node.action else {
+    let Some(branch) = node.branch else {
         return Arc::clone(&node.parent);
     };
-    let mut plan = (*node.parent).clone();
     let cur = ctx
-        .next_uncovered(&plan)
-        .expect("a pending action implies an uncovered block");
-    let alternatives = ctx.cache.at(cur);
-    let k = (entry >> 1) as usize;
-    let i = if ctx.config.sequencing {
-        k
-    } else {
-        alternatives.len() - 1 - k
-    };
-    let m = &alternatives[i];
-    if entry & 1 == 0 {
-        let existing = plan
-            .find_shareable(&m.kind, &m.inputs)
-            .expect("share action implies a shareable component");
-        for &b in &m.covered {
-            plan.cover(b);
-            plan.components[existing].covered.push(b);
-        }
-    } else {
-        apply_match(&mut plan, m, cur);
-    }
-    Arc::new(plan)
+        .next_uncovered(&node.parent)
+        .expect("a pending branch implies an uncovered block");
+    Arc::new(ctx.child(&node.parent, cur, branch))
 }
 
 /// Frontier ordering key `f = g + uncovered · MinArea`, from the plan's
@@ -260,27 +245,11 @@ fn completion_f(ctx: &SearchCtx, g: f64, covered: usize) -> f64 {
     g + uncovered as f64 * ctx.min_area
 }
 
-/// The exact search's dominance rule: a cover set reached before with
-/// as few or fewer op amps dominates this visit.
-fn dominated(memo: &mut HashMap<CoverSet, usize>, key: &CoverSet, opamps: usize) -> bool {
-    match memo.get_mut(key) {
-        Some(prev) if *prev <= opamps => true,
-        Some(prev) => {
-            *prev = opamps;
-            false
-        }
-        None => {
-            memo.insert(key.clone(), opamps);
-            false
-        }
-    }
-}
-
-/// Resolve, estimate, and (maybe) accept a complete plan. Acceptance
-/// mirrors the DFS: strictly smaller area always wins; on *bitwise*
-/// equal area the preorder-smaller branch path wins, which is the leaf
-/// the DFS would have kept (its first-found optimum). The greedy seed
-/// carries no path and only loses to strict improvements.
+/// Evaluate a complete plan and (maybe) accept it. Acceptance mirrors
+/// the DFS: strictly smaller area always wins; on *bitwise* equal area
+/// the preorder-smaller branch path wins, which is the leaf the DFS
+/// would have kept (its first-found optimum). The greedy seed carries
+/// no path and only loses to strict improvements.
 fn complete(
     ctx: &SearchCtx,
     plan: &Plan,
@@ -289,15 +258,9 @@ fn complete(
     best_path: &mut Option<Vec<u16>>,
     stats: &mut MapStats,
 ) {
-    stats.complete_mappings += 1;
-    let Ok(netlist) = resolve(ctx.graph, plan, ctx.config.fanout_limit) else {
+    let Ok((netlist, estimate)) = ctx.evaluate(plan, stats) else {
         return;
     };
-    let estimate = ctx.estimator.estimate_netlist(&netlist);
-    if !estimate.feasible() {
-        stats.infeasible_mappings += 1;
-        return;
-    }
     let area = estimate.area_m2;
     let accept = match best.as_ref() {
         None => true,
@@ -308,13 +271,7 @@ fn complete(
         }
     };
     if accept {
-        *best = Some(Best {
-            area,
-            netlist,
-            estimate,
-            components: plan.components.clone(),
-            opamps: plan.opamps,
-        });
+        *best = Some(Best::new(plan, netlist, estimate));
         *best_path = Some(path.to_vec());
     }
 }

@@ -16,6 +16,20 @@
 //!   triggers, zero-cross detectors, S/H circuits, and ADCs;
 //! * [`synthesize`] — the full-design driver combining both parts.
 //!
+//! One search core serves every strategy: the Fig. 5 branching step
+//! (overlap filter, share before allocate in sequencing order, spec and
+//! range-prune filters, plan update), the dominance memo and the leaf
+//! evaluation exist once, in the private `search` module. Four drivers
+//! call that step — the exact DFS, the guided best-first search
+//! ([`SearchStrategy::Guided`]), the parallel frontier split, and the
+//! greedy heuristic, which also seeds every budgeted or cancellable
+//! search from the search's own match table. The drivers differ only in
+//! frontier order, bound and leaf tie-break.
+//!
+//! Each layer has one plain and one full entry point: [`map_graph`] /
+//! [`map_graph_with_cache`] (token and cover cache) per graph, and
+//! [`synthesize`] / [`synthesize_with_cache`] per design.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,6 +64,7 @@ pub mod greedy;
 mod guide;
 mod parallel;
 pub mod plan;
+mod search;
 
 use std::time::Instant;
 
@@ -58,7 +73,7 @@ use vase_estimate::{Estimator, NetlistEstimate};
 use vase_library::{Netlist, SourceRef};
 use vase_vhif::VhifDesign;
 
-pub use bnb::{map_graph, map_graph_with_cache, map_graph_with_cancel, MapResult};
+pub use bnb::{map_graph, map_graph_with_cache, MapResult};
 pub use cache::CoverCache;
 pub use config::{MapStats, MapperConfig, SearchStrategy};
 pub use cover::CoverSet;
@@ -102,10 +117,11 @@ pub fn synthesize(
     estimator: &Estimator,
     config: &MapperConfig,
 ) -> Result<SynthesisResult, MapError> {
-    synthesize_with_cancel(design, estimator, config, None)
+    synthesize_with_cache(design, estimator, config, None, None)
 }
 
-/// [`synthesize`] with an optional cooperative [`CancelToken`].
+/// [`synthesize`] with an optional cooperative [`CancelToken`] and an
+/// optional content-addressed [`CoverCache`].
 ///
 /// One budget meter spans the whole design: `config.budget`'s deadline
 /// and node cap bound the *sum* of all graph searches, not each graph
@@ -115,24 +131,10 @@ pub fn synthesize(
 /// remaining graph — degraded to the heuristic — flagged
 /// `stats.budget_exhausted`.
 ///
-/// # Errors
-///
-/// As [`synthesize`].
-pub fn synthesize_with_cancel(
-    design: &VhifDesign,
-    estimator: &Estimator,
-    config: &MapperConfig,
-    token: Option<CancelToken>,
-) -> Result<SynthesisResult, MapError> {
-    synthesize_with_cache(design, estimator, config, token, None)
-}
-
-/// [`synthesize_with_cancel`] consulting (and updating) a
-/// content-addressed [`CoverCache`]: each signal-flow graph whose
-/// structure (and constraint context) is already cached maps in
-/// O(lookup), and every newly proven-optimal cover is recorded. Per
-/// graph hit/miss counts are summed into `stats.cache_hits` /
-/// `stats.cache_misses`.
+/// With a cache, each signal-flow graph whose structure (and
+/// constraint context) is already cached maps in O(lookup), and every
+/// newly proven-optimal cover is recorded. Per graph hit/miss counts
+/// are summed into `stats.cache_hits` / `stats.cache_misses`.
 ///
 /// # Errors
 ///

@@ -28,15 +28,18 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::bnb::{apply_match, Best, Search, SearchCtx};
+use vase_vhif::BlockId;
+
+use crate::bnb::Search;
 use crate::config::MapStats;
 use crate::cover::CoverSet;
 use crate::plan::Plan;
+use crate::search::{dominated, Best, Branch, Driver, SearchCtx};
 
-/// Subtree tasks to aim for per worker when `split_depth` is auto.
+/// Subtree tasks to aim for per worker.
 const TASKS_PER_WORKER: usize = 4;
-/// Auto-split never expands more than this many tree levels.
-const MAX_AUTO_DEPTH: usize = 8;
+/// The frontier split never expands more than this many tree levels.
+const MAX_SPLIT_DEPTH: usize = 8;
 
 /// A dominance memo sharded over independently locked hash maps, so
 /// concurrent workers rarely contend on the same shard.
@@ -68,17 +71,7 @@ impl ShardedMemo {
             .shard(key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        match map.get_mut(key) {
-            Some(best) if *best <= opamps => true,
-            Some(best) => {
-                *best = opamps;
-                false
-            }
-            None => {
-                map.insert(key.clone(), opamps);
-                false
-            }
-        }
+        dominated(&mut map, key, opamps)
     }
 }
 
@@ -117,7 +110,9 @@ pub(crate) fn run_parallel(
     }
     let shared = SharedSearchState::new(jobs);
     if let Some(s) = &seed {
-        shared.best_area.fetch_min(s.area.to_bits(), Ordering::Relaxed);
+        shared
+            .best_area
+            .fetch_min(s.area.to_bits(), Ordering::Relaxed);
     }
     let next = AtomicUsize::new(0);
     let workers = jobs.min(tasks.len());
@@ -132,7 +127,7 @@ pub(crate) fn run_parallel(
                         // A fresh search per task keeps per-task bests
                         // (for the deterministic tie-break below); the
                         // memo and bound still persist via `shared`.
-                        let mut search = Search::worker(ctx, &shared);
+                        let mut search = Search::new(ctx, Some(&shared));
                         search.run(task.clone());
                         out.push((i, search.best, search.stats));
                     }
@@ -171,46 +166,40 @@ pub(crate) fn run_parallel(
 
 /// Expand the top of the decision tree breadth-first into subtree-root
 /// plans, preserving the order the sequential search would first reach
-/// them. With `split_depth = 0` levels are expanded until there are
-/// about [`TASKS_PER_WORKER`] tasks per worker (bounded by
-/// [`MAX_AUTO_DEPTH`]); otherwise exactly `split_depth` levels.
+/// them: levels are expanded until there are about
+/// [`TASKS_PER_WORKER`] tasks per worker, at most [`MAX_SPLIT_DEPTH`]
+/// levels deep.
 ///
-/// Expansion applies the overlap and spec filters of the branching rule
-/// but neither the bound nor the memo (both need search state that does
-/// not exist yet); each expanded node is counted in `stats` exactly as
-/// the sequential search would count it.
+/// Expansion runs the shared branching step with no bound and no memo
+/// (both need search state that does not exist yet); each expanded node
+/// is counted in `stats` exactly as the sequential search would count
+/// it.
 fn expand_frontier(ctx: &SearchCtx<'_>, jobs: usize, stats: &mut MapStats) -> Vec<Plan> {
-    let (target, max_depth) = match ctx.config.split_depth {
-        0 => (jobs * TASKS_PER_WORKER, MAX_AUTO_DEPTH),
-        depth => (usize::MAX, depth),
-    };
     let mut frontier = vec![Plan::new(ctx.graph)];
-    for _ in 0..max_depth {
-        if frontier.len() >= target {
+    for _ in 0..MAX_SPLIT_DEPTH {
+        if frontier.len() >= jobs * TASKS_PER_WORKER {
             break;
         }
-        let mut next = Vec::new();
+        let mut split = Split {
+            ctx,
+            out: Vec::new(),
+            stats: &mut *stats,
+        };
         let mut expanded_any = false;
-        for plan in frontier.drain(..) {
-            if ctx.next_uncovered(&plan).is_none() {
-                // Already a complete mapping: keep it as its own task
-                // (the worker evaluates it as a leaf).
-                next.push(plan);
-                continue;
+        for plan in frontier {
+            // A complete mapping stays its own task (the worker
+            // evaluates it as a leaf). Once the budget is exhausted the
+            // plan stays an unexpanded task: the workers observe the
+            // tripped meter and return without searching it.
+            match ctx.next_uncovered(&plan) {
+                Some(cur) if ctx.note_visit(split.stats) => {
+                    expanded_any = true;
+                    ctx.branch(&plan, cur, &mut split);
+                }
+                _ => split.out.push(plan),
             }
-            // Budget exhausted mid-expansion: keep the plan as an
-            // unexpanded task — the workers observe the tripped meter
-            // and return without searching it.
-            if !ctx.meter.note_node() {
-                stats.budget_exhausted = true;
-                next.push(plan);
-                continue;
-            }
-            expanded_any = true;
-            stats.visited_nodes += 1;
-            expand_children(ctx, &plan, &mut next, stats);
         }
-        frontier = next;
+        frontier = split.out;
         if !expanded_any {
             break;
         }
@@ -218,45 +207,25 @@ fn expand_frontier(ctx: &SearchCtx<'_>, jobs: usize, stats: &mut MapStats) -> Ve
     frontier
 }
 
-/// Push every child of `plan` (share branches first, then allocations,
-/// in sequencing order) — the frontier-expansion mirror of one
-/// `Search::run` branching step.
-fn expand_children(ctx: &SearchCtx<'_>, plan: &Plan, out: &mut Vec<Plan>, stats: &mut MapStats) {
-    let cur = ctx
-        .next_uncovered(plan)
-        .expect("caller ensures an uncovered block");
-    let alternatives = ctx.cache.at(cur);
-    for k in 0..alternatives.len() {
-        let i = if ctx.config.sequencing {
-            k
-        } else {
-            alternatives.len() - 1 - k
-        };
-        let m = &alternatives[i];
-        if m.covered.iter().any(|&b| plan.is_covered(b)) {
-            continue;
-        }
-        if ctx.config.sharing {
-            if let Some(existing) = plan.find_shareable(&m.kind, &m.inputs) {
-                let mut shared = plan.clone();
-                for &b in &m.covered {
-                    shared.cover(b);
-                    shared.components[existing].covered.push(b);
-                }
-                out.push(shared);
-            }
-        }
-        if !ctx.spec_ok[cur.index()][i] {
-            stats.pruned_nodes += 1;
-            continue;
-        }
-        if ctx.is_range_pruned(cur, i) {
-            stats.range_pruned += 1;
-            continue;
-        }
-        let mut allocated = plan.clone();
-        apply_match(&mut allocated, m, cur);
-        out.push(allocated);
+/// The frontier split as a [`Driver`]: every child becomes a task, and
+/// nothing is bounded (no incumbent exists yet).
+struct Split<'s> {
+    ctx: &'s SearchCtx<'s>,
+    out: Vec<Plan>,
+    stats: &'s mut MapStats,
+}
+
+impl Driver for Split<'_> {
+    fn stats(&mut self) -> &mut MapStats {
+        self.stats
+    }
+
+    fn bounded(&mut self, _plan: &Plan, _cur: BlockId, _alt: usize) -> bool {
+        false
+    }
+
+    fn child(&mut self, plan: &Plan, cur: BlockId, _rank: usize, branch: Branch) {
+        self.out.push(self.ctx.child(plan, cur, branch));
     }
 }
 
@@ -310,7 +279,6 @@ mod tests {
         let estimator = Estimator::default();
         let config = MapperConfig {
             parallelism: 4,
-            split_depth: 2,
             ..MapperConfig::default()
         };
         let cache = MatchCache::build(&g, &config.match_options);
@@ -318,10 +286,7 @@ mod tests {
         let ctx = SearchCtx::new(&g, &estimator, &config, cache, &meter, None);
         let mut stats = MapStats::default();
         let tasks = expand_frontier(&ctx, 4, &mut stats);
-        assert!(
-            tasks.len() > 1,
-            "split_depth=2 on a chain must produce several subtrees"
-        );
+        assert!(tasks.len() > 1, "a chain must split into several subtrees");
         assert!(stats.visited_nodes > 0, "expansion counts visited nodes");
         // Every task is a coherent partial plan: covered count matches
         // at least the interface blocks.
@@ -338,7 +303,7 @@ mod tests {
         let cache = MatchCache::build(&g, &seq_config.match_options);
         let seq_meter = BudgetMeter::new(seq_config.effective_budget(), None);
         let seq_ctx = SearchCtx::new(&g, &estimator, &seq_config, cache, &seq_meter, None);
-        let mut seq = Search::sequential(&seq_ctx);
+        let mut seq = Search::new(&seq_ctx, None);
         seq.run(Plan::new(&g));
         let seq_best = seq.best.expect("sequential finds a mapping");
 

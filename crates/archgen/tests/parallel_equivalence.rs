@@ -242,18 +242,18 @@ fn warm_cache_replays_cold_search_bitwise() {
         for strategy in [SearchStrategy::Exact, SearchStrategy::Guided] {
             let config = MapperConfig { strategy, ..MapperConfig::default() };
             let cache = CoverCache::new();
-            let cold = match map_graph_with_cache(&g, &estimator, &config, &cache) {
+            let cold = match map_graph_with_cache(&g, &estimator, &config, None, Some(&cache)) {
                 Ok(r) => r,
                 // Unmappable graphs must fail identically warm or cold.
                 Err(e) => {
-                    let again = map_graph_with_cache(&g, &estimator, &config, &cache);
+                    let again = map_graph_with_cache(&g, &estimator, &config, None, Some(&cache));
                     assert_eq!(again.expect_err("still fails"), e, "seed={seed:#x}");
                     continue;
                 }
             };
             assert_eq!(cold.stats.cache_hits, 0, "seed={seed:#x} {strategy:?}");
             assert_eq!(cold.stats.cache_misses, 1, "seed={seed:#x} {strategy:?}");
-            let warm = map_graph_with_cache(&g, &estimator, &config, &cache)
+            let warm = map_graph_with_cache(&g, &estimator, &config, None, Some(&cache))
                 .unwrap_or_else(|e| panic!("seed={seed:#x} {strategy:?}: warm run failed: {e}"));
             assert_eq!(warm.stats.cache_hits, 1, "seed={seed:#x} {strategy:?}: no hit");
             assert_eq!(

@@ -251,9 +251,9 @@ fn bench_synthetic(
             let guided = map_graph(&g, &estimator, &guided_config)
                 .map_err(|e| format!("{family}@{ops} guided: {e}"))?;
             let cache = CoverCache::new();
-            let cold = map_graph_with_cache(&g, &estimator, &guided_config, &cache)
+            let cold = map_graph_with_cache(&g, &estimator, &guided_config, None, Some(&cache))
                 .map_err(|e| format!("{family}@{ops} cold: {e}"))?;
-            let warm = map_graph_with_cache(&g, &estimator, &guided_config, &cache)
+            let warm = map_graph_with_cache(&g, &estimator, &guided_config, None, Some(&cache))
                 .map_err(|e| format!("{family}@{ops} warm: {e}"))?;
             let warm_hit = warm.stats.cache_hits > 0;
             if !cold.stats.budget_exhausted {

@@ -74,8 +74,8 @@ use vase::archgen::{Budget, CoverCache, MapperConfig, SearchStrategy};
 use vase::diag::json::{diagnostic_to_json, Json};
 use vase::flow::{
     compile_source, monte_carlo_designs, opt_diagnostics, sim_diagnostics,
-    simulate_designs_reported, synthesize_designs_with_cache, synthesize_source,
-    yield_diagnostics, FlowOptions, FlowStatus,
+    simulate_designs_reported, synthesize_source, synthesize_unit, yield_diagnostics,
+    FlowOptions, FlowStatus,
 };
 use vase::serve::{FaultPlan, ServerConfig};
 use vase::service::timings_to_json;
@@ -119,61 +119,142 @@ fn run(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// Flags that take a value operand (so a value is never mistaken for
-/// an input path).
-const VALUE_FLAGS: [&str; 23] = [
-    "--workers",
-    "--queue-depth",
-    "--socket",
-    "--snapshot-every",
-    "--inject",
-    "--jobs",
-    "--input",
-    "--format",
-    "--deny",
-    "--passes",
-    "--dot",
-    "--tend",
-    "--dt",
-    "--csv",
-    "--spice",
-    "--deadline-ms",
-    "--max-nodes",
-    "--strategy",
-    "--cache-file",
-    "--monte-carlo",
-    "--tolerance",
-    "--seed",
-    "--inject-lane",
-];
-
-/// Every non-flag argument, in order: the input file paths.
-fn input_paths(args: &[String]) -> Vec<&String> {
-    let mut paths = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            a if VALUE_FLAGS.contains(&a) => i += 2,
-            a if a.starts_with('-') => i += 1,
-            _ => {
-                paths.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
-    paths
+/// The flags one subcommand accepts. Anything else that starts with
+/// `-` is a usage error naming the flag.
+struct FlagSet {
+    /// The subcommand, for usage errors.
+    command: &'static str,
+    /// Flags that take a value operand (so a value is never mistaken
+    /// for an input path).
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    /// Whether the `-O0|-O1|-O2` optimization levels are accepted.
+    opt_levels: bool,
 }
 
-fn read_source(args: &[String]) -> Result<String, String> {
-    // The input file may appear before or after flags; skip the flags
-    // that take a value along with their operand.
-    let path = input_paths(args).into_iter().next_back().ok_or("missing input file")?;
+const PARSE: FlagSet = FlagSet { command: "parse", values: &[], switches: &[], opt_levels: false };
+const COMPILE: FlagSet =
+    FlagSet { command: "compile", values: &["--dot"], switches: &[], opt_levels: false };
+const OPT: FlagSet = FlagSet {
+    command: "opt",
+    values: &["--passes", "--dot"],
+    switches: &["--print-stats"],
+    opt_levels: false,
+};
+const LINT: FlagSet =
+    FlagSet { command: "lint", values: &["--format", "--deny"], switches: &[], opt_levels: false };
+const ANALYZE: FlagSet =
+    FlagSet { command: "analyze", values: &["--format"], switches: &[], opt_levels: false };
+const SYNTH: FlagSet = FlagSet {
+    command: "synth",
+    values: &[
+        "--deadline-ms",
+        "--max-nodes",
+        "--strategy",
+        "--jobs",
+        "--cache-file",
+        "--format",
+        "--spice",
+    ],
+    switches: &["--greedy", "--range-prune"],
+    opt_levels: true,
+};
+const SIM: FlagSet = FlagSet {
+    command: "sim",
+    values: &[
+        "--input",
+        "--tend",
+        "--dt",
+        "--csv",
+        "--jobs",
+        "--monte-carlo",
+        "--tolerance",
+        "--seed",
+        "--inject-lane",
+    ],
+    switches: &[],
+    opt_levels: true,
+};
+const SERVE: FlagSet = FlagSet {
+    command: "serve",
+    values: &[
+        "--deadline-ms",
+        "--max-nodes",
+        "--strategy",
+        "--workers",
+        "--queue-depth",
+        "--socket",
+        "--snapshot-every",
+        "--cache-file",
+        "--inject",
+        "--seed",
+    ],
+    switches: &[],
+    opt_levels: true,
+};
+const TABLE1: FlagSet = FlagSet {
+    command: "table1",
+    values: &["--deadline-ms", "--max-nodes", "--strategy", "--jobs"],
+    switches: &[],
+    opt_levels: true,
+};
+
+impl FlagSet {
+    /// Every non-flag argument, in order: the input file paths. Fails
+    /// on a flag this subcommand does not accept and on a value flag
+    /// without its operand.
+    fn inputs<'a>(&self, args: &'a [String]) -> Result<Vec<&'a String>, String> {
+        let mut paths = Vec::new();
+        let mut i = 0;
+        while i < args.len() {
+            let a = args[i].as_str();
+            if self.values.contains(&a) {
+                if i + 1 == args.len() {
+                    return Err(format!("`vase {}`: `{a}` needs a value", self.command));
+                }
+                i += 2;
+                continue;
+            }
+            let known = self.switches.contains(&a) || (self.opt_levels && a.starts_with("-O"));
+            if !a.starts_with('-') {
+                paths.push(&args[i]);
+            } else if !known {
+                let mut accepted: Vec<&str> =
+                    self.values.iter().chain(self.switches).copied().collect();
+                if self.opt_levels {
+                    accepted.push("-O0|-O1|-O2");
+                }
+                return Err(format!(
+                    "`vase {}` does not accept `{a}` (flags: {})",
+                    self.command,
+                    if accepted.is_empty() { "none".to_owned() } else { accepted.join(", ") }
+                ));
+            }
+            i += 1;
+        }
+        Ok(paths)
+    }
+
+    /// Check `args` for a subcommand that takes no input files.
+    fn no_inputs(&self, args: &[String]) -> Result<(), String> {
+        match self.inputs(args)?.first() {
+            Some(extra) => Err(format!("`vase {}` takes no input file, got `{extra}`", self.command)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The input file of a single-file subcommand: the last path argument
+/// (the file may appear before or after flags).
+fn read_source(flags: &FlagSet, args: &[String]) -> Result<String, String> {
+    let path = flags.inputs(args)?.into_iter().next_back().ok_or("missing input file")?;
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
 /// Read every input file of a multi-file batch as `(path, source)`.
-fn read_sources(args: &[String]) -> Result<Vec<(String, String)>, String> {
-    let paths = input_paths(args);
+fn read_sources(flags: &FlagSet, args: &[String]) -> Result<Vec<(String, String)>, String> {
+    let paths = flags.inputs(args)?;
     if paths.is_empty() {
         return Err("missing input file".into());
     }
@@ -246,7 +327,7 @@ fn jobs_flag(args: &[String]) -> Result<Option<usize>, String> {
 }
 
 fn cmd_parse(args: &[String]) -> Result<u8, String> {
-    let source = read_source(args)?;
+    let source = read_source(&PARSE, args)?;
     let design = vase::frontend::parse_design_file(&source).map_err(|e| e.to_string())?;
     let analyzed = vase::frontend::analyze(&design).map_err(|e| e.to_string())?;
     for arch in &analyzed.architectures {
@@ -258,7 +339,7 @@ fn cmd_parse(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<u8, String> {
-    let source = read_source(args)?;
+    let source = read_source(&COMPILE, args)?;
     for (entity, vhif, stats) in compile_source(&source).map_err(|e| e.to_string())? {
         println!("-- entity {entity} ({stats})");
         println!("{vhif}");
@@ -276,7 +357,7 @@ fn cmd_compile(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_opt(args: &[String]) -> Result<u8, String> {
-    let source = read_source(args)?;
+    let source = read_source(&OPT, args)?;
     let manager = match flag_value(args, "--passes") {
         Some(list) => {
             let names: Vec<&str> =
@@ -315,30 +396,17 @@ fn cmd_opt(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<u8, String> {
-    // The input file may appear before or after the flags.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" | "--deny" => i += 2,
-            a if a.starts_with("--") => i += 1,
-            _ => {
-                path = Some(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    let path = path.ok_or("missing input file")?;
+    let path = LINT.inputs(args)?.into_iter().next_back().ok_or("missing input file")?;
     let source =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let mut diags = vase::lint_source(&source);
     if args.windows(2).any(|w| w[0] == "--deny" && w[1] == "warnings") {
         vase::diag::deny_warnings(&mut diags);
     }
     match flag_value(args, "--format").unwrap_or("text") {
-        "text" => print!("{}", vase::diag::render_all(&diags, &source, &path)),
+        "text" => print!("{}", vase::diag::render_all(&diags, &source, path)),
         "json" => {
-            println!("{}", vase::diag::json::report_to_json(&path, &diags).to_string_pretty())
+            println!("{}", vase::diag::json::report_to_json(path, &diags).to_string_pretty())
         }
         other => return Err(format!("unknown --format `{other}` (text, json)")),
     }
@@ -349,7 +417,7 @@ fn cmd_lint(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<u8, String> {
-    let source = read_source(args)?;
+    let source = read_source(&ANALYZE, args)?;
     let analyses = vase::analyze_source(&source).map_err(|e| e.to_string())?;
     match flag_value(args, "--format").unwrap_or("text") {
         "text" => print!("{}", vase::analysis::render_analysis_text(&analyses)),
@@ -367,6 +435,7 @@ fn cmd_analyze(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_synth(args: &[String]) -> Result<u8, String> {
+    let sources = read_sources(&SYNTH, args)?;
     let greedy = args.iter().any(|a| a == "--greedy");
     let mut mapper = MapperConfig::default();
     if let Some(jobs) = jobs_flag(args)? {
@@ -378,9 +447,10 @@ fn cmd_synth(args: &[String]) -> Result<u8, String> {
     }
     mapper.range_prune = args.iter().any(|a| a == "--range-prune");
     if greedy {
-        // Greedy applies per graph; run the pieces manually.
-        let source = read_source(args)?;
-        let compiled = compile_source(&source).map_err(|e| e.to_string())?;
+        // Greedy applies per graph; run the pieces manually on the
+        // last input file.
+        let (_, source) = sources.last().ok_or("missing input file")?;
+        let compiled = compile_source(source).map_err(|e| e.to_string())?;
         let mut degraded = false;
         for (entity, vhif, _) in compiled {
             let estimator = vase::estimate::Estimator::default();
@@ -401,7 +471,6 @@ fn cmd_synth(args: &[String]) -> Result<u8, String> {
         opt_level: opt_level_flag(args)?.unwrap_or(0),
         ..FlowOptions::default()
     };
-    let sources = read_sources(args)?;
     // With --cache-file, load the persisted cover cache (an absent file
     // starts empty), thread it through the whole batch, and save it
     // back afterwards so the next run reuses every proven cover.
@@ -430,7 +499,10 @@ fn cmd_synth(args: &[String]) -> Result<u8, String> {
         }
         None => None,
     };
-    let reports = synthesize_designs_with_cache(&sources, &options, cover_cache.as_ref());
+    let reports: Vec<_> = sources
+        .iter()
+        .map(|(name, source)| synthesize_unit(name, source, &options, cover_cache.as_ref(), None))
+        .collect();
     if let (Some(path), Some(cache)) = (cache_path, &cover_cache) {
         cache
             .save(std::path::Path::new(path))
@@ -561,6 +633,7 @@ fn synth_reports_to_json(reports: &[vase::flow::FlowReport]) -> Json {
 /// panic:N,timeout:N,malformed:N` (with `--seed`) arms deterministic
 /// fault injection for resilience testing.
 fn cmd_serve(args: &[String]) -> Result<u8, String> {
+    SERVE.no_inputs(args)?;
     let mut mapper = MapperConfig::default();
     let mut budget = budget_flags(args)?;
     // --deadline-ms is the default *job* deadline; the handler lowers
@@ -713,7 +786,7 @@ fn parse_stimulus(spec: &str) -> Result<Stimulus, String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<u8, String> {
-    let source = read_source(args)?;
+    let source = read_source(&SIM, args)?;
     let options = FlowOptions {
         opt_level: opt_level_flag(args)?.unwrap_or(0),
         ..FlowOptions::default()
@@ -884,6 +957,7 @@ fn cmd_table1(args: &[String]) -> Result<u8, String> {
         vase::benchmarks::ITERATIVE,
         vase::benchmarks::FUNCTION_GENERATOR,
     ];
+    TABLE1.no_inputs(args)?;
     let mut mapper = MapperConfig::default();
     if let Some(jobs) = jobs_flag(args)? {
         mapper.parallelism = jobs;

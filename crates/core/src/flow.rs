@@ -210,39 +210,18 @@ pub fn synthesize_source(
     source: &str,
     options: &FlowOptions,
 ) -> Result<Vec<SynthesizedDesign>, FlowError> {
-    synthesize_source_with_cache(source, options, None)
+    synthesize_source_instrumented(source, options, None, None, &mut PhaseTimings::default())
 }
 
-/// [`synthesize_source`] consulting (and updating) a content-addressed
-/// [`CoverCache`] during the mapping stage: structurally repeated
-/// signal-flow graphs — across architectures, across source files, or
-/// across runs when the cache is persisted — map in O(lookup). Cache
-/// traffic is reported in each design's `synthesis.stats.cache_hits` /
-/// `cache_misses` (see [`cache_diagnostics`]).
-///
-/// # Errors
-///
-/// As [`synthesize_source`].
-pub fn synthesize_source_with_cache(
-    source: &str,
-    options: &FlowOptions,
-    cache: Option<&CoverCache>,
-) -> Result<Vec<SynthesizedDesign>, FlowError> {
-    synthesize_source_instrumented(source, options, cache, None, &mut PhaseTimings::default())
-}
-
-/// The fully-instrumented flow core: [`synthesize_source_with_cache`]
-/// plus a cooperative [`CancelToken`] threaded into the long-running
-/// stages (the analyze worklist and the branch-and-bound mapper) and
-/// per-phase wall-clock accounting written into `timings` as each
-/// phase completes — so a panicking or cancelled run still reports the
-/// time its finished phases took. A `None` token is bit-identical to
-/// [`synthesize_source_with_cache`].
-///
-/// # Errors
-///
-/// As [`synthesize_source`].
-pub fn synthesize_source_instrumented(
+/// The fully-instrumented flow core behind [`synthesize_source`] and
+/// [`synthesize_unit`]: an optional content-addressed [`CoverCache`]
+/// consulted (and updated) during mapping, a cooperative
+/// [`CancelToken`] threaded into the long-running stages (the analyze
+/// worklist and the branch-and-bound mapper), and per-phase wall-clock
+/// accounting written into `timings` as each phase completes — so a
+/// panicking or cancelled run still reports the time its finished
+/// phases took.
+fn synthesize_source_instrumented(
     source: &str,
     options: &FlowOptions,
     cache: Option<&CoverCache>,
@@ -397,8 +376,8 @@ impl fmt::Display for PhaseTimings {
     }
 }
 
-/// The structured per-unit outcome of a panic-isolated batch run
-/// ([`synthesize_designs`]).
+/// The structured outcome of one panic-isolated flow unit
+/// ([`synthesize_unit`]).
 #[derive(Debug, Clone)]
 pub struct FlowReport {
     /// The unit's name (typically the source file path).
@@ -434,39 +413,19 @@ impl FlowReport {
     }
 }
 
-/// Synthesize a batch of `(name, source)` units with per-unit panic
-/// isolation: each unit runs the full flow under `catch_unwind`, and a
-/// failing or even panicking unit produces a [`FlowReport`] entry
-/// instead of aborting the batch. Reports come back in input order.
-pub fn synthesize_designs(
-    sources: &[(String, String)],
-    options: &FlowOptions,
-) -> Vec<FlowReport> {
-    synthesize_designs_with_cache(sources, options, None)
-}
-
-/// [`synthesize_designs`] threading one shared [`CoverCache`] through
-/// every unit of the batch: a graph synthesized by an earlier unit (or
-/// loaded from a persisted cache file) maps in O(lookup) for every
-/// later structurally identical occurrence. Cache traffic surfaces per
-/// unit as `A211`/`A212` notes.
-pub fn synthesize_designs_with_cache(
-    sources: &[(String, String)],
-    options: &FlowOptions,
-    cache: Option<&CoverCache>,
-) -> Vec<FlowReport> {
-    sources
-        .iter()
-        .map(|(name, source)| synthesize_unit(name, source, options, cache, None))
-        .collect()
-}
-
 /// Run the full flow on one `(name, source)` unit under `catch_unwind`
-/// — the panic-isolated, cancellable job body shared by the CLI batch
-/// and the `vase serve` worker pool. A panicking unit produces a
-/// [`FlowStatus::Panicked`] report; a cancelled one keeps whatever its
-/// finished phases produced. The report carries per-phase wall-clock
-/// timings either way.
+/// — the flow layer's full entry point ([`synthesize_source`] is the
+/// plain one) and the panic-isolated, cancellable job body shared by
+/// the CLI batch and the `vase serve` worker pool. A failing or even
+/// panicking unit produces a [`FlowReport`] instead of unwinding into
+/// the caller (a panic reports [`FlowStatus::Panicked`]); a cancelled
+/// one keeps whatever its finished phases produced. The report carries
+/// per-phase wall-clock timings either way.
+///
+/// With a [`CoverCache`], structurally repeated signal-flow graphs —
+/// across architectures, across units, or across runs when the cache
+/// is persisted — map in O(lookup); cache traffic surfaces as
+/// `A211`/`A212` notes (see [`cache_diagnostics`]).
 pub fn synthesize_unit(
     name: &str,
     source: &str,
@@ -982,6 +941,12 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == Code::S403));
     }
 
+    /// Run each `(name, source)` unit through [`synthesize_unit`], as
+    /// the CLI batch does.
+    fn batch(sources: &[(String, String)], options: &FlowOptions) -> Vec<FlowReport> {
+        sources.iter().map(|(name, source)| synthesize_unit(name, source, options, None, None)).collect()
+    }
+
     #[test]
     fn batch_continues_past_failing_units() {
         let sources = vec![
@@ -989,7 +954,7 @@ mod tests {
             ("bad".to_owned(), "entity broken".to_owned()),
             ("also-good".to_owned(), benchmarks::FUNCTION_GENERATOR.source.to_owned()),
         ];
-        let reports = synthesize_designs(&sources, &FlowOptions::default());
+        let reports = batch(&sources, &FlowOptions::default());
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[0].status(), FlowStatus::Ok);
         assert_eq!(reports[0].name, "good");
@@ -1013,7 +978,7 @@ mod tests {
         };
         let sources =
             vec![("receiver".to_owned(), benchmarks::RECEIVER.source.to_owned())];
-        let reports = synthesize_designs(&sources, &options);
+        let reports = batch(&sources, &options);
         let report = &reports[0];
         assert_eq!(report.status(), FlowStatus::BudgetExhausted, "{:?}", report.error);
         assert!(report.budget_exhausted());
@@ -1032,7 +997,7 @@ mod tests {
                    end entity;
                    architecture a of hot is begin y == x * 4.0; end architecture;";
         let options = FlowOptions { deny_warnings: true, ..FlowOptions::default() };
-        let reports = synthesize_designs(&[("hot".to_owned(), src.to_owned())], &options);
+        let reports = batch(&[("hot".to_owned(), src.to_owned())], &options);
         assert_eq!(reports[0].status(), FlowStatus::Error);
         assert!(reports[0].diagnostics.iter().any(|d| d.code == Code::A201));
     }

@@ -6,7 +6,22 @@
 //! in-memory or reloaded from disk — replays it without searching.
 
 use vase::archgen::{CoverCache, MapperConfig, SearchStrategy};
-use vase::flow::{synthesize_source, synthesize_source_with_cache, FlowOptions};
+use vase::flow::{synthesize_source, synthesize_unit, FlowOptions, SynthesizedDesign};
+
+/// Synthesize `source` through the flow's full entry point,
+/// [`synthesize_unit`], consulting and updating `cache`.
+fn synthesize_cached(
+    source: &str,
+    options: &FlowOptions,
+    cache: &CoverCache,
+) -> Result<Vec<SynthesizedDesign>, String> {
+    let report = synthesize_unit("spec", source, options, Some(cache), None);
+    match report.error {
+        Some(e) => Err(e.to_string()),
+        None => Ok(report.designs),
+    }
+}
+
 
 #[test]
 fn guided_matches_exact_on_every_spec() {
@@ -46,7 +61,7 @@ fn cover_cache_round_trip_on_every_spec() {
     // Cold pass: every design is a miss and populates the cache.
     let mut cold = Vec::new();
     for (name, _, source) in vase::benchmarks::corpus() {
-        let designs = synthesize_source_with_cache(source, &options, Some(&cache))
+        let designs = synthesize_cached(source, &options, &cache)
             .unwrap_or_else(|e| panic!("{name} failed cold synthesis: {e}"));
         for d in &designs {
             assert_eq!(d.synthesis.stats.cache_hits, 0, "{name}/{}: cold hit", d.vhif.name);
@@ -56,7 +71,7 @@ fn cover_cache_round_trip_on_every_spec() {
     assert!(!cache.is_empty(), "cold pass cached nothing");
     let verify = |cache: &CoverCache, label: &str| {
         for (name, cold_designs) in &cold {
-            let warm = synthesize_source_with_cache(name_source(name), &options, Some(cache))
+            let warm = synthesize_cached(name_source(name), &options, cache)
                 .unwrap_or_else(|e| panic!("{name} failed {label} synthesis: {e}"));
             for (c, w) in cold_designs.iter().zip(&warm) {
                 assert_eq!(

@@ -1,7 +1,8 @@
 //! E2e exit-code contract of the `vase` binary: `0` ok, `1` hard
 //! failure, `3` degraded-but-usable — asserted over mixed CLI batches
-//! (per-design JSON statuses included) and over a spawned `vase serve`
-//! daemon round trip, warm cache and all.
+//! (per-design JSON statuses included), over flags a subcommand does
+//! not accept, and over a spawned `vase serve` daemon round trip, warm
+//! cache and all.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -76,6 +77,25 @@ fn a_hard_failure_anywhere_in_the_batch_exits_one() {
     assert!(statuses.contains(&"error".to_owned()), "statuses: {statuses:?}");
     assert!(statuses.contains(&"ok".to_owned()) || statuses.contains(&"budget-exhausted".to_owned()));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    let funcgen = spec("funcgen.vhd");
+    for (args, flag) in [
+        (vec!["synth", &funcgen, "--bogus"], "--bogus"),
+        (vec!["analyze", &funcgen, "--bogus"], "--bogus"),
+        (vec!["table1", "--jobs", "0", "--bogus"], "--bogus"),
+        // A misspelled value flag is named, not read as an input file.
+        (vec!["synth", &funcgen, "--strategey", "guided"], "--strategey"),
+        // A flag of another subcommand is not accepted either.
+        (vec!["parse", &funcgen, "--jobs", "2"], "--jobs"),
+    ] {
+        let output = Command::new(VASE).args(&args).output().expect("vase runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{flag}`")), "{args:?} must name `{flag}`: {stderr}");
+    }
 }
 
 /// Spawn `vase serve`, feed it request lines on stdin, and collect the

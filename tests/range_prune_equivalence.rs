@@ -14,13 +14,27 @@
 //! * **Cache keys separate**: a shared cover cache warmed by a
 //!   pruning-on run never serves its entries to a pruning-off run.
 
-use vase::flow::{synthesize_source, synthesize_source_with_cache, FlowOptions};
+use vase::flow::{synthesize_source, synthesize_unit, FlowOptions, SynthesizedDesign};
 use vase_archgen::CoverCache;
+
+/// Synthesize `source` through the flow's full entry point,
+/// [`synthesize_unit`], consulting and updating `cache`.
+fn synthesize_cached(
+    source: &str,
+    options: &FlowOptions,
+    cache: &CoverCache,
+) -> Result<Vec<SynthesizedDesign>, String> {
+    let report = synthesize_unit("spec", source, options, Some(cache), None);
+    match report.error {
+        Some(e) => Err(e.to_string()),
+        None => Ok(report.designs),
+    }
+}
 
 /// Debug formatting round-trips f64 bit patterns (shortest-roundtrip
 /// printing, `-0.0` included), so string equality here is bit identity
 /// for every float in the netlist and estimate.
-fn fingerprint(designs: &[vase::flow::SynthesizedDesign]) -> String {
+fn fingerprint(designs: &[SynthesizedDesign]) -> String {
     designs
         .iter()
         .map(|d| {
@@ -83,14 +97,12 @@ fn shared_cache_keeps_pruned_and_unpruned_runs_apart() {
     pruned.mapper.range_prune = true;
     let source = vase::benchmarks::RECEIVER.source;
     // Warm the shared cache with a pruning-on run first …
-    let _ = synthesize_source_with_cache(source, &pruned, Some(&cache))
-        .expect("pruned run succeeds");
+    let _ = synthesize_cached(source, &pruned, &cache).expect("pruned run succeeds");
     // … then a pruning-off run through the same cache must match a
     // cache-free run exactly: its keys never collide with the warmed
     // entries.
     let through_cache =
-        synthesize_source_with_cache(source, &FlowOptions::default(), Some(&cache))
-            .expect("cached run succeeds");
+        synthesize_cached(source, &FlowOptions::default(), &cache).expect("cached run succeeds");
     let fresh = synthesize_source(source, &FlowOptions::default()).expect("fresh run succeeds");
     assert_eq!(fingerprint(&through_cache), fingerprint(&fresh));
 }
