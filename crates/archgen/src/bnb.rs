@@ -13,19 +13,15 @@
 //! so a good solution is found early and the bound becomes effective.
 //!
 //! The branching step, the dominance memo and the leaf evaluation live
-//! once in [`crate::search`]; this module contributes the DFS frontier
-//! (plain recursion) and the op-amp-count bound. Beyond the paper, the
-//! implementation (a) consults a per-block [`MatchCache`] so the
-//! pattern matcher runs exactly once per block per mapping call —
-//! greedy seed included — instead of once per visited decision-tree
+//! once in the private `search` module; this module adds the DFS
+//! frontier (plain recursion) and the op-amp-count bound. Beyond the
+//! paper, the implementation (a) consults a per-block [`MatchCache`]
+//! so the pattern matcher runs exactly once per block per mapping call
+//! — greedy seed included — instead of once per visited decision-tree
 //! node, (b) keys the dominance memo by an allocation-free
 //! [`CoverSet`](crate::cover::CoverSet) bitset, and (c) optionally
 //! splits the decision tree across worker threads (see
 //! [`crate::parallel`]) around a shared incumbent bound.
-//!
-//! Each layer has one plain and one full entry point: [`map_graph`] and
-//! [`map_graph_with_cache`] here, [`crate::synthesize`] and
-//! [`crate::synthesize_with_cache`] for whole designs.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -104,15 +100,7 @@ pub fn map_graph_with_cache(
 ) -> Result<MapResult, MapError> {
     let seed_incumbent = config.budget.is_limited() || token.is_some();
     let meter = BudgetMeter::new(config.effective_budget(), token);
-    map_graph_metered_cached(
-        graph,
-        estimator,
-        config,
-        &meter,
-        seed_incumbent,
-        cache,
-        None,
-    )
+    map_graph_metered_cached(graph, estimator, config, &meter, seed_incumbent, cache, None)
 }
 
 /// The budget-aware mapping core: meters node visits on `meter`
@@ -149,12 +137,8 @@ pub(crate) fn map_graph_metered_cached(
     // Content-addressed reuse: a structurally identical graph mapped
     // before (under the same constraints and options) resolves in
     // O(lookup), skipping the search entirely.
-    let cache_key = cover_cache.map(|c| {
-        (
-            c,
-            CoverCache::key_with_bounds(graph, estimator, config, bounds),
-        )
-    });
+    let cache_key =
+        cover_cache.map(|c| (c, CoverCache::key_with_bounds(graph, estimator, config, bounds)));
     if let Some((cc, key)) = &cache_key {
         if let Some((netlist, estimate)) = cc.lookup(*key, graph, estimator, config) {
             let stats = MapStats {
@@ -162,11 +146,7 @@ pub(crate) fn map_graph_metered_cached(
                 elapsed_us: start.elapsed().as_micros() as u64,
                 ..MapStats::default()
             };
-            return Ok(MapResult {
-                netlist,
-                estimate,
-                stats,
-            });
+            return Ok(MapResult { netlist, estimate, stats });
         }
     }
     let ctx = SearchCtx::new(graph, estimator, config, cache, meter, bounds);

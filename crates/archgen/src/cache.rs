@@ -612,12 +612,14 @@ mod tests {
         let g = fig6_graph("one", false);
         let config = MapperConfig::default();
         let cache = CoverCache::new();
-        let cold = map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let cold =
+            map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
         assert_eq!(cold.stats.cache_hits, 0);
         assert_eq!(cold.stats.cache_misses, 1);
         assert_eq!(cache.len(), 1);
 
-        let warm = map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let warm =
+            map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
         assert_eq!(warm.stats.cache_hits, 1);
         assert_eq!(warm.stats.visited_nodes, 0, "a hit skips the search");
         assert_eq!(warm.netlist, cold.netlist);
@@ -634,8 +636,10 @@ mod tests {
         let cache = CoverCache::new();
         let a = fig6_graph("design_a", false);
         let b = fig6_graph("design_b", true);
-        let first = map_graph_with_cache(&a, &estimator(), &config, None, Some(&cache)).expect("maps");
-        let second = map_graph_with_cache(&b, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let first =
+            map_graph_with_cache(&a, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let second =
+            map_graph_with_cache(&b, &estimator(), &config, None, Some(&cache)).expect("maps");
         assert_eq!(second.stats.cache_hits, 1);
         assert_eq!(
             first.netlist.opamp_count(),
@@ -693,12 +697,14 @@ mod tests {
         let g = fig6_graph("one", false);
         let config = MapperConfig::default();
         let cache = CoverCache::new();
-        let cold = map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let cold =
+            map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
 
         let text = cache.serialize();
         let reloaded = CoverCache::deserialize(&text).expect("parses");
         assert_eq!(reloaded.len(), cache.len());
-        let warm = map_graph_with_cache(&g, &estimator(), &config, None, Some(&reloaded)).expect("maps");
+        let warm =
+            map_graph_with_cache(&g, &estimator(), &config, None, Some(&reloaded)).expect("maps");
         assert_eq!(warm.stats.cache_hits, 1);
         assert_eq!(warm.netlist, cold.netlist);
         // And the text form itself round-trips exactly.
@@ -789,13 +795,15 @@ mod tests {
                 output: BlockId::from_index(99),
             }],
         );
-        let result = map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let result =
+            map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
         assert_eq!(result.stats.cache_hits, 0);
         assert_eq!(result.stats.cache_misses, 1);
         // The failed validation was counted on the cache itself.
         assert_eq!(cache.misses(), 1);
         // And the search overwrote the bogus entry with the real cover.
-        let retry = map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
+        let retry =
+            map_graph_with_cache(&g, &estimator(), &config, None, Some(&cache)).expect("maps");
         assert_eq!(retry.stats.cache_hits, 1);
         // The uncached reference agrees.
         let reference = map_graph(&g, &estimator(), &config).expect("maps");

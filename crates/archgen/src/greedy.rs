@@ -8,7 +8,7 @@
 //! block take the largest-cover alternative whose spec is achievable
 //! (sharing when possible), never backtrack. Its choice rule is its
 //! own; the overlap filter, spec table, share lookup and plan update
-//! are the branching step's (see [`crate::search`]).
+//! are the branching step's (the private `search` module).
 
 use std::time::Instant;
 
@@ -80,11 +80,8 @@ fn run(ctx: &SearchCtx, meter: Option<&BudgetMeter>) -> Result<(Best, MapStats),
             .ok_or_else(|| MapError::NoPattern {
                 block: format!("{cur} ({})", ctx.graph.kind(cur)),
             })?;
-        let branch = match ctx.share_target(&plan, &alternatives[alt]) {
-            Some(onto) => Branch::Share { alt, onto },
-            None => Branch::Allocate { alt },
-        };
-        ctx.apply(&mut plan, cur, branch);
+        let share = ctx.share_target(&plan, &alternatives[alt]);
+        ctx.apply(&mut plan, cur, Branch { alt, share });
     }
     let (netlist, estimate) = ctx.evaluate(&plan, &mut stats)?;
     Ok((Best::new(&plan, netlist, estimate), stats))

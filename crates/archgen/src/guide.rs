@@ -138,14 +138,7 @@ pub(crate) fn run_guided(ctx: &SearchCtx, seed: Option<Best>) -> (Option<Best>, 
             continue;
         }
         let Some(cur) = ctx.next_uncovered(&plan) else {
-            complete(
-                ctx,
-                &plan,
-                &node.path,
-                &mut best,
-                &mut best_path,
-                &mut stats,
-            );
+            complete(ctx, &plan, &node.path, &mut best, &mut best_path, &mut stats);
             continue;
         };
         let mut expand = Expand {
@@ -182,13 +175,9 @@ struct Expand<'e> {
 }
 
 impl Expand<'_> {
-    /// The child's placed area after `branch` at `cur`. Sharing places
-    /// no new component, so `g` is unchanged.
-    fn g(&self, cur: BlockId, branch: Branch) -> f64 {
-        match branch {
-            Branch::Share { .. } => self.node.g,
-            Branch::Allocate { alt } => self.node.g + self.ctx.alt_area[cur.index()][alt],
-        }
+    /// The placed area after allocating alternative `alt` at `cur`.
+    fn allocated_g(&self, cur: BlockId, alt: usize) -> f64 {
+        self.node.g + self.ctx.alt_area[cur.index()][alt]
     }
 }
 
@@ -198,15 +187,19 @@ impl Driver for Expand<'_> {
     }
 
     fn bounded(&mut self, _plan: &Plan, cur: BlockId, alt: usize) -> bool {
-        self.ctx.config.bounding && self.g(cur, Branch::Allocate { alt }) > self.bound
+        self.ctx.config.bounding && self.allocated_g(cur, alt) > self.bound
     }
 
     fn child(&mut self, _plan: &Plan, cur: BlockId, rank: usize, branch: Branch) {
-        let g = self.g(cur, branch);
+        // Sharing places no new component, so `g` is unchanged.
+        let g = match branch.share {
+            Some(_) => self.node.g,
+            None => self.allocated_g(cur, branch.alt),
+        };
         // Every block the alternative covers is currently uncovered, so
         // the child's covered count follows without applying the branch.
-        let covered = self.covered + self.ctx.cache.at(cur)[branch.alt()].covered.len();
-        let code = 2 * rank + usize::from(matches!(branch, Branch::Allocate { .. }));
+        let covered = self.covered + self.ctx.cache.at(cur)[branch.alt].covered.len();
+        let code = 2 * rank + usize::from(branch.share.is_none());
         let mut path = self.node.path.clone();
         path.push(code as u16);
         *self.seq += 1;

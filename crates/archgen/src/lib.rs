@@ -16,19 +16,14 @@
 //!   triggers, zero-cross detectors, S/H circuits, and ADCs;
 //! * [`synthesize`] — the full-design driver combining both parts.
 //!
-//! One search core serves every strategy: the Fig. 5 branching step
-//! (overlap filter, share before allocate in sequencing order, spec and
-//! range-prune filters, plan update), the dominance memo and the leaf
-//! evaluation exist once, in the private `search` module. Four drivers
-//! call that step — the exact DFS, the guided best-first search
-//! ([`SearchStrategy::Guided`]), the parallel frontier split, and the
-//! greedy heuristic, which also seeds every budgeted or cancellable
-//! search from the search's own match table. The drivers differ only in
-//! frontier order, bound and leaf tie-break.
-//!
+//! One Fig. 5 branching step, dominance memo and leaf evaluation (the
+//! private `search` module) serve four drivers: the exact DFS, the
+//! guided best-first search ([`SearchStrategy::Guided`]), the parallel
+//! frontier split, and the greedy heuristic, which also seeds every
+//! budgeted or cancellable search from that search's own match table.
 //! Each layer has one plain and one full entry point: [`map_graph`] /
-//! [`map_graph_with_cache`] (token and cover cache) per graph, and
-//! [`synthesize`] / [`synthesize_with_cache`] per design.
+//! [`map_graph_with_cache`] per graph, [`synthesize`] /
+//! [`synthesize_with_cache`] per design.
 //!
 //! # Examples
 //!

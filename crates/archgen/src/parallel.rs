@@ -110,9 +110,7 @@ pub(crate) fn run_parallel(
     }
     let shared = SharedSearchState::new(jobs);
     if let Some(s) = &seed {
-        shared
-            .best_area
-            .fetch_min(s.area.to_bits(), Ordering::Relaxed);
+        shared.best_area.fetch_min(s.area.to_bits(), Ordering::Relaxed);
     }
     let next = AtomicUsize::new(0);
     let workers = jobs.min(tasks.len());
@@ -180,11 +178,7 @@ fn expand_frontier(ctx: &SearchCtx<'_>, jobs: usize, stats: &mut MapStats) -> Ve
         if frontier.len() >= jobs * TASKS_PER_WORKER {
             break;
         }
-        let mut split = Split {
-            ctx,
-            out: Vec::new(),
-            stats: &mut *stats,
-        };
+        let mut split = Split { ctx, out: Vec::new(), stats: &mut *stats };
         let mut expanded_any = false;
         for plan in frontier {
             // A complete mapping stays its own task (the worker

@@ -1,23 +1,17 @@
 //! The search core every mapping driver shares (paper Fig. 5).
 //!
-//! [`SearchCtx`] holds what one mapping call precomputes — the per-block
-//! match table, per-alternative spec feasibility and area, the optional
-//! range-prune table, and the coverage order — and the one **branching
-//! step** ([`SearchCtx::branch`]). At the next uncovered block the step
-//! visits every library alternative in sequencing order, skips those
-//! overlapping covered blocks, offers the **share** branch before the
-//! **allocate** branch, and filters allocations by spec feasibility, the
-//! range prune and the driver's bound. [`SearchCtx::apply`] turns a
-//! chosen [`Branch`] into a plan. Next to it live the one dominance memo
+//! [`SearchCtx`] holds what one mapping call precomputes (match table,
+//! per-alternative spec feasibility and area, range-prune table,
+//! coverage order) and the one **branching step**,
+//! [`SearchCtx::branch`]: alternatives in sequencing order, the overlap
+//! filter, **share** before **allocate**, and the spec, range-prune and
+//! driver-bound filters on allocations; [`SearchCtx::apply`] turns a
+//! [`Branch`] into a plan. Next to it live the one dominance memo
 //! ([`MemoBackend`]) and the one leaf evaluation
-//! ([`SearchCtx::evaluate`]).
-//!
-//! Four drivers call the step and differ only in frontier order, bound
-//! and leaf tie-break: the exact DFS ([`crate::bnb`]), the guided
-//! best-first search ([`crate::guide`]), the parallel frontier split
-//! ([`crate::parallel`]), and the greedy seed ([`crate::greedy`]), which
-//! keeps its own choice rule but reuses the step's filters and
-//! application.
+//! ([`SearchCtx::evaluate`]). The exact DFS ([`crate::bnb`]), guided
+//! search ([`crate::guide`]), parallel split ([`crate::parallel`]) and
+//! greedy heuristic ([`crate::greedy`], own choice rule) keep only
+//! their frontier order, bound and leaf tie-break.
 
 use std::collections::HashMap;
 
@@ -32,23 +26,14 @@ use crate::error::MapError;
 use crate::parallel::ShardedMemo;
 use crate::plan::{resolve, Plan, PlannedComponent};
 
-/// One child of the branching step at the block being covered.
+/// One child of the branching step: alternative `alt` of the block
+/// being covered, either shared onto the planned component `share`
+/// (hardware sharing across signal paths) or, when `None`, allocated as
+/// a dedicated component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Branch {
-    /// Cover alternative `alt` with the already planned component
-    /// `onto` (hardware sharing across signal paths).
-    Share { alt: usize, onto: usize },
-    /// Allocate a dedicated component for alternative `alt`.
-    Allocate { alt: usize },
-}
-
-impl Branch {
-    /// The alternative this branch covers the block with.
-    pub(crate) fn alt(self) -> usize {
-        match self {
-            Branch::Share { alt, .. } | Branch::Allocate { alt } => alt,
-        }
-    }
+pub(crate) struct Branch {
+    pub(crate) alt: usize,
+    pub(crate) share: Option<usize>,
 }
 
 /// What a driver plugs into the branching step: its counters, its
@@ -197,8 +182,8 @@ impl<'a> SearchCtx<'a> {
             }
             // Share branch first (sequencing rule: sharing before
             // allocation).
-            if let Some(onto) = self.share_target(plan, m) {
-                driver.child(plan, cur, rank, Branch::Share { alt, onto });
+            if let share @ Some(_) = self.share_target(plan, m) {
+                driver.child(plan, cur, rank, Branch { alt, share });
             }
             // Allocate branch. A component whose op-amp spec no library
             // topology can meet (e.g. a gain-200 amplifier over a wide
@@ -221,7 +206,7 @@ impl<'a> SearchCtx<'a> {
                 driver.stats().pruned_nodes += 1;
                 continue;
             }
-            driver.child(plan, cur, rank, Branch::Allocate { alt });
+            driver.child(plan, cur, rank, Branch { alt, share: None });
         }
     }
 
@@ -236,18 +221,13 @@ impl<'a> SearchCtx<'a> {
 
     /// Extend `plan` by `branch` at `cur`.
     pub(crate) fn apply(&self, plan: &mut Plan, cur: BlockId, branch: Branch) {
-        match branch {
-            Branch::Share { alt, onto } => {
-                for &b in &self.cache.at(cur)[alt].covered {
-                    plan.cover(b);
-                    plan.components[onto].covered.push(b);
-                }
-            }
-            Branch::Allocate { alt } => {
-                let m = &self.cache.at(cur)[alt];
-                for &b in &m.covered {
-                    plan.cover(b);
-                }
+        let m = &self.cache.at(cur)[branch.alt];
+        for &b in &m.covered {
+            plan.cover(b);
+        }
+        match branch.share {
+            Some(onto) => plan.components[onto].covered.extend_from_slice(&m.covered),
+            None => {
                 plan.opamps += m.kind.opamp_count();
                 plan.components.push(PlannedComponent {
                     kind: m.kind.clone(),

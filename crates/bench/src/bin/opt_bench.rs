@@ -9,8 +9,10 @@
 //! ```
 //!
 //! `--smoke` drops to a single synthesis repetition per spec so the
-//! binary doubles as a CI gate; the full run keeps the best of `REPS`
-//! mapping phases, matching `archgen_bench`.
+//! binary doubles as a CI gate, and writes its report under the system
+//! temp directory, never over the committed `BENCH_opt.json`; the full
+//! run keeps the best of `REPS` mapping phases, matching
+//! `archgen_bench`.
 
 use vase::archgen::MapStats;
 use vase::flow::{synthesize_source, FlowOptions};
@@ -134,10 +136,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("total_map_o2_us", Json::Int(map_o2 as i128)),
         ("specs", Json::Arr(specs.iter().map(SpecRecord::to_json).collect())),
     ]);
-    std::fs::write("BENCH_opt.json", report.to_string_pretty())?;
+    let path = vase_bench::write_report("opt", smoke, &report)?;
     println!(
-        "\nwritten to BENCH_opt.json (corpus blocks {total_o0} -> {total_o2}, \
-         mapping {map_o0} µs -> {map_o2} µs)"
+        "\nwritten to {} (corpus blocks {total_o0} -> {total_o2}, \
+         mapping {map_o0} µs -> {map_o2} µs)",
+        path.display()
     );
     Ok(())
 }

@@ -24,7 +24,9 @@
 //!   integrator against the fixed-step count of the same window.
 //!
 //! `--smoke` shrinks the step counts and the sweep so the binary
-//! finishes in well under a second — the tier-1 CI gate runs that mode.
+//! finishes in well under a second — the tier-1 CI gate runs that mode
+//! and writes its report under the system temp directory, never over
+//! the committed `BENCH_sim.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -492,7 +494,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("repetitions", Json::Int(sizing.reps as i128)),
         ("apps", Json::Arr(apps)),
     ]);
-    std::fs::write("BENCH_sim.json", report.to_string_pretty())?;
-    println!("\nwritten to BENCH_sim.json ({jobs} sweep worker(s))");
+    let path = vase_bench::write_report("sim", smoke, &report)?;
+    println!("\nwritten to {} ({jobs} sweep worker(s))", path.display());
     Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! Workload generators and shared helpers for the benchmark harness
 //! that regenerates every table and figure of the paper (see the
-//! binaries in `src/bin/` and the Criterion benches in `benches/`).
+//! binaries in `src/bin/`).
 
 #![warn(missing_docs)]
 
@@ -14,11 +14,29 @@ pub mod synthetic;
 /// binaries keep their `crate::json` path.
 pub use vase_diag::json;
 
+use std::path::PathBuf;
+
 use rng::SplitMix64;
 use vase::vhif::{BlockId, BlockKind, SignalFlowGraph};
 
 /// Deterministic seed used by all benchmarks (reproducible runs).
 pub const SEED: u64 = 0x5eed_da7e;
+
+/// Write the report of the benchmark `name` and return where it went:
+/// a full run replaces `BENCH_<name>.json` in the working directory, a
+/// `--smoke` run writes the same file name under
+/// [`std::env::temp_dir`], so a smoke run never overwrites a committed
+/// full report.
+///
+/// # Errors
+///
+/// Any I/O error writing the file.
+pub fn write_report(name: &str, smoke: bool, report: &json::Json) -> std::io::Result<PathBuf> {
+    let file = format!("BENCH_{name}.json");
+    let path = if smoke { std::env::temp_dir().join(file) } else { PathBuf::from(file) };
+    std::fs::write(&path, report.to_string_pretty())?;
+    Ok(path)
+}
 
 /// Build the paper's Fig. 6a example graph: two scaled inputs summed
 /// and rescaled — mappable with 4, 3, or 2 op amps depending on the

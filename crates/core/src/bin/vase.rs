@@ -10,14 +10,18 @@
 //! vase synth   <file.vhd>... [options] synthesize to an op-amp netlist
 //!     -O0|-O1|-O2       optimization level for the VHIF passes (default -O0)
 //!     --greedy          use the greedy heuristic instead of branch-and-bound
-//!     --jobs <n>        mapper worker threads (0 = one per core, default 1)
+//!     --jobs <n>        mapper worker threads (0 = one per core, default 1);
+//!                       the top of the decision tree splits into about
+//!                       four subtree tasks per worker (guided ignores it)
 //!     --deadline-ms <t> mapping wall-clock budget; on exhaustion the best
 //!                       incumbent architecture is returned (exit code 3)
 //!     --max-nodes <n>   mapping explored-node budget (same anytime contract)
 //!     --strategy exact|guided  mapping search: exhaustive branch-and-bound
 //!                       (default) or model-guided best-first, which prunes on
 //!                       estimated placed area and returns bit-identical
-//!                       results when run to completion
+//!                       results when run to completion (both run the one
+//!                       shared Fig. 5 branching step; the greedy heuristic
+//!                       and the parallel split call it too)
 //!     --cache-file <p>  persistent content-addressed cover cache: loaded
 //!                       before mapping (when the file exists), saved after;
 //!                       structurally repeated graphs then map in O(lookup)
@@ -27,8 +31,10 @@
 //!                       bit-identical to pre-analysis behavior)
 //!     --format text|json  report style for multi-file batches (default text)
 //!     --spice <out.sp>  also write a SPICE deck
-//!     Multiple input files run as a panic-isolated batch: a failing
-//!     file is reported and the rest still synthesize.
+//!     Multiple input files run as a panic-isolated batch: each file goes
+//!     through the flow's full entry point (`vase::flow::synthesize_unit`;
+//!     `synthesize_source` is the plain one), so a failing file is
+//!     reported and the rest still synthesize.
 //! vase lint    <file.vhd> [options]   run every static check, report diagnostics
 //!     --format text|json    listing style (default text)
 //!     --deny warnings       exit nonzero on warnings too
@@ -54,11 +60,17 @@
 //!     --seed <u64>          perturbation stream seed (default 0x5EED)
 //!     --inject-lane <s>:<t> poison sample <s> at step <t> (fault-isolation
 //!                           demo: that lane degrades, the batch completes)
+//! vase serve  [options]               long-lived service: NDJSON requests
+//!     --socket <path> | --workers <n> | --queue-depth <n> | --cache-file <p> |
+//!     --snapshot-every <n> | --inject panic:N,timeout:N,malformed:N |
+//!     --seed <u64> | --deadline-ms/--max-nodes/--strategy (as in `synth`)
 //! vase table1 [--jobs <n>]             regenerate the paper's Table 1
 //!     --jobs <n>        synthesize the five applications concurrently
 //!     --deadline-ms/--max-nodes  mapping budget, as in `synth`
 //!
-//! `sim` and `table1` also accept the `-O` levels of `synth`.
+//! `sim`, `serve` and `table1` also accept the `-O` levels of `synth`.
+//! Each subcommand accepts only the flags listed for it; any other
+//! `-`/`--` argument is a usage error that names it (exit code 1).
 //!
 //! Exit codes: `0` success, `1` hard failure (flow error, denied
 //! diagnostics, bad usage), `3` degraded success (a mapping budget was
@@ -119,109 +131,74 @@ fn run(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// The flags one subcommand accepts. Anything else that starts with
-/// `-` is a usage error naming the flag.
+/// The flags one subcommand accepts: `values` (space-separated) take an
+/// operand, so a value is never mistaken for an input path; `switches`
+/// stand alone; `opt_levels` admits `-O0|-O1|-O2`. Any other argument
+/// starting with `-` is a usage error that names it.
 struct FlagSet {
-    /// The subcommand, for usage errors.
     command: &'static str,
-    /// Flags that take a value operand (so a value is never mistaken
-    /// for an input path).
-    values: &'static [&'static str],
-    /// Flags that stand alone.
-    switches: &'static [&'static str],
-    /// Whether the `-O0|-O1|-O2` optimization levels are accepted.
+    values: &'static str,
+    switches: &'static str,
     opt_levels: bool,
 }
 
-const PARSE: FlagSet = FlagSet { command: "parse", values: &[], switches: &[], opt_levels: false };
-const COMPILE: FlagSet =
-    FlagSet { command: "compile", values: &["--dot"], switches: &[], opt_levels: false };
-const OPT: FlagSet = FlagSet {
-    command: "opt",
-    values: &["--passes", "--dot"],
-    switches: &["--print-stats"],
-    opt_levels: false,
-};
-const LINT: FlagSet =
-    FlagSet { command: "lint", values: &["--format", "--deny"], switches: &[], opt_levels: false };
-const ANALYZE: FlagSet =
-    FlagSet { command: "analyze", values: &["--format"], switches: &[], opt_levels: false };
-const SYNTH: FlagSet = FlagSet {
-    command: "synth",
-    values: &[
-        "--deadline-ms",
-        "--max-nodes",
-        "--strategy",
-        "--jobs",
-        "--cache-file",
-        "--format",
-        "--spice",
-    ],
-    switches: &["--greedy", "--range-prune"],
-    opt_levels: true,
-};
-const SIM: FlagSet = FlagSet {
-    command: "sim",
-    values: &[
-        "--input",
-        "--tend",
-        "--dt",
-        "--csv",
-        "--jobs",
-        "--monte-carlo",
-        "--tolerance",
-        "--seed",
-        "--inject-lane",
-    ],
-    switches: &[],
-    opt_levels: true,
-};
-const SERVE: FlagSet = FlagSet {
-    command: "serve",
-    values: &[
-        "--deadline-ms",
-        "--max-nodes",
-        "--strategy",
-        "--workers",
-        "--queue-depth",
-        "--socket",
-        "--snapshot-every",
-        "--cache-file",
-        "--inject",
-        "--seed",
-    ],
-    switches: &[],
-    opt_levels: true,
-};
-const TABLE1: FlagSet = FlagSet {
-    command: "table1",
-    values: &["--deadline-ms", "--max-nodes", "--strategy", "--jobs"],
-    switches: &[],
-    opt_levels: true,
-};
+const fn flags(
+    command: &'static str,
+    values: &'static str,
+    switches: &'static str,
+    opt_levels: bool,
+) -> FlagSet {
+    FlagSet { command, values, switches, opt_levels }
+}
+
+const PARSE: FlagSet = flags("parse", "", "", false);
+const COMPILE: FlagSet = flags("compile", "--dot", "", false);
+const OPT: FlagSet = flags("opt", "--passes --dot", "--print-stats", false);
+const LINT: FlagSet = flags("lint", "--format --deny", "", false);
+const ANALYZE: FlagSet = flags("analyze", "--format", "", false);
+const SYNTH: FlagSet = flags(
+    "synth",
+    "--deadline-ms --max-nodes --strategy --jobs --cache-file --format --spice",
+    "--greedy --range-prune",
+    true,
+);
+const SIM: FlagSet = flags(
+    "sim",
+    "--input --tend --dt --csv --jobs --monte-carlo --tolerance --seed --inject-lane",
+    "",
+    true,
+);
+const SERVE: FlagSet = flags(
+    "serve",
+    "--deadline-ms --max-nodes --strategy --workers --queue-depth --socket --snapshot-every \
+     --cache-file --inject --seed",
+    "",
+    true,
+);
+const TABLE1: FlagSet = flags("table1", "--deadline-ms --max-nodes --strategy --jobs", "", true);
 
 impl FlagSet {
     /// Every non-flag argument, in order: the input file paths. Fails
     /// on a flag this subcommand does not accept and on a value flag
     /// without its operand.
     fn inputs<'a>(&self, args: &'a [String]) -> Result<Vec<&'a String>, String> {
+        let listed = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
         let mut paths = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = args[i].as_str();
-            if self.values.contains(&a) {
-                if i + 1 == args.len() {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let a = arg.as_str();
+            if listed(self.values, a) {
+                if rest.next().is_none() {
                     return Err(format!("`vase {}`: `{a}` needs a value", self.command));
                 }
-                i += 2;
-                continue;
-            }
-            let known = self.switches.contains(&a) || (self.opt_levels && a.starts_with("-O"));
-            if !a.starts_with('-') {
-                paths.push(&args[i]);
-            } else if !known {
-                let mut accepted: Vec<&str> =
-                    self.values.iter().chain(self.switches).copied().collect();
+            } else if !a.starts_with('-') {
+                paths.push(arg);
+            } else if !(listed(self.switches, a) || self.opt_levels && a.starts_with("-O")) {
+                let mut accepted: Vec<&str> = self
+                    .values
+                    .split_whitespace()
+                    .chain(self.switches.split_whitespace())
+                    .collect();
                 if self.opt_levels {
                     accepted.push("-O0|-O1|-O2");
                 }
@@ -231,25 +208,15 @@ impl FlagSet {
                     if accepted.is_empty() { "none".to_owned() } else { accepted.join(", ") }
                 ));
             }
-            i += 1;
         }
         Ok(paths)
-    }
-
-    /// Check `args` for a subcommand that takes no input files.
-    fn no_inputs(&self, args: &[String]) -> Result<(), String> {
-        match self.inputs(args)?.first() {
-            Some(extra) => Err(format!("`vase {}` takes no input file, got `{extra}`", self.command)),
-            None => Ok(()),
-        }
     }
 }
 
 /// The input file of a single-file subcommand: the last path argument
-/// (the file may appear before or after flags).
-fn read_source(flags: &FlagSet, args: &[String]) -> Result<String, String> {
-    let path = flags.inputs(args)?.into_iter().next_back().ok_or("missing input file")?;
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+/// (the file may appear before or after flags), as `(path, source)`.
+fn read_source(flags: &FlagSet, args: &[String]) -> Result<(String, String), String> {
+    read_sources(flags, args)?.pop().ok_or_else(|| "missing input file".to_owned())
 }
 
 /// Read every input file of a multi-file batch as `(path, source)`.
@@ -327,7 +294,7 @@ fn jobs_flag(args: &[String]) -> Result<Option<usize>, String> {
 }
 
 fn cmd_parse(args: &[String]) -> Result<u8, String> {
-    let source = read_source(&PARSE, args)?;
+    let (_, source) = read_source(&PARSE, args)?;
     let design = vase::frontend::parse_design_file(&source).map_err(|e| e.to_string())?;
     let analyzed = vase::frontend::analyze(&design).map_err(|e| e.to_string())?;
     for arch in &analyzed.architectures {
@@ -339,7 +306,7 @@ fn cmd_parse(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<u8, String> {
-    let source = read_source(&COMPILE, args)?;
+    let (_, source) = read_source(&COMPILE, args)?;
     for (entity, vhif, stats) in compile_source(&source).map_err(|e| e.to_string())? {
         println!("-- entity {entity} ({stats})");
         println!("{vhif}");
@@ -357,7 +324,7 @@ fn cmd_compile(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_opt(args: &[String]) -> Result<u8, String> {
-    let source = read_source(&OPT, args)?;
+    let (_, source) = read_source(&OPT, args)?;
     let manager = match flag_value(args, "--passes") {
         Some(list) => {
             let names: Vec<&str> =
@@ -396,17 +363,15 @@ fn cmd_opt(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<u8, String> {
-    let path = LINT.inputs(args)?.into_iter().next_back().ok_or("missing input file")?;
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let (path, source) = read_source(&LINT, args)?;
     let mut diags = vase::lint_source(&source);
     if args.windows(2).any(|w| w[0] == "--deny" && w[1] == "warnings") {
         vase::diag::deny_warnings(&mut diags);
     }
     match flag_value(args, "--format").unwrap_or("text") {
-        "text" => print!("{}", vase::diag::render_all(&diags, &source, path)),
+        "text" => print!("{}", vase::diag::render_all(&diags, &source, &path)),
         "json" => {
-            println!("{}", vase::diag::json::report_to_json(path, &diags).to_string_pretty())
+            println!("{}", vase::diag::json::report_to_json(&path, &diags).to_string_pretty())
         }
         other => return Err(format!("unknown --format `{other}` (text, json)")),
     }
@@ -417,7 +382,7 @@ fn cmd_lint(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<u8, String> {
-    let source = read_source(&ANALYZE, args)?;
+    let (_, source) = read_source(&ANALYZE, args)?;
     let analyses = vase::analyze_source(&source).map_err(|e| e.to_string())?;
     match flag_value(args, "--format").unwrap_or("text") {
         "text" => print!("{}", vase::analysis::render_analysis_text(&analyses)),
@@ -435,7 +400,6 @@ fn cmd_analyze(args: &[String]) -> Result<u8, String> {
 }
 
 fn cmd_synth(args: &[String]) -> Result<u8, String> {
-    let sources = read_sources(&SYNTH, args)?;
     let greedy = args.iter().any(|a| a == "--greedy");
     let mut mapper = MapperConfig::default();
     if let Some(jobs) = jobs_flag(args)? {
@@ -449,8 +413,8 @@ fn cmd_synth(args: &[String]) -> Result<u8, String> {
     if greedy {
         // Greedy applies per graph; run the pieces manually on the
         // last input file.
-        let (_, source) = sources.last().ok_or("missing input file")?;
-        let compiled = compile_source(source).map_err(|e| e.to_string())?;
+        let (_, source) = read_source(&SYNTH, args)?;
+        let compiled = compile_source(&source).map_err(|e| e.to_string())?;
         let mut degraded = false;
         for (entity, vhif, _) in compiled {
             let estimator = vase::estimate::Estimator::default();
@@ -471,6 +435,7 @@ fn cmd_synth(args: &[String]) -> Result<u8, String> {
         opt_level: opt_level_flag(args)?.unwrap_or(0),
         ..FlowOptions::default()
     };
+    let sources = read_sources(&SYNTH, args)?;
     // With --cache-file, load the persisted cover cache (an absent file
     // starts empty), thread it through the whole batch, and save it
     // back afterwards so the next run reuses every proven cover.
@@ -633,7 +598,7 @@ fn synth_reports_to_json(reports: &[vase::flow::FlowReport]) -> Json {
 /// panic:N,timeout:N,malformed:N` (with `--seed`) arms deterministic
 /// fault injection for resilience testing.
 fn cmd_serve(args: &[String]) -> Result<u8, String> {
-    SERVE.no_inputs(args)?;
+    SERVE.inputs(args)?;
     let mut mapper = MapperConfig::default();
     let mut budget = budget_flags(args)?;
     // --deadline-ms is the default *job* deadline; the handler lowers
@@ -786,7 +751,7 @@ fn parse_stimulus(spec: &str) -> Result<Stimulus, String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<u8, String> {
-    let source = read_source(&SIM, args)?;
+    let (_, source) = read_source(&SIM, args)?;
     let options = FlowOptions {
         opt_level: opt_level_flag(args)?.unwrap_or(0),
         ..FlowOptions::default()
@@ -957,7 +922,7 @@ fn cmd_table1(args: &[String]) -> Result<u8, String> {
         vase::benchmarks::ITERATIVE,
         vase::benchmarks::FUNCTION_GENERATOR,
     ];
-    TABLE1.no_inputs(args)?;
+    TABLE1.inputs(args)?;
     let mut mapper = MapperConfig::default();
     if let Some(jobs) = jobs_flag(args)? {
         mapper.parallelism = jobs;

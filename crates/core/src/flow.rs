@@ -944,7 +944,10 @@ mod tests {
     /// Run each `(name, source)` unit through [`synthesize_unit`], as
     /// the CLI batch does.
     fn batch(sources: &[(String, String)], options: &FlowOptions) -> Vec<FlowReport> {
-        sources.iter().map(|(name, source)| synthesize_unit(name, source, options, None, None)).collect()
+        sources
+            .iter()
+            .map(|(name, source)| synthesize_unit(name, source, options, None, None))
+            .collect()
     }
 
     #[test]

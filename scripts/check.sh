@@ -9,9 +9,18 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: cargo build --release =="
 cargo build --release
 
+echo "== tier 1: vase-bench builds and passes its smoke test =="
+# The benchmark is a workspace of its own that calls the flow's public
+# API; building and smoke-testing it here turns an API change it cannot
+# follow into a tier-1 failure. Its serve workload drives the release
+# `vase` binary built above.
+CARGO_TARGET_DIR=target cargo test --release --manifest-path vase-bench/Cargo.toml
+
 echo "== tier 1: cargo test -q =="
 cargo test -q
 
+# The three --smoke runs write their reports under the system temp
+# directory; the committed BENCH_*.json files are full runs.
 echo "== tier 1: sim_bench --smoke =="
 ./target/release/sim_bench --smoke
 

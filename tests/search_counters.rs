@@ -29,7 +29,8 @@ fn repo_root() -> PathBuf {
 
 fn counters(stats: &MapStats) -> String {
     format!(
-        "visited={} pruned={} memo_pruned={} complete={} infeasible={} range_pruned={} exhausted={}",
+        "visited={} pruned={} memo_pruned={} complete={} infeasible={} range_pruned={} \
+         exhausted={}",
         stats.visited_nodes,
         stats.pruned_nodes,
         stats.memo_pruned,
