@@ -77,7 +77,7 @@ impl Best {
 /// the block coverage order, and the bound constant.
 pub(crate) struct SearchCtx<'a> {
     pub(crate) graph: &'a SignalFlowGraph,
-    pub(crate) estimator: &'a Estimator,
+    estimator: &'a Estimator,
     pub(crate) config: &'a MapperConfig,
     pub(crate) cache: MatchCache,
     /// `spec_ok[block][alternative]`: whether the matched component's
@@ -99,7 +99,7 @@ pub(crate) struct SearchCtx<'a> {
     pub(crate) min_area: f64,
     /// The shared budget meter; every decision-tree visit notes a node
     /// here, and exhaustion unwinds the search keeping its incumbent.
-    pub(crate) meter: &'a BudgetMeter,
+    meter: &'a BudgetMeter,
 }
 
 impl<'a> SearchCtx<'a> {

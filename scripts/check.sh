@@ -20,7 +20,7 @@ echo "== tier 1: cargo test -q =="
 cargo test -q
 
 # The three --smoke runs write their reports under the system temp
-# directory; the committed BENCH_*.json files are full runs.
+# directory, so a check never overwrites the committed BENCH_*.json.
 echo "== tier 1: sim_bench --smoke =="
 ./target/release/sim_bench --smoke
 

@@ -90,6 +90,8 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
         (vec!["synth", &funcgen, "--strategey", "guided"], "--strategey"),
         // A flag of another subcommand is not accepted either.
         (vec!["parse", &funcgen, "--jobs", "2"], "--jobs"),
+        // A value flag needs its operand.
+        (vec!["synth", &funcgen, "--strategy"], "--strategy"),
     ] {
         let output = Command::new(VASE).args(&args).output().expect("vase runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
