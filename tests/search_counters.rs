@@ -1,11 +1,16 @@
 //! Node-for-node pin of the architecture generator's search: for every
 //! corpus spec at `-O0` and `-O2`, the `MapStats` counters, op-amp
-//! count and area of each search driver — exact and guided, each plain,
-//! seeded by a cancel token, with range pruning on, and cut short by a
-//! four-node budget — plus the greedy heuristic, compared against a
-//! committed table. Any change to the branching, bounding or sequencing
-//! rules, the dominance memo, the greedy seed or the leaf evaluation
-//! shows up here as a counter diff.
+//! count, area and full netlist of each search driver — exact and
+//! guided, each plain, seeded by a cancel token, with range pruning on,
+//! and cut short by a four-node budget — plus the greedy heuristic,
+//! compared against a committed table. Any change to the branching,
+//! bounding or sequencing rules, the dominance memo, the greedy seed or
+//! the leaf evaluation shows up here as a counter diff; a reordered
+//! component list, a changed label or input, or a shared component
+//! whose `implements` order moved shows up as a netlist diff. A second
+//! table pins the text `CoverCache::save` writes after mapping the
+//! corpus, so the stored covers (component order, covered-block order,
+//! inputs, kinds) are pinned too.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -18,10 +23,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use vase::archgen::{
-    map_graph_greedy, Budget, CancelToken, MapStats, MapperConfig, SearchStrategy,
+    map_graph_greedy, Budget, CancelToken, CoverCache, MapStats, MapperConfig, SearchStrategy,
 };
 use vase::estimate::{Estimator, PerformanceConstraints};
 use vase::flow::{derive_constraints, synthesize_unit, FlowOptions};
+use vase::library::Netlist;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("repo root")
@@ -39,6 +45,16 @@ fn counters(stats: &MapStats) -> String {
         stats.range_pruned,
         stats.budget_exhausted,
     )
+}
+
+/// The netlist under a table row: one line per placed component (its
+/// `Debug` form: kind, inputs, `implements` in order, label), then the
+/// external outputs.
+fn write_netlist(out: &mut String, netlist: &Netlist) {
+    for (i, c) in netlist.components.iter().enumerate() {
+        writeln!(out, "    c{i} {c:?}").expect("write");
+    }
+    writeln!(out, "    outputs {:?}", netlist.outputs).expect("write");
 }
 
 /// The flow's estimator for `entity`: the default constraints refined
@@ -95,6 +111,7 @@ fn table() -> String {
                         s.estimate.area_m2,
                     )
                     .expect("write");
+                    write_netlist(&mut out, &s.netlist);
                     if mode == "exact" {
                         graphs.push((d.entity.clone(), d.vhif.graphs.clone()));
                     }
@@ -103,7 +120,8 @@ fn table() -> String {
             for (entity, design_graphs) in graphs {
                 let estimator = flow_estimator(source, &entity);
                 for graph in &design_graphs {
-                    let row = match map_graph_greedy(graph, &estimator, &MapperConfig::default()) {
+                    let result = map_graph_greedy(graph, &estimator, &MapperConfig::default());
+                    let row = match &result {
                         Ok(r) => format!(
                             "{} opamps={} area_m2={:?}",
                             counters(&r.stats),
@@ -114,6 +132,9 @@ fn table() -> String {
                     };
                     writeln!(out, "{entity} -O{level} greedy[{}] {row}", graph.name())
                         .expect("write");
+                    if let Ok(r) = &result {
+                        write_netlist(&mut out, &r.netlist);
+                    }
                 }
             }
         }
@@ -121,13 +142,40 @@ fn table() -> String {
     out
 }
 
-#[test]
-fn search_counters_match_the_committed_table() {
-    let path = repo_root().join("tests/snapshots/search/counters.txt");
-    let got = table();
+/// The text `CoverCache::save` writes after the exact and the guided
+/// search each map the whole corpus at `-O0` and `-O2` into a cache of
+/// their own.
+fn cover_cache_text() -> String {
+    let dir = std::env::temp_dir().join(format!("vase-search-counters-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let mut out = String::new();
+    for (name, config) in [("exact", MapperConfig::default()), ("guided", MapperConfig::guided())]
+    {
+        let cache = CoverCache::new();
+        for (_, _, source) in vase::benchmarks::corpus() {
+            for level in [0u8, 2] {
+                let options =
+                    FlowOptions { mapper: config, opt_level: level, ..FlowOptions::default() };
+                let report = synthesize_unit("spec", source, &options, Some(&cache), None);
+                assert!(report.error.is_none(), "{name} -O{level}: {:?}", report.error);
+            }
+        }
+        let path = dir.join(format!("{name}.cache"));
+        cache.save(&path).expect("save cover cache");
+        writeln!(out, "# {name}").expect("write");
+        out.push_str(&fs::read_to_string(&path).expect("read cover cache"));
+    }
+    fs::remove_dir_all(&dir).ok();
+    out
+}
+
+/// Compare `got` with the committed snapshot `name`, or rewrite it
+/// under `UPDATE_SNAPSHOTS`.
+fn check_snapshot(name: &str, got: &str) {
+    let path = repo_root().join("tests/snapshots/search").join(name);
     if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
         fs::create_dir_all(path.parent().expect("parent")).expect("snapshot dir");
-        fs::write(&path, &got).expect("write snapshot");
+        fs::write(&path, got).expect("write snapshot");
         return;
     }
     let want = fs::read_to_string(&path)
@@ -140,11 +188,21 @@ fn search_counters_match_the_committed_table() {
             .map(|(w, g)| format!("- {w}\n+ {g}"))
             .collect();
         panic!(
-            "search counters changed: {} row(s) differ, {} rows expected, {} got\n{}",
+            "{name} changed: {} line(s) differ, {} lines expected, {} got\n{}",
             diff.len(),
             want.lines().count(),
             got.lines().count(),
             diff.join("\n")
         );
     }
+}
+
+#[test]
+fn search_counters_match_the_committed_table() {
+    check_snapshot("counters.txt", &table());
+}
+
+#[test]
+fn cover_cache_text_matches_the_committed_snapshot() {
+    check_snapshot("cover_cache.txt", &cover_cache_text());
 }
