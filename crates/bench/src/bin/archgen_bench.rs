@@ -16,8 +16,9 @@
 //!
 //! For each synthetic family (`filter_chain`, `control_loop`,
 //! `fanout_mesh`) at 25/50/100/200 operation blocks, one mapping run
-//! each under a wall-clock deadline records exact vs guided wall time
-//! and nodes explored plus whether the search completed, then a cold
+//! each under the mapper's node cap and a wall-clock deadline records
+//! exact vs guided wall time and nodes explored plus whether the search
+//! completed (`exhausted` when either limit stopped it), then a cold
 //! [`CoverCache`] run and a warm repeat measure the content-addressed
 //! lookup path (warm hits must replay bit-identically with zero nodes
 //! explored).
@@ -42,11 +43,13 @@ const REPS: usize = 3;
 /// auto-detected, so the column never silently times the sequential
 /// search on a host that reports one core.
 const PARALLEL_JOBS: usize = 2;
-/// Per-search wall-clock deadline for the synthetic sweep. Sized so
-/// the exact search exhausts it on `control_loop` at 100 blocks
-/// (~10.5M nodes needed) while the guided search completes (~1.3M
-/// nodes): the model-guided bound proves optimality with ~8× fewer
-/// visits.
+/// Per-search wall-clock deadline for the synthetic sweep: a backstop,
+/// not the limit that binds. The mapper's stock 2M-node cap
+/// (`MapperConfig::node_limit`) stops a search first — the exact search
+/// on `control_loop` at 100 blocks (~10.5M nodes needed) and both
+/// searches at 200 blocks — while the guided search completes
+/// `control_loop` at 100 blocks (~1.3M nodes): the model-guided bound
+/// proves optimality with ~8× fewer visits.
 const DEADLINE_MS: u64 = 60_000;
 const SMOKE_DEADLINE_MS: u64 = 250;
 
@@ -97,7 +100,7 @@ impl AppRecord {
     }
 }
 
-/// One deadline-bounded mapping run on a synthetic graph.
+/// One budget-bounded mapping run on a synthetic graph.
 struct SearchRecord {
     wall_us: u64,
     visited_nodes: u64,
@@ -235,8 +238,9 @@ fn bench_corpus(reps: usize) -> Result<Vec<AppRecord>, Box<dyn std::error::Error
 }
 
 /// The synthetic scaling sweep: exact vs guided vs cold/warm cache at
-/// each size, one deadline-bounded run apiece (exhausted runs already
-/// cost the full deadline, so repetitions would only multiply that).
+/// each size, one run apiece under the node cap and `deadline_ms`
+/// (an exhausted run already costs the whole budget, so repetitions
+/// would only multiply that).
 fn bench_synthetic(
     sizes: &[usize],
     deadline_ms: u64,
@@ -291,9 +295,9 @@ fn bench_synthetic(
                 family,
                 ops,
                 format!("{} µs", rec.exact.wall_us),
-                if rec.exact.completed { "done" } else { "deadline" },
+                if rec.exact.completed { "done" } else { "exhausted" },
                 format!("{} µs", rec.guided.wall_us),
-                if rec.guided.completed { "done" } else { "deadline" },
+                if rec.guided.completed { "done" } else { "exhausted" },
                 format!("{} µs", rec.warm_cache.wall_us),
                 if warm_hit { "hit" } else { "miss" },
             );
