@@ -225,6 +225,10 @@ fn dae_alternatives_reported_for_simultaneous_statements() {
     let alts = &designs[0].dae_alternatives;
     assert_eq!(alts.len(), 6);
     assert!(alts.iter().any(|(_, n)| *n > 1), "{alts:?}");
+    // Unlabelled equations are named by source position, in the order
+    // they were lowered; the claimed state equation is `ode1`.
+    let names: Vec<&str> = alts.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["eq2", "eq1", "eq3", "eq4", "eq6", "ode1"]);
 }
 
 #[test]
