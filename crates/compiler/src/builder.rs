@@ -2,6 +2,7 @@
 //! plus the binding of VASS names to block outputs.
 
 use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
 
 use vase_frontend::ast::{FunctionDecl, Mode, ObjectClass};
 use vase_frontend::sema::SymbolTable;
@@ -31,9 +32,12 @@ pub struct GraphBuilder<'a> {
     symbols: &'a SymbolTable,
     functions: HashMap<String, &'a FunctionDecl>,
     const_cache: HashMap<u64, BlockId>,
-    value_numbers: HashMap<String, BlockId>,
-    solver_rotation: usize,
+    value_numbers: HashMap<ValueKey, BlockId>,
 }
+
+/// A value-numbering key: the block kind's tag, its parameter's bits and
+/// its drivers in port order.
+type ValueKey = (Discriminant<BlockKind>, u64, Vec<BlockId>);
 
 impl<'a> GraphBuilder<'a> {
     /// Create a builder for a graph named `name`.
@@ -49,7 +53,6 @@ impl<'a> GraphBuilder<'a> {
             functions,
             const_cache: HashMap::new(),
             value_numbers: HashMap::new(),
-            solver_rotation: 0,
         }
     }
 
@@ -71,18 +74,6 @@ impl<'a> GraphBuilder<'a> {
     /// Look up a visible function.
     pub fn function(&self, name: &str) -> Option<&'a FunctionDecl> {
         self.functions.get(name).copied()
-    }
-
-    /// How far to rotate DAE solver-candidate order (0 = the compiler's
-    /// preferred solver; used to lower alternative solver variants).
-    pub fn solver_rotation(&self) -> usize {
-        self.solver_rotation
-    }
-
-    /// Set the solver-candidate rotation (see
-    /// [`GraphBuilder::solver_rotation`]).
-    pub fn set_solver_rotation(&mut self, rotation: usize) {
-        self.solver_rotation = rotation;
     }
 
     /// Whether `name` currently has a defining block.
@@ -173,11 +164,7 @@ impl<'a> GraphBuilder<'a> {
     ///
     /// Propagates connection errors (arity/class violations).
     pub fn node(&mut self, kind: BlockKind, inputs: &[BlockId]) -> Result<BlockId, CompileError> {
-        let vn_key = value_numberable(&kind).then(|| {
-            // `f64`'s Debug renders the shortest round-trip form, which
-            // is injective, so the key distinguishes all parameters.
-            format!("{kind:?}|{inputs:?}")
-        });
+        let vn_key = value_key(&kind, inputs);
         if let Some(key) = &vn_key {
             if let Some(&id) = self.value_numbers.get(key) {
                 return Ok(id);
@@ -226,23 +213,29 @@ impl<'a> GraphBuilder<'a> {
     }
 }
 
-/// Whether two blocks of this kind fed by the same drivers always
-/// compute bit-identical outputs and may share one block. Stateful
-/// blocks, interface markers, control-class blocks, and sampling
-/// structures are excluded — they carry identity beyond their value.
-fn value_numberable(kind: &BlockKind) -> bool {
-    matches!(
-        kind,
-        BlockKind::Scale { .. }
-            | BlockKind::Add { .. }
-            | BlockKind::Sub
-            | BlockKind::Mul
-            | BlockKind::Div
-            | BlockKind::Log
-            | BlockKind::Antilog
-            | BlockKind::Abs
-            | BlockKind::Limiter { .. }
-    )
+/// The value-numbering key of a block of this kind fed by `inputs`, when
+/// two such blocks always compute bit-identical outputs and may share
+/// one block. Stateful blocks, interface markers, control-class blocks,
+/// and sampling structures get none — they carry identity beyond their
+/// value.
+fn value_key(kind: &BlockKind, inputs: &[BlockId]) -> Option<ValueKey> {
+    let param = match *kind {
+        // Every NaN is one parameter, whatever its payload: a NaN gain
+        // or level yields NaN either way.
+        BlockKind::Scale { gain: p } | BlockKind::Limiter { level: p } if p.is_nan() => {
+            f64::NAN.to_bits()
+        }
+        BlockKind::Scale { gain: p } | BlockKind::Limiter { level: p } => p.to_bits(),
+        BlockKind::Add { arity } => arity as u64,
+        BlockKind::Sub
+        | BlockKind::Mul
+        | BlockKind::Div
+        | BlockKind::Log
+        | BlockKind::Antilog
+        | BlockKind::Abs => 0,
+        _ => return None,
+    };
+    Some((discriminant(kind), param, inputs.to_vec()))
 }
 
 #[cfg(test)]
@@ -347,6 +340,15 @@ mod tests {
             let z = b.node(BlockKind::Scale { gain: 0.0 }, &[x]).expect("scale");
             let nz = b.node(BlockKind::Scale { gain: -0.0 }, &[x]).expect("scale");
             assert_ne!(z, nz);
+            // Every NaN is one parameter, whatever its payload.
+            let nan = b.node(BlockKind::Scale { gain: f64::NAN }, &[x]).expect("scale");
+            let other = f64::from_bits(f64::NAN.to_bits() ^ 1);
+            assert!(other.is_nan());
+            let other = b.node(BlockKind::Scale { gain: other }, &[x]).expect("scale");
+            assert_eq!(nan, other);
+            // Same parameter bits on another kind stay distinct.
+            let limiter = b.node(BlockKind::Limiter { level: 2.0 }, &[x]).expect("limiter");
+            assert_ne!(a, limiter);
         });
     }
 
