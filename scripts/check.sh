@@ -49,6 +49,9 @@ echo "== tier 1: opt equivalence suite =="
 cargo test -q -p vase-sim --test opt_equivalence
 cargo test -q -p vase --test opt_snapshots
 
+echo "== tier 1: compile pin (shipped and generated designs) =="
+cargo test -q -p vase --test compile_pins
+
 echo "== tier 1: sim fault-injection suite =="
 cargo test -q -p vase-sim --test fault_injection
 
