@@ -1,8 +1,8 @@
 //! `vase-fuzz` — deterministic mutation fuzzing of the analysis
 //! pipeline.
 //!
-//! Mutates the 16 shipped VASS specifications (the 11-example
-//! benchmark corpus plus the 5 lint fixtures) with the offline
+//! Mutates the 17 shipped VASS specifications (the 11-example
+//! benchmark corpus plus the 6 lint fixtures) with the offline
 //! SplitMix64 generator and asserts two oracles on every mutant:
 //!
 //! * the full parse → sema → compile → verify path
@@ -24,134 +24,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use vase_bench::rng::SplitMix64;
+use vase_bench::mutants::{build_mutant, corpus, SMOKE_SEED};
 
-/// The fixed seed of `--smoke` runs (and the default otherwise).
-const SMOKE_SEED: u64 = 0x00F0_5EED;
 /// Mutant count of `--smoke` runs: ≥ 100 per the resilience contract.
 const SMOKE_MUTANTS: usize = 128;
-
-/// VHDL-AMS-ish tokens spliced into mutants to stress keyword
-/// handling, not just byte soup.
-const TOKENS: [&str; 16] = [
-    "entity",
-    "architecture",
-    "process",
-    "quantity",
-    "signal",
-    "port",
-    "begin",
-    "end",
-    "is",
-    "use",
-    "when",
-    "range",
-    "==",
-    "<=",
-    "'",
-    ";",
-];
-
-/// The mutation corpus: every shipped spec and lint fixture as
-/// `(name, source)`.
-fn corpus() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = vase::benchmarks::corpus()
-        .into_iter()
-        .map(|(name, _, source)| (name.to_string(), source.to_string()))
-        .collect();
-    for (name, source) in [
-        (
-            "lint/bad_annotations",
-            include_str!("../../../../examples/lint/bad_annotations.vhd"),
-        ),
-        (
-            "lint/bad_parse",
-            include_str!("../../../../examples/lint/bad_parse.vhd"),
-        ),
-        (
-            "lint/bad_restrictions",
-            include_str!("../../../../examples/lint/bad_restrictions.vhd"),
-        ),
-        (
-            "lint/bad_undeclared",
-            include_str!("../../../../examples/lint/bad_undeclared.vhd"),
-        ),
-        (
-            "lint/clean_follower",
-            include_str!("../../../../examples/lint/clean_follower.vhd"),
-        ),
-    ] {
-        out.push((name.to_string(), source.to_string()));
-    }
-    out
-}
-
-/// Apply one random mutation to `chars`. Operating on a char vector
-/// sidesteps UTF-8 boundary bookkeeping entirely.
-fn mutate_once(chars: &mut Vec<char>, donor: &str, rng: &mut SplitMix64) {
-    if chars.is_empty() {
-        chars.extend(TOKENS[rng.index(TOKENS.len())].chars());
-        return;
-    }
-    match rng.index(7) {
-        // Delete a random character.
-        0 => {
-            let at = rng.index(chars.len());
-            chars.remove(at);
-        }
-        // Duplicate a random chunk in place.
-        1 => {
-            let at = rng.index(chars.len());
-            let len = 1 + rng.index(16).min(chars.len() - at - 1);
-            let chunk: Vec<char> = chars[at..at + len].to_vec();
-            chars.splice(at..at, chunk);
-        }
-        // Replace a character with random printable ASCII.
-        2 => {
-            let at = rng.index(chars.len());
-            chars[at] = (b' ' + rng.index(95) as u8) as char;
-        }
-        // Insert a language token at a random position.
-        3 => {
-            let at = rng.index(chars.len() + 1);
-            let token: Vec<char> = TOKENS[rng.index(TOKENS.len())].chars().collect();
-            chars.splice(at..at, token);
-        }
-        // Truncate at a random position.
-        4 => chars.truncate(rng.index(chars.len())),
-        // Swap two random characters.
-        5 => {
-            let a = rng.index(chars.len());
-            let b = rng.index(chars.len());
-            chars.swap(a, b);
-        }
-        // Splice a chunk from another spec (crossover).
-        _ => {
-            let donor: Vec<char> = donor.chars().collect();
-            if donor.is_empty() {
-                return;
-            }
-            let from = rng.index(donor.len());
-            let len = 1 + rng.index(40).min(donor.len() - from - 1);
-            let at = rng.index(chars.len() + 1);
-            chars.splice(at..at, donor[from..from + len].iter().copied());
-        }
-    }
-}
-
-/// Build mutant `i` of the run. Reconstructible from `(seed, i)` alone.
-fn build_mutant(specs: &[(String, String)], seed: u64, i: usize) -> (usize, String) {
-    // A per-mutant generator keyed on (seed, index) keeps every mutant
-    // independent of how many came before it.
-    let mut rng = SplitMix64::new(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let pick = rng.index(specs.len());
-    let donor = &specs[rng.index(specs.len())].1;
-    let mut chars: Vec<char> = specs[pick].1.chars().collect();
-    for _ in 0..1 + rng.index(4) {
-        mutate_once(&mut chars, donor, &mut rng);
-    }
-    (pick, chars.into_iter().collect())
-}
 
 struct RunStats {
     clean: usize,
@@ -443,8 +319,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn corpus_has_sixteen_specs() {
-        assert_eq!(corpus().len(), 16);
+    fn corpus_has_seventeen_specs() {
+        assert_eq!(corpus().len(), 17);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 #![warn(missing_docs)]
 
+pub mod mutants;
 pub mod rng;
 pub mod synthetic;
 
