@@ -302,6 +302,63 @@ fn parse_errors_point_at_the_offending_token() {
 }
 
 #[test]
+fn closing_names_must_repeat_the_unit_name() {
+    let v002 = |source: &str| -> Vec<String> {
+        vase::lint_source(source)
+            .into_iter()
+            .filter(|d| d.code.to_string() == "V002")
+            .map(|d| format!("{} {}", d.span, d.message))
+            .collect()
+    };
+    let unit = |entity_end: &str, arch_end: &str| {
+        format!(
+            "entity amp is
+               port (quantity x : in real is voltage;
+                     quantity y : out real is voltage);
+             end entity {entity_end};
+             architecture behav of amp is
+             begin
+               y == 2.0 * x;
+             end architecture {arch_end};"
+        )
+    };
+    assert_eq!(v002(&unit("amp", "behav")), Vec::<String>::new());
+    assert_eq!(v002(&unit("", "")), Vec::<String>::new());
+    assert_eq!(
+        v002(&unit("bogus", "nothere")),
+        [
+            "4:25 closing name `bogus` does not match the entity name `amp` declared at 1:8",
+            "8:31 closing name `nothere` does not match the architecture name `behav` \
+             declared at 5:27",
+        ]
+    );
+    // A process or procedural closes with its label, and only a
+    // labelled one may repeat a name.
+    let errors = v002(
+        "entity p is
+           port (quantity x : in real is voltage;
+                 quantity y : out real is voltage);
+         end entity;
+         architecture a of p is
+           signal s : bit;
+         begin
+           step: procedural is begin y := x; end procedural stop;
+           process (s) is begin s <= '1'; end process watch;
+         end architecture;",
+    );
+    assert_eq!(
+        errors,
+        [
+            "8:61 closing name `stop` does not match the procedural name `step` declared at 8:12",
+            "9:55 closing name `watch` given for a process without a label",
+        ]
+    );
+    // A strict parse stops at the mismatch.
+    let err = compile_source(&unit("amp", "nothere")).unwrap_err();
+    assert!(err.to_string().contains("`nothere` does not match"), "{err}");
+}
+
+#[test]
 fn wait_statement_rejected_with_explanation() {
     let err = synthesize_source(
         "entity w is end entity;
