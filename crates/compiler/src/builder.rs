@@ -1,10 +1,12 @@
 //! The graph builder: tracks the signal-flow graph under construction
 //! plus the binding of VASS names to block outputs.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::mem::{discriminant, Discriminant};
 
 use vase_frontend::ast::{FunctionDecl, Mode, ObjectClass};
+use vase_frontend::names::{Name, Names};
 use vase_frontend::sema::SymbolTable;
 use vase_frontend::span::Span;
 use vase_vhif::{BlockId, BlockKind, SignalFlowGraph};
@@ -13,6 +15,11 @@ use crate::error::CompileError;
 
 /// Builds one signal-flow graph, threading an environment that maps
 /// each VASS name to the block currently producing its value.
+///
+/// The environment is a `Vec` indexed by [`Name`], so a snapshot of it
+/// (taken around every branch) is a slice copy. Elements of vectors
+/// with a static index get names of their own past the end of the
+/// file's table ([`GraphBuilder::element`]).
 ///
 /// The environment realizes the paper's sequencing rule (Section 4):
 /// instruction order is preserved *iff* the output of the block for an
@@ -28,9 +35,14 @@ use crate::error::CompileError;
 /// distinct (interface markers, stateful and sampling blocks).
 pub struct GraphBuilder<'a> {
     graph: SignalFlowGraph,
-    env: HashMap<String, BlockId>,
+    /// The block producing each name's value, by [`Name::index`].
+    env: Vec<Option<BlockId>>,
+    names: &'a Names,
+    /// The `(vector, index)` of each element name, in the order they
+    /// were made: element `k` is name `names.len() + k`.
+    elements: Vec<(Name, i64)>,
     symbols: &'a SymbolTable,
-    functions: HashMap<String, &'a FunctionDecl>,
+    functions: HashMap<Name, &'a FunctionDecl>,
     const_cache: HashMap<u64, BlockId>,
     value_numbers: HashMap<ValueKey, BlockId>,
 }
@@ -40,15 +52,19 @@ pub struct GraphBuilder<'a> {
 type ValueKey = (Discriminant<BlockKind>, u64, Vec<BlockId>);
 
 impl<'a> GraphBuilder<'a> {
-    /// Create a builder for a graph named `name`.
+    /// Create a builder for a graph named `name` over the names, symbols
+    /// and functions of one architecture.
     pub fn new(
         name: impl Into<String>,
+        names: &'a Names,
         symbols: &'a SymbolTable,
-        functions: HashMap<String, &'a FunctionDecl>,
+        functions: HashMap<Name, &'a FunctionDecl>,
     ) -> Self {
         GraphBuilder {
             graph: SignalFlowGraph::new(name),
-            env: HashMap::new(),
+            env: Vec::new(),
+            names,
+            elements: Vec::new(),
             symbols,
             functions,
             const_cache: HashMap::new(),
@@ -71,35 +87,75 @@ impl<'a> GraphBuilder<'a> {
         self.symbols
     }
 
+    /// The file's name table.
+    pub fn names(&self) -> &'a Names {
+        self.names
+    }
+
+    /// The spelling of `name`; an element name reads `vector[index]`.
+    pub fn spelling(&self, name: Name) -> Cow<'a, str> {
+        match name.index().checked_sub(self.names.len()) {
+            None => Cow::Borrowed(self.names.resolve(name)),
+            Some(k) => {
+                let (vector, index) = self.elements[k];
+                Cow::Owned(format!("{}[{index}]", self.names.resolve(vector)))
+            }
+        }
+    }
+
+    /// The name of element `index` of vector `vector`, made on first
+    /// use.
+    pub fn element(&mut self, vector: Name, index: i64) -> Name {
+        let k = match self.elements.iter().position(|&e| e == (vector, index)) {
+            Some(k) => k,
+            None => {
+                self.elements.push((vector, index));
+                self.elements.len() - 1
+            }
+        };
+        Name::from_index(self.names.len() + k)
+    }
+
     /// Look up a visible function.
-    pub fn function(&self, name: &str) -> Option<&'a FunctionDecl> {
-        self.functions.get(name).copied()
+    pub fn function(&self, name: Name) -> Option<&'a FunctionDecl> {
+        self.functions.get(&name).copied()
+    }
+
+    /// The block currently bound to `name`.
+    fn binding(&self, name: Name) -> Option<BlockId> {
+        self.env.get(name.index()).copied().flatten()
     }
 
     /// Whether `name` currently has a defining block.
-    pub fn is_defined(&self, name: &str) -> bool {
-        self.env.contains_key(name)
+    pub fn is_defined(&self, name: Name) -> bool {
+        self.binding(name).is_some()
     }
 
     /// Bind `name` to the output of `id` (rebinding shadows the old
     /// producer for subsequent readers — the SSA-like threading that
     /// realizes instruction sequencing).
-    pub fn define(&mut self, name: impl Into<String>, id: BlockId) {
-        self.env.insert(name.into(), id);
+    pub fn define(&mut self, name: Name, id: BlockId) {
+        if name.index() >= self.env.len() {
+            self.env.resize(name.index() + 1, None);
+        }
+        self.env[name.index()] = Some(id);
     }
 
     /// Remove a binding (used to scope loop-local names).
-    pub fn undefine(&mut self, name: &str) {
-        self.env.remove(name);
+    pub fn undefine(&mut self, name: Name) {
+        if let Some(slot) = self.env.get_mut(name.index()) {
+            *slot = None;
+        }
     }
 
-    /// Snapshot of the current bindings (used by branch-local lowering).
-    pub fn bindings(&self) -> HashMap<String, BlockId> {
+    /// Snapshot of the current bindings (used by branch-local
+    /// lowering), indexed by [`Name::index`].
+    pub fn bindings(&self) -> Vec<Option<BlockId>> {
         self.env.clone()
     }
 
     /// Restore bindings from a snapshot.
-    pub fn restore_bindings(&mut self, snapshot: HashMap<String, BlockId>) {
+    pub fn restore_bindings(&mut self, snapshot: Vec<Option<BlockId>>) {
         self.env = snapshot;
     }
 
@@ -115,32 +171,36 @@ impl<'a> GraphBuilder<'a> {
     /// and cannot be materialized (e.g. a local quantity no statement
     /// has defined yet — the caller retries after other statements are
     /// lowered).
-    pub fn source(&mut self, name: &str, span: Span) -> Result<BlockId, CompileError> {
-        if let Some(&id) = self.env.get(name) {
+    pub fn source(&mut self, name: Name, span: Span) -> Result<BlockId, CompileError> {
+        if let Some(id) = self.binding(name) {
             return Ok(id);
         }
+        let use_before_def = |b: &Self| CompileError::UseBeforeDef {
+            name: b.spelling(name).into_owned(),
+            span,
+        };
         let Some(sym) = self.symbols.get(name) else {
-            return Err(CompileError::UseBeforeDef { name: name.to_owned(), span });
+            return Err(use_before_def(self));
         };
         let id = match sym.class {
             ObjectClass::Quantity if sym.is_port && sym.mode != Some(Mode::Out) => {
-                self.graph.add(BlockKind::Input { name: name.to_owned() })
+                self.graph.add(BlockKind::Input { name: sym.name.clone() })
             }
             ObjectClass::Signal => {
-                self.graph.add(BlockKind::ControlInput { name: name.to_owned() })
+                self.graph.add(BlockKind::ControlInput { name: sym.name.clone() })
             }
             ObjectClass::Constant => match sym.const_value {
                 Some(v) => self.const_block(v),
                 None => {
                     return Err(CompileError::NotStatic {
-                        what: format!("constant `{name}` has no foldable value"),
+                        what: format!("constant `{}` has no foldable value", sym.name),
                         span,
                     })
                 }
             },
-            _ => return Err(CompileError::UseBeforeDef { name: name.to_owned(), span }),
+            _ => return Err(use_before_def(self)),
         };
-        self.env.insert(name.to_owned(), id);
+        self.define(name, id);
         Ok(id)
     }
 
@@ -243,7 +303,9 @@ mod tests {
     use super::*;
     use vase_frontend::{analyze, parse_design_file};
 
-    fn with_builder(f: impl FnOnce(&mut GraphBuilder<'_>)) {
+    /// Run `f` on a builder over a small architecture; `f` gets the
+    /// name of each identifier it asks for.
+    fn with_builder(f: impl FnOnce(&mut GraphBuilder<'_>, &dyn Fn(&str) -> Name)) {
         let design = parse_design_file(
             "entity e is port (quantity x : in real is voltage;
                                quantity y : out real is voltage;
@@ -259,39 +321,40 @@ mod tests {
         .expect("parses");
         let analyzed = analyze(&design).expect("analyzes");
         let arch = analyzed.architecture_of("e").expect("arch");
-        let mut b = GraphBuilder::new("t", &arch.symbols, HashMap::new());
-        f(&mut b);
+        let names = &analyzed.design.names;
+        let mut b = GraphBuilder::new("t", names, &arch.symbols, HashMap::new());
+        f(&mut b, &|text| names.lookup(text).expect("interned"));
     }
 
     #[test]
     fn in_port_materializes_input_block() {
-        with_builder(|b| {
-            let id = b.source("x", Span::synthetic()).expect("x");
+        with_builder(|b, n| {
+            let id = b.source(n("x"), Span::synthetic()).expect("x");
             assert!(matches!(b.graph().kind(id), BlockKind::Input { name } if name == "x"));
             // cached on second lookup
-            assert_eq!(b.source("x", Span::synthetic()).expect("x"), id);
+            assert_eq!(b.source(n("x"), Span::synthetic()).expect("x"), id);
         });
     }
 
     #[test]
     fn signal_materializes_control_input() {
-        with_builder(|b| {
-            let id = b.source("s", Span::synthetic()).expect("s");
+        with_builder(|b, n| {
+            let id = b.source(n("s"), Span::synthetic()).expect("s");
             assert!(matches!(b.graph().kind(id), BlockKind::ControlInput { name } if name == "s"));
         });
     }
 
     #[test]
     fn constant_materializes_const_block() {
-        with_builder(|b| {
-            let id = b.source("k", Span::synthetic()).expect("k");
+        with_builder(|b, n| {
+            let id = b.source(n("k"), Span::synthetic()).expect("k");
             assert!(matches!(b.graph().kind(id), BlockKind::Const { value } if *value == 2.5));
         });
     }
 
     #[test]
     fn const_blocks_are_deduplicated() {
-        with_builder(|b| {
+        with_builder(|b, _| {
             let a = b.const_block(1.5);
             let c = b.const_block(1.5);
             let d = b.const_block(2.5);
@@ -302,27 +365,27 @@ mod tests {
 
     #[test]
     fn undefined_local_quantity_errors() {
-        with_builder(|b| {
-            let err = b.source("q", Span::synthetic()).unwrap_err();
+        with_builder(|b, n| {
+            let err = b.source(n("q"), Span::synthetic()).unwrap_err();
             assert!(matches!(err, CompileError::UseBeforeDef { .. }));
         });
     }
 
     #[test]
     fn define_shadows_source() {
-        with_builder(|b| {
+        with_builder(|b, n| {
             let c = b.const_block(1.0);
-            b.define("q", c);
-            assert_eq!(b.source("q", Span::synthetic()).expect("q"), c);
-            b.undefine("q");
-            assert!(b.source("q", Span::synthetic()).is_err());
+            b.define(n("q"), c);
+            assert_eq!(b.source(n("q"), Span::synthetic()).expect("q"), c);
+            b.undefine(n("q"));
+            assert!(b.source(n("q"), Span::synthetic()).is_err());
         });
     }
 
     #[test]
     fn node_connects_all_ports() {
-        with_builder(|b| {
-            let x = b.source("x", Span::synthetic()).expect("x");
+        with_builder(|b, n| {
+            let x = b.source(n("x"), Span::synthetic()).expect("x");
             let k = b.const_block(3.0);
             let add = b.node(BlockKind::Add { arity: 2 }, &[x, k]).expect("add");
             assert_eq!(b.graph().block_inputs(add), &[Some(x), Some(k)]);
@@ -331,8 +394,8 @@ mod tests {
 
     #[test]
     fn pure_nodes_are_value_numbered() {
-        with_builder(|b| {
-            let x = b.source("x", Span::synthetic()).expect("x");
+        with_builder(|b, n| {
+            let x = b.source(n("x"), Span::synthetic()).expect("x");
             let a = b.node(BlockKind::Scale { gain: 2.0 }, &[x]).expect("scale");
             let c = b.node(BlockKind::Scale { gain: 2.0 }, &[x]).expect("scale");
             assert_eq!(a, c, "identical pure nodes share one block");
@@ -354,8 +417,8 @@ mod tests {
 
     #[test]
     fn stateful_nodes_are_never_shared() {
-        with_builder(|b| {
-            let x = b.source("x", Span::synthetic()).expect("x");
+        with_builder(|b, n| {
+            let x = b.source(n("x"), Span::synthetic()).expect("x");
             let i1 =
                 b.node(BlockKind::Integrate { gain: 1.0, initial: 0.0 }, &[x]).expect("integ");
             let i2 =

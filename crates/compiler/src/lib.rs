@@ -108,28 +108,39 @@ impl CompiledDesign {
 /// [`vase_frontend::analyze`] can still fail here when the DAE set has
 /// no causal signal-flow form ([`CompileError::Unsolvable`]).
 pub fn compile(analyzed: &AnalyzedDesign) -> Result<CompiledDesign, CompileError> {
+    let names = &analyzed.design.names;
     let mut designs = Vec::new();
     for arch_info in &analyzed.architectures {
         let arch = analyzed
             .design
             .architectures()
-            .find(|a| a.entity.name == arch_info.entity && a.name.name == arch_info.name)
+            .find(|a| {
+                names.resolve(a.entity.name) == arch_info.entity
+                    && names.resolve(a.name.name) == arch_info.name
+            })
             .expect("analyzed architecture exists in design");
 
         // Visible functions: package-level + architecture-local.
         let mut functions = HashMap::new();
         for pkg in analyzed.design.packages() {
             for f in &pkg.functions {
-                functions.insert(f.name.name.clone(), f);
+                functions.insert(f.name.name, f);
             }
         }
         for f in &arch.functions {
-            functions.insert(f.name.name.clone(), f);
+            functions.insert(f.name.name, f);
         }
 
-        let solvers = SolverTable::new(arch);
+        let solvers = SolverTable::new(arch, names);
         let lower = |rotation| {
-            compile_continuous(arch, &arch_info.symbols, functions.clone(), &solvers, rotation)
+            compile_continuous(
+                arch,
+                names,
+                &arch_info.symbols,
+                functions.clone(),
+                &solvers,
+                rotation,
+            )
         };
         let part = lower(0)?;
 
@@ -173,10 +184,15 @@ pub fn compile(analyzed: &AnalyzedDesign) -> Result<CompiledDesign, CompileError
                 process_counter += 1;
                 let name = label
                     .as_ref()
-                    .map(|l| l.name.clone())
+                    .map(|l| names.resolve(l.name).to_owned())
                     .unwrap_or_else(|| format!("process{process_counter}"));
-                let fsm =
-                    process::compile_process(&name, sensitivity, body, &arch_info.symbols)?;
+                let fsm = process::compile_process(
+                    &name,
+                    sensitivity,
+                    body,
+                    names,
+                    &arch_info.symbols,
+                )?;
                 vhif.fsms.push(fsm);
             }
         }

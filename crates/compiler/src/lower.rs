@@ -10,6 +10,7 @@
 use vase_frontend::ast::{
     AttributeKind, BinaryOp, CaseArm, Choice, Expr, ExprKind, SeqStmt, SeqStmtKind, UnaryOp,
 };
+use vase_frontend::names::{Name, Names};
 use vase_frontend::sema::restrict::fold_static;
 use vase_frontend::span::Span;
 use vase_vhif::block::LogicOp;
@@ -28,7 +29,7 @@ pub fn lower_analog(b: &mut GraphBuilder<'_>, expr: &Expr) -> Result<BlockId, Co
     match &expr.kind {
         ExprKind::Int(v) => Ok(b.const_block(*v as f64)),
         ExprKind::Real(v) => Ok(b.const_block(*v)),
-        ExprKind::Name(id) => b.source(&id.name, id.span),
+        ExprKind::Name(id) => b.source(id.name, id.span),
         ExprKind::Unary { op, operand } => match op {
             UnaryOp::Plus => lower_analog(b, operand),
             UnaryOp::Neg => {
@@ -56,16 +57,16 @@ pub fn lower_analog(b: &mut GraphBuilder<'_>, expr: &Expr) -> Result<BlockId, Co
         },
         ExprKind::Attribute { prefix, attr, args } => match attr {
             AttributeKind::Dot => {
-                let u = b.source(&prefix.name, prefix.span)?;
+                let u = b.source(prefix.name, prefix.span)?;
                 b.node(BlockKind::Differentiate { gain: 1.0 }, &[u])
             }
             AttributeKind::Integ => {
-                let u = b.source(&prefix.name, prefix.span)?;
+                let u = b.source(prefix.name, prefix.span)?;
                 b.node(BlockKind::Integrate { gain: 1.0, initial: 0.0 }, &[u])
             }
             AttributeKind::Across | AttributeKind::Through => {
                 // A terminal facet acts as an external analog input.
-                let name = format!("{}'{attr}", prefix.name);
+                let name = format!("{}'{attr}", b.names().resolve(prefix.name));
                 if let Some(id) = b.find_interface(&name) {
                     return Ok(id);
                 }
@@ -85,7 +86,11 @@ pub fn lower_analog(b: &mut GraphBuilder<'_>, expr: &Expr) -> Result<BlockId, Co
         },
         ExprKind::Call { name, args } => lower_call(b, name, args, expr.span),
         other => Err(CompileError::Unsupported {
-            what: format!("expression `{expr}` ({other:?}) in analog context"),
+            what: format!(
+                "expression `{}` ({}) in analog context",
+                expr.display(b.names()),
+                b.names().debug_text(other)
+            ),
             span: expr.span,
         }),
     }
@@ -202,65 +207,67 @@ fn lower_call(
     args: &[Expr],
     span: Span,
 ) -> Result<BlockId, CompileError> {
-    match name.name.as_str() {
-        "log" | "ln" if args.len() == 1 => {
+    match name.name {
+        Name::LOG | Name::LN if args.len() == 1 => {
             let u = lower_analog(b, &args[0])?;
             return b.node(BlockKind::Log, &[u]);
         }
-        "exp" | "antilog" if args.len() == 1 => {
+        Name::EXP | Name::ANTILOG if args.len() == 1 => {
             let u = lower_analog(b, &args[0])?;
             return b.node(BlockKind::Antilog, &[u]);
         }
         _ => {}
     }
-    if let Some(func) = b.function(&name.name) {
-        let inlined = inline_function(func, args, span)?;
+    if let Some(func) = b.function(name.name) {
+        let inlined = inline_function(b.names(), func, args, span)?;
         return lower_analog(b, &inlined);
     }
     // Indexed name: vec(i) with static index → source of the element.
-    if b.symbols().get(&name.name).is_some() {
+    if b.symbols().get(name.name).is_some() {
         if args.len() == 1 {
             if let Some(i) = fold_static(&args[0], b.symbols()) {
-                return b.source(&indexed_name(&name.name, i as i64), span);
+                let element = b.element(name.name, i as i64);
+                return b.source(element, span);
             }
         }
         return Err(CompileError::NotStatic {
-            what: format!("index of `{}` must be statically known", name.name),
+            what: format!(
+                "index of `{}` must be statically known",
+                b.names().resolve(name.name)
+            ),
             span,
         });
     }
     Err(CompileError::Unsupported {
-        what: format!("call to unknown function `{}`", name.name),
+        what: format!("call to unknown function `{}`", b.names().resolve(name.name)),
         span,
     })
 }
 
-/// The environment key for element `i` of vector `name`.
-pub fn indexed_name(name: &str, i: i64) -> String {
-    format!("{name}[{i}]")
-}
-
 /// Symbolically execute a straight-line function body, returning the
-/// returned expression with parameters substituted by `args`.
+/// returned expression with parameters substituted by `args`; `names`
+/// is the table the function's names are in.
 ///
 /// # Errors
 ///
 /// Fails on functions containing branches or loops (not inlinable in
 /// this subset) or missing a return.
 pub fn inline_function(
+    names: &Names,
     func: &vase_frontend::ast::FunctionDecl,
     args: &[Expr],
     span: Span,
 ) -> Result<Expr, CompileError> {
-    let mut env: std::collections::HashMap<String, Expr> = std::collections::HashMap::new();
-    for ((pname, _), arg) in func.params.iter().zip(args) {
-        env.insert(pname.name.clone(), arg.clone());
-    }
+    let mut env: Vec<(Name, Expr)> =
+        func.params.iter().zip(args).map(|((pname, _), arg)| (pname.name, arg.clone())).collect();
     for stmt in &func.body {
         match &stmt.kind {
             SeqStmtKind::VarAssign { target, index: None, value } => {
                 let substituted = substitute(value, &env);
-                env.insert(target.name.clone(), substituted);
+                match env.iter_mut().find(|(name, _)| *name == target.name) {
+                    Some((_, bound)) => *bound = substituted,
+                    None => env.push((target.name, substituted)),
+                }
             }
             SeqStmtKind::Return(Some(value)) => {
                 return Ok(substitute(value, &env));
@@ -269,8 +276,9 @@ pub fn inline_function(
             other => {
                 return Err(CompileError::Unsupported {
                     what: format!(
-                        "function `{}` contains a non-inlinable statement ({other:?})",
-                        func.name.name
+                        "function `{}` contains a non-inlinable statement ({})",
+                        names.resolve(func.name.name),
+                        names.debug_text(other)
                     ),
                     span,
                 })
@@ -278,26 +286,26 @@ pub fn inline_function(
         }
     }
     Err(CompileError::Unsupported {
-        what: format!("function `{}` has no return", func.name.name),
+        what: format!("function `{}` has no return", names.resolve(func.name.name)),
         span,
     })
 }
 
 /// Substitute names bound in `env` throughout `expr`.
-pub fn substitute(expr: &Expr, env: &std::collections::HashMap<String, Expr>) -> Expr {
+pub fn substitute(expr: &Expr, env: &[(Name, Expr)]) -> Expr {
     let kind = match &expr.kind {
         ExprKind::Name(id) => {
-            if let Some(replacement) = env.get(&id.name) {
+            if let Some((_, replacement)) = env.iter().find(|(name, _)| *name == id.name) {
                 return replacement.clone();
             }
-            ExprKind::Name(id.clone())
+            ExprKind::Name(*id)
         }
         ExprKind::Call { name, args } => ExprKind::Call {
-            name: name.clone(),
+            name: *name,
             args: args.iter().map(|a| substitute(a, env)).collect(),
         },
         ExprKind::Attribute { prefix, attr, args } => ExprKind::Attribute {
-            prefix: prefix.clone(),
+            prefix: *prefix,
             attr: *attr,
             args: args.iter().map(|a| substitute(a, env)).collect(),
         },
@@ -317,15 +325,15 @@ pub fn substitute(expr: &Expr, env: &std::collections::HashMap<String, Expr>) ->
 
 /// Substitute an expression environment through a statement (used for
 /// loop unrolling).
-pub fn substitute_in_stmt(stmt: &SeqStmt, env: &std::collections::HashMap<String, Expr>) -> SeqStmt {
+pub fn substitute_in_stmt(stmt: &SeqStmt, env: &[(Name, Expr)]) -> SeqStmt {
     let kind = match &stmt.kind {
         SeqStmtKind::VarAssign { target, index, value } => SeqStmtKind::VarAssign {
-            target: target.clone(),
+            target: *target,
             index: index.as_ref().map(|i| substitute(i, env)),
             value: substitute(value, env),
         },
         SeqStmtKind::SignalAssign { target, value } => SeqStmtKind::SignalAssign {
-            target: target.clone(),
+            target: *target,
             value: substitute(value, env),
         },
         SeqStmtKind::If { branches, else_body } => SeqStmtKind::If {
@@ -355,7 +363,7 @@ pub fn substitute_in_stmt(stmt: &SeqStmt, env: &std::collections::HashMap<String
                 .collect(),
         },
         SeqStmtKind::For { var, lo, dir, hi, body } => SeqStmtKind::For {
-            var: var.clone(),
+            var: *var,
             lo: substitute(lo, env),
             dir: *dir,
             hi: substitute(hi, env),
@@ -390,10 +398,10 @@ pub fn lower_cond(
         }),
         ExprKind::Name(id) => {
             // A bit/boolean signal used directly as a condition.
-            b.source(&id.name, id.span)
+            b.source(id.name, id.span)
         }
         ExprKind::Attribute { prefix, attr: AttributeKind::Above, args } => {
-            let u = b.source(&prefix.name, prefix.span)?;
+            let u = b.source(prefix.name, prefix.span)?;
             let threshold =
                 fold_static(&args[0], b.symbols()).ok_or_else(|| CompileError::NotStatic {
                     what: "'above threshold".into(),
@@ -450,7 +458,7 @@ pub fn lower_cond(
             }),
         },
         _ => Err(CompileError::Unsupported {
-            what: format!("condition `{expr}`"),
+            what: format!("condition `{}`", expr.display(b.names())),
             span: expr.span,
         }),
     }
@@ -523,7 +531,9 @@ mod tests {
     use vase_frontend::{analyze, parse_design_file, parse_expression};
     use vase_vhif::SignalClass;
 
-    fn harness(f: impl FnOnce(&mut GraphBuilder<'_>)) {
+    /// Run `f` on a builder over a small architecture, with a parser for
+    /// expressions over its names.
+    fn harness(f: impl FnOnce(&mut GraphBuilder<'_>, &dyn Fn(&str) -> Expr)) {
         let design = parse_design_file(
             "entity e is port (quantity x : in real is voltage;
                                quantity w : in real is voltage;
@@ -543,36 +553,39 @@ mod tests {
         let arch = analyzed.architecture_of("e").expect("arch");
         let mut functions = HashMap::new();
         for func in &analyzed.design.architectures().next().expect("arch ast").functions {
-            functions.insert(func.name.name.clone(), func);
+            functions.insert(func.name.name, func);
         }
-        let mut b = GraphBuilder::new("t", &arch.symbols, functions);
-        f(&mut b);
+        let names = &analyzed.design.names;
+        let mut b = GraphBuilder::new("t", names, &arch.symbols, functions);
+        // The expressions name only objects of the design, so a copy of
+        // its table gives them the design's names.
+        f(&mut b, &|src| parse_expression(src, &mut names.clone()).expect("parses"));
     }
 
-    fn lower(b: &mut GraphBuilder<'_>, src: &str) -> BlockId {
-        lower_analog(b, &parse_expression(src).expect("parses")).expect("lowers")
+    fn lower(b: &mut GraphBuilder<'_>, expr: Expr) -> BlockId {
+        lower_analog(b, &expr).expect("lowers")
     }
 
     #[test]
     fn constant_expression_folds_to_const() {
-        harness(|b| {
-            let id = lower(b, "2.0 * k + 1.0");
+        harness(|b, parse| {
+            let id = lower(b, parse("2.0 * k + 1.0"));
             assert!(matches!(b.graph().kind(id), BlockKind::Const { value } if *value == 7.0));
         });
     }
 
     #[test]
     fn constant_factor_becomes_scale() {
-        harness(|b| {
-            let id = lower(b, "k * x");
+        harness(|b, parse| {
+            let id = lower(b, parse("k * x"));
             assert!(matches!(b.graph().kind(id), BlockKind::Scale { gain } if *gain == 3.0));
         });
     }
 
     #[test]
     fn division_by_constant_becomes_scale() {
-        harness(|b| {
-            let id = lower(b, "x / 2.0");
+        harness(|b, parse| {
+            let id = lower(b, parse("x / 2.0"));
             assert!(matches!(b.graph().kind(id), BlockKind::Scale { gain } if *gain == 0.5));
         });
     }
@@ -580,42 +593,42 @@ mod tests {
     #[test]
     fn weighted_sum_flattens_to_nary_add() {
         // The receiver's weighted sum: Aline*line + Alocal*local shape.
-        harness(|b| {
-            let id = lower(b, "0.5 * x + 0.25 * w + x");
+        harness(|b, parse| {
+            let id = lower(b, parse("0.5 * x + 0.25 * w + x"));
             assert!(matches!(b.graph().kind(id), BlockKind::Add { arity: 3 }));
         });
     }
 
     #[test]
     fn pure_difference_becomes_sub() {
-        harness(|b| {
-            let id = lower(b, "x - w");
+        harness(|b, parse| {
+            let id = lower(b, parse("x - w"));
             assert!(matches!(b.graph().kind(id), BlockKind::Sub));
         });
     }
 
     #[test]
     fn signal_times_signal_becomes_mul() {
-        harness(|b| {
-            let id = lower(b, "x * w");
+        harness(|b, parse| {
+            let id = lower(b, parse("x * w"));
             assert!(matches!(b.graph().kind(id), BlockKind::Mul));
         });
     }
 
     #[test]
     fn dot_and_integ_lower_to_calculus_blocks() {
-        harness(|b| {
-            let d = lower(b, "x'dot");
+        harness(|b, parse| {
+            let d = lower(b, parse("x'dot"));
             assert!(matches!(b.graph().kind(d), BlockKind::Differentiate { .. }));
-            let i = lower(b, "x'integ");
+            let i = lower(b, parse("x'integ"));
             assert!(matches!(b.graph().kind(i), BlockKind::Integrate { .. }));
         });
     }
 
     #[test]
     fn small_integer_power_becomes_mul_chain() {
-        harness(|b| {
-            let id = lower(b, "x ** 3");
+        harness(|b, parse| {
+            let id = lower(b, parse("x ** 3"));
             assert!(matches!(b.graph().kind(id), BlockKind::Mul));
             // x**3 = (x*x)*x → two Mul blocks
             let muls =
@@ -626,8 +639,8 @@ mod tests {
 
     #[test]
     fn fractional_power_uses_log_antilog() {
-        harness(|b| {
-            let id = lower(b, "x ** 0.5");
+        harness(|b, parse| {
+            let id = lower(b, parse("x ** 0.5"));
             assert!(matches!(b.graph().kind(id), BlockKind::Antilog));
             assert!(b.graph().iter().any(|(_, blk)| matches!(blk.kind, BlockKind::Log)));
         });
@@ -635,16 +648,16 @@ mod tests {
 
     #[test]
     fn intrinsic_log_exp() {
-        harness(|b| {
-            let id = lower(b, "exp(log(x))");
+        harness(|b, parse| {
+            let id = lower(b, parse("exp(log(x))"));
             assert!(matches!(b.graph().kind(id), BlockKind::Antilog));
         });
     }
 
     #[test]
     fn user_function_is_inlined() {
-        harness(|b| {
-            let id = lower(b, "sq(x)");
+        harness(|b, parse| {
+            let id = lower(b, parse("sq(x)"));
             // sq(x) = x * x → a Mul block, no call artifacts
             assert!(matches!(b.graph().kind(id), BlockKind::Mul));
         });
@@ -652,8 +665,8 @@ mod tests {
 
     #[test]
     fn condition_signal_eq_one() {
-        harness(|b| {
-            let e = parse_expression("s = '1'").expect("parses");
+        harness(|b, parse| {
+            let e = parse("s = '1'");
             let id = lower_cond(b, &e, 0.0).expect("lowers");
             assert_eq!(b.graph().kind(id).output_class(), SignalClass::Control);
             assert!(matches!(b.graph().kind(id), BlockKind::ControlInput { .. }));
@@ -662,8 +675,8 @@ mod tests {
 
     #[test]
     fn condition_signal_eq_zero_inverts() {
-        harness(|b| {
-            let e = parse_expression("s = '0'").expect("parses");
+        harness(|b, parse| {
+            let e = parse("s = '0'");
             let id = lower_cond(b, &e, 0.0).expect("lowers");
             assert!(matches!(
                 b.graph().kind(id),
@@ -674,8 +687,8 @@ mod tests {
 
     #[test]
     fn condition_above_becomes_comparator() {
-        harness(|b| {
-            let e = parse_expression("x'above(0.07)").expect("parses");
+        harness(|b, parse| {
+            let e = parse("x'above(0.07)");
             let id = lower_cond(b, &e, 0.0).expect("lowers");
             assert!(matches!(
                 b.graph().kind(id),
@@ -686,8 +699,8 @@ mod tests {
 
     #[test]
     fn condition_above_with_hysteresis_becomes_schmitt() {
-        harness(|b| {
-            let e = parse_expression("x'above(0.5)").expect("parses");
+        harness(|b, parse| {
+            let e = parse("x'above(0.5)");
             let id = lower_cond(b, &e, 0.05).expect("lowers");
             match b.graph().kind(id) {
                 BlockKind::SchmittTrigger { low, high } => {
@@ -701,8 +714,8 @@ mod tests {
 
     #[test]
     fn analog_comparison_with_constant_threshold() {
-        harness(|b| {
-            let e = parse_expression("x > 1.5").expect("parses");
+        harness(|b, parse| {
+            let e = parse("x > 1.5");
             let id = lower_cond(b, &e, 0.0).expect("lowers");
             assert!(matches!(
                 b.graph().kind(id),
@@ -713,8 +726,8 @@ mod tests {
 
     #[test]
     fn analog_comparison_between_quantities_uses_sub() {
-        harness(|b| {
-            let e = parse_expression("x >= w").expect("parses");
+        harness(|b, parse| {
+            let e = parse("x >= w");
             let id = lower_cond(b, &e, 0.0).expect("lowers");
             assert!(matches!(b.graph().kind(id), BlockKind::Comparator { .. }));
             assert!(b.graph().iter().any(|(_, blk)| matches!(blk.kind, BlockKind::Sub)));
@@ -723,8 +736,8 @@ mod tests {
 
     #[test]
     fn less_than_swaps_operands() {
-        harness(|b| {
-            let e = parse_expression("x < 2.0").expect("parses");
+        harness(|b, parse| {
+            let e = parse("x < 2.0");
             // x < 2.0 ≡ 2.0 > x → Sub(2.0 - x)... constant on lhs: goes
             // through the Sub path since the *threshold* side is x.
             let id = lower_cond(b, &e, 0.0).expect("lowers");
@@ -734,8 +747,8 @@ mod tests {
 
     #[test]
     fn logical_and_of_conditions() {
-        harness(|b| {
-            let e = parse_expression("(x > 0.0) and (s = '1')").expect("parses");
+        harness(|b, parse| {
+            let e = parse("(x > 0.0) and (s = '1')");
             let id = lower_cond(b, &e, 0.0).expect("lowers");
             assert!(matches!(b.graph().kind(id), BlockKind::Logic { op: LogicOp::And, .. }));
         });
@@ -743,10 +756,11 @@ mod tests {
 
     #[test]
     fn substitute_replaces_names() {
-        let env: HashMap<String, Expr> =
-            [("v".to_owned(), parse_expression("a + 1.0").expect("parses"))].into();
-        let e = parse_expression("v * v").expect("parses");
+        let mut names = Names::new();
+        let v = names.intern("v");
+        let env = [(v, parse_expression("a + 1.0", &mut names).expect("parses"))];
+        let e = parse_expression("v * v", &mut names).expect("parses");
         let sub = substitute(&e, &env);
-        assert_eq!(sub.to_string(), "((a + 1) * (a + 1))");
+        assert_eq!(sub.display(&names).to_string(), "((a + 1) * (a + 1))");
     }
 }

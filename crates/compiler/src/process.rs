@@ -17,6 +17,7 @@ use vase_frontend::ast::{
     AttributeKind, BinaryOp, Choice, Expr, ExprKind, ObjectClass, SeqStmt, SeqStmtKind,
     UnaryOp,
 };
+use vase_frontend::names::{Name, Names};
 use vase_frontend::sema::restrict::fold_static;
 use vase_frontend::sema::SymbolTable;
 use vase_frontend::span::Span;
@@ -24,7 +25,7 @@ use vase_vhif::{DataOp, DpBinaryOp, DpExpr, Event, Fsm, StateId, Trigger};
 
 use crate::error::CompileError;
 
-/// Compile one process into an FSM.
+/// Compile one process into an FSM; its names are in `names`.
 ///
 /// # Errors
 ///
@@ -34,6 +35,7 @@ pub fn compile_process(
     name: &str,
     sensitivity: &[Expr],
     body: &[SeqStmt],
+    names: &Names,
     symbols: &SymbolTable,
 ) -> Result<Fsm, CompileError> {
     let fsm = Fsm::new(name);
@@ -42,10 +44,10 @@ pub fn compile_process(
     // Sensitivity list → resume events.
     let mut events = Vec::new();
     for sens in sensitivity {
-        events.push(event_from_expr(sens, symbols)?);
+        events.push(event_from_expr(sens, names, symbols)?);
     }
 
-    let mut ctx = ProcessCtx { fsm, symbols, state_counter: 0 };
+    let mut ctx = ProcessCtx { fsm, names, symbols, state_counter: 0 };
     let first = ctx.new_state();
     ctx.fsm.add_transition(start, first, Trigger::AnyEvent(events));
     let last = ctx.compile_body(body, first)?;
@@ -56,6 +58,7 @@ pub fn compile_process(
 
 struct ProcessCtx<'a> {
     fsm: Fsm,
+    names: &'a Names,
     symbols: &'a SymbolTable,
     state_counter: usize,
 }
@@ -80,7 +83,10 @@ impl<'a> ProcessCtx<'a> {
         match &stmt.kind {
             SeqStmtKind::SignalAssign { target, value }
             | SeqStmtKind::VarAssign { target, index: None, value } => {
-                let op = DataOp::new(target.name.clone(), dp_expr(value, self.symbols)?);
+                let op = DataOp::new(
+                    self.names.resolve(target.name),
+                    dp_expr(value, self.names, self.symbols)?,
+                );
                 Ok(self.place_op(op, cur))
             }
             SeqStmtKind::VarAssign { index: Some(_), .. } => Err(CompileError::Unsupported {
@@ -146,11 +152,7 @@ impl<'a> ProcessCtx<'a> {
                 };
                 let mut cur = cur;
                 for i in indices {
-                    let mut env = HashMap::new();
-                    env.insert(
-                        var.name.clone(),
-                        Expr::new(ExprKind::Int(i), Span::synthetic()),
-                    );
+                    let env = [(var.name, Expr::new(ExprKind::Int(i), Span::synthetic()))];
                     for s in body {
                         let substituted = crate::lower::substitute_in_stmt(s, &env);
                         cur = self.compile_stmt(&substituted, cur)?;
@@ -205,7 +207,7 @@ impl<'a> ProcessCtx<'a> {
             return self.compile_body(else_body, cur);
         }
         let (cond, then_body) = &branches[0];
-        let guard = dp_expr(cond, self.symbols)?;
+        let guard = dp_expr(cond, self.names, self.symbols)?;
 
         let then_entry = self.new_state();
         self.fsm.add_transition(cur, then_entry, Trigger::Guard(guard.clone()));
@@ -228,7 +230,11 @@ impl<'a> ProcessCtx<'a> {
 }
 
 /// Convert a sensitivity-list entry to an event.
-fn event_from_expr(expr: &Expr, symbols: &SymbolTable) -> Result<Event, CompileError> {
+fn event_from_expr(
+    expr: &Expr,
+    names: &Names,
+    symbols: &SymbolTable,
+) -> Result<Event, CompileError> {
     match &expr.kind {
         ExprKind::Attribute { prefix, attr: AttributeKind::Above, args } => {
             let threshold =
@@ -236,35 +242,38 @@ fn event_from_expr(expr: &Expr, symbols: &SymbolTable) -> Result<Event, CompileE
                     what: "'above threshold".into(),
                     span: args[0].span,
                 })?;
-            Ok(Event::Above { quantity: prefix.name.clone(), threshold })
+            Ok(Event::Above { quantity: names.resolve(prefix.name).to_owned(), threshold })
         }
-        ExprKind::Name(id) => Ok(Event::SignalChange { signal: id.name.clone() }),
+        ExprKind::Name(id) => {
+            Ok(Event::SignalChange { signal: names.resolve(id.name).to_owned() })
+        }
         _ => Err(CompileError::Unsupported {
-            what: format!("sensitivity entry `{expr}`"),
+            what: format!("sensitivity entry `{}`", expr.display(names)),
             span: expr.span,
         }),
     }
 }
 
-/// Convert an AST expression into a data-path expression.
-pub fn dp_expr(expr: &Expr, symbols: &SymbolTable) -> Result<DpExpr, CompileError> {
+/// Convert an AST expression, whose names are in `names`, into a
+/// data-path expression.
+pub fn dp_expr(expr: &Expr, names: &Names, symbols: &SymbolTable) -> Result<DpExpr, CompileError> {
     match &expr.kind {
         ExprKind::Int(v) => Ok(DpExpr::Real(*v as f64)),
         ExprKind::Real(v) => Ok(DpExpr::Real(*v)),
         ExprKind::Char(c) => Ok(DpExpr::Bit(*c == '1')),
         ExprKind::Bool(v) => Ok(DpExpr::Bit(*v)),
-        ExprKind::Name(id) => match symbols.get(&id.name) {
+        ExprKind::Name(id) => match symbols.get(id.name) {
             Some(sym) if sym.class == ObjectClass::Quantity => {
-                Ok(DpExpr::Quantity(id.name.clone()))
+                Ok(DpExpr::Quantity(sym.name.clone()))
             }
             Some(sym) if sym.class == ObjectClass::Constant => match sym.const_value {
                 Some(v) => Ok(DpExpr::Real(v)),
                 None => Err(CompileError::NotStatic {
-                    what: format!("constant `{}`", id.name),
+                    what: format!("constant `{}`", sym.name),
                     span: id.span,
                 }),
             },
-            _ => Ok(DpExpr::Signal(id.name.clone())),
+            _ => Ok(DpExpr::Signal(names.resolve(id.name).to_owned())),
         },
         ExprKind::Attribute { prefix, attr: AttributeKind::Above, args } => {
             let threshold =
@@ -273,21 +282,21 @@ pub fn dp_expr(expr: &Expr, symbols: &SymbolTable) -> Result<DpExpr, CompileErro
                     span: args[0].span,
                 })?;
             Ok(DpExpr::EventLevel(Event::Above {
-                quantity: prefix.name.clone(),
+                quantity: names.resolve(prefix.name).to_owned(),
                 threshold,
             }))
         }
-        ExprKind::Call { name, args } if name.name == "adc" && args.len() == 1 => {
-            Ok(DpExpr::Adc(Box::new(dp_expr(&args[0], symbols)?)))
+        ExprKind::Call { name, args } if name.name == Name::ADC && args.len() == 1 => {
+            Ok(DpExpr::Adc(Box::new(dp_expr(&args[0], names, symbols)?)))
         }
         ExprKind::Unary { op, operand } => match op {
-            UnaryOp::Not => Ok(DpExpr::Not(Box::new(dp_expr(operand, symbols)?))),
+            UnaryOp::Not => Ok(DpExpr::Not(Box::new(dp_expr(operand, names, symbols)?))),
             UnaryOp::Neg => Ok(DpExpr::binary(
                 DpBinaryOp::Sub,
                 DpExpr::Real(0.0),
-                dp_expr(operand, symbols)?,
+                dp_expr(operand, names, symbols)?,
             )),
-            UnaryOp::Plus => dp_expr(operand, symbols),
+            UnaryOp::Plus => dp_expr(operand, names, symbols),
             UnaryOp::Abs => Err(CompileError::Unsupported {
                 what: "`abs` in a process data-path".into(),
                 span: expr.span,
@@ -314,10 +323,18 @@ pub fn dp_expr(expr: &Expr, symbols: &SymbolTable) -> Result<DpExpr, CompileErro
                     })
                 }
             };
-            Ok(DpExpr::binary(dp_op, dp_expr(lhs, symbols)?, dp_expr(rhs, symbols)?))
+            Ok(DpExpr::binary(
+                dp_op,
+                dp_expr(lhs, names, symbols)?,
+                dp_expr(rhs, names, symbols)?,
+            ))
         }
         other => Err(CompileError::Unsupported {
-            what: format!("expression `{expr}` ({other:?}) in a process data-path"),
+            what: format!(
+                "expression `{}` ({}) in a process data-path",
+                expr.display(names),
+                names.debug_text(other)
+            ),
             span: expr.span,
         }),
     }
@@ -404,7 +421,8 @@ mod tests {
         let arch = analyzed.architecture_of("e").expect("analyzed arch");
         match &arch_ast.stmts[0] {
             ConcurrentStmt::Process { sensitivity, body, .. } => {
-                compile_process("p", sensitivity, body, &arch.symbols).expect("compiles")
+                compile_process("p", sensitivity, body, &analyzed.design.names, &arch.symbols)
+                    .expect("compiles")
             }
             other => panic!("expected process, got {other:?}"),
         }
@@ -556,11 +574,13 @@ mod tests {
         .expect("parses");
         let analyzed = analyze(&design).expect("analyzes");
         let symbols = &analyzed.architecture_of("e").expect("arch").symbols;
-        let e = vase_frontend::parse_expression("q").expect("parses");
-        assert!(matches!(dp_expr(&e, symbols), Ok(DpExpr::Quantity(_))));
-        let e = vase_frontend::parse_expression("s").expect("parses");
-        assert!(matches!(dp_expr(&e, symbols), Ok(DpExpr::Signal(_))));
-        let e = vase_frontend::parse_expression("k").expect("parses");
-        assert!(matches!(dp_expr(&e, symbols), Ok(DpExpr::Real(v)) if v == 2.0));
+        let names = &analyzed.design.names;
+        let dp = |src| {
+            let e = vase_frontend::parse_expression(src, &mut names.clone()).expect("parses");
+            dp_expr(&e, names, symbols)
+        };
+        assert!(matches!(dp("q"), Ok(DpExpr::Quantity(_))));
+        assert!(matches!(dp("s"), Ok(DpExpr::Signal(_))));
+        assert!(matches!(dp("k"), Ok(DpExpr::Real(v)) if v == 2.0));
     }
 }

@@ -7,10 +7,9 @@
 //! the DAE, and the synthesis tool considers all of them while
 //! searching for the best implementation (paper Section 4).
 
-use std::fmt;
-
 use vase_frontend::ast::{BinaryOp, Expr, ExprKind, Ident, UnaryOp};
 use vase_frontend::ast::AttributeKind;
+use vase_frontend::names::Name;
 use vase_frontend::span::Span;
 
 /// One equation `lhs == rhs`.
@@ -52,23 +51,13 @@ impl Solution {
     }
 }
 
-impl fmt::Display for Solution {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Solution::Direct(e) => write!(f, "{e}"),
-            Solution::Integral(e) => write!(f, "integ({e})"),
-            Solution::Derivative(e) => write!(f, "d/dt({e})"),
-        }
-    }
-}
-
 /// All quantity-like names appearing in the equation.
-pub fn equation_names(eq: &Equation) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
+pub fn equation_names(eq: &Equation) -> Vec<Name> {
+    let mut names: Vec<Name> = Vec::new();
     for side in [&eq.lhs, &eq.rhs] {
         for id in side.referenced_names() {
             if !names.contains(&id.name) {
-                names.push(id.name.clone());
+                names.push(id.name);
             }
         }
     }
@@ -87,17 +76,17 @@ fn neg(e: Expr) -> Expr {
 
 /// What the isolation walk is searching for.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Target<'v> {
+enum Target {
     /// The plain name `var`.
-    Plain(&'v str),
+    Plain(Name),
     /// The derivative `var'dot`.
-    Dot(&'v str),
+    Dot(Name),
     /// The integral `var'integ`.
-    Integ(&'v str),
+    Integ(Name),
 }
 
 /// Count occurrences of the isolation target in `expr`.
-fn target_occurrences(expr: &Expr, target: Target<'_>) -> usize {
+fn target_occurrences(expr: &Expr, target: Target) -> usize {
     match (&expr.kind, target) {
         (ExprKind::Name(id), Target::Plain(var)) => usize::from(id.name == var),
         (ExprKind::Attribute { prefix, attr, args }, _) => {
@@ -129,7 +118,7 @@ fn target_occurrences(expr: &Expr, target: Target<'_>) -> usize {
 /// are permitted: the resulting [`Solution::Integral`] closes the loop
 /// through a (stateful) integrator, so self-reference is legal
 /// hardware.
-pub fn isolate(eq: &Equation, var: &str) -> Option<Solution> {
+pub fn isolate(eq: &Equation, var: Name) -> Option<Solution> {
     let plain = occurrences_plain(eq, var);
     let dots = target_occurrences(&eq.lhs, Target::Dot(var))
         + target_occurrences(&eq.rhs, Target::Dot(var));
@@ -147,12 +136,12 @@ pub fn isolate(eq: &Equation, var: &str) -> Option<Solution> {
     isolate_target(eq, target)
 }
 
-fn occurrences_plain(eq: &Equation, var: &str) -> usize {
+fn occurrences_plain(eq: &Equation, var: Name) -> usize {
     target_occurrences(&eq.lhs, Target::Plain(var))
         + target_occurrences(&eq.rhs, Target::Plain(var))
 }
 
-fn isolate_target(eq: &Equation, target: Target<'_>) -> Option<Solution> {
+fn isolate_target(eq: &Equation, target: Target) -> Option<Solution> {
     let occ_l = target_occurrences(&eq.lhs, target);
     let (mut side, mut other) = if occ_l == 1 {
         (eq.lhs.clone(), eq.rhs.clone())
@@ -231,9 +220,9 @@ fn isolate_target(eq: &Equation, target: Target<'_>) -> Option<Solution> {
             }
             ExprKind::Call { name, args } if args.len() == 1 => {
                 // Invert math intrinsics: log(x) = o → x = exp(o).
-                let inverse = match name.name.as_str() {
-                    "log" | "ln" => "exp",
-                    "exp" | "antilog" => "log",
+                let inverse = match name.name {
+                    Name::LOG | Name::LN => Name::EXP,
+                    Name::EXP | Name::ANTILOG => Name::LOG,
                     _ => return None,
                 };
                 other = Expr::new(
@@ -249,11 +238,11 @@ fn isolate_target(eq: &Equation, target: Target<'_>) -> Option<Solution> {
 
 /// Enumerate every `(unknown, solution)` rearrangement of `eq` — the
 /// alternative "solvers" the mapper may choose among.
-pub fn solutions(eq: &Equation) -> Vec<(String, Solution)> {
+pub fn solutions(eq: &Equation) -> Vec<(Name, Solution)> {
     count_enumeration();
     equation_names(eq)
         .into_iter()
-        .filter_map(|name| isolate(eq, &name).map(|s| (name, s)))
+        .filter_map(|name| isolate(eq, name).map(|s| (name, s)))
         .collect()
 }
 
@@ -278,21 +267,33 @@ pub(crate) fn enumerations_on_thread() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vase_frontend::names::Names;
     use vase_frontend::parse_expression;
 
-    fn eq(lhs: &str, rhs: &str) -> Equation {
-        Equation {
-            lhs: parse_expression(lhs).expect("lhs parses"),
-            rhs: parse_expression(rhs).expect("rhs parses"),
+    /// The equation `lhs == rhs` and the table its names are in.
+    fn eq(lhs: &str, rhs: &str) -> (Equation, Names) {
+        let mut names = Names::new();
+        let eq = Equation {
+            lhs: parse_expression(lhs, &mut names).expect("lhs parses"),
+            rhs: parse_expression(rhs, &mut names).expect("rhs parses"),
             span: Span::synthetic(),
-        }
+        };
+        (eq, names)
+    }
+
+    /// The solution of `eq` for `var`, written out.
+    fn solved(eq: &(Equation, Names), var: &str) -> Option<(Solution, String)> {
+        let (eq, names) = eq;
+        let sol = isolate(eq, names.lookup(var)?)?;
+        let text = sol.expr().display(names).to_string();
+        Some((sol, text))
     }
 
     #[test]
     fn direct_isolation_of_lhs() {
         let e = eq("y", "2.0 * x + 1.0");
-        match isolate(&e, "y") {
-            Some(Solution::Direct(expr)) => assert_eq!(expr.to_string(), "((2 * x) + 1)"),
+        match solved(&e, "y") {
+            Some((Solution::Direct(_), text)) => assert_eq!(text, "((2 * x) + 1)"),
             other => panic!("expected direct, got {other:?}"),
         }
     }
@@ -301,9 +302,9 @@ mod tests {
     fn isolation_inverts_add_and_mul() {
         // y == 2*x + 1  →  x = (y - 1) / 2
         let e = eq("y", "2.0 * x + 1.0");
-        match isolate(&e, "x") {
-            Some(Solution::Direct(expr)) => {
-                assert_eq!(expr.to_string(), "((y - 1) / 2)");
+        match solved(&e, "x") {
+            Some((Solution::Direct(_), text)) => {
+                assert_eq!(text, "((y - 1) / 2)");
             }
             other => panic!("expected direct, got {other:?}"),
         }
@@ -313,8 +314,8 @@ mod tests {
     fn isolation_inverts_sub_rhs() {
         // y == a - x  →  x = a - y
         let e = eq("y", "a - x");
-        match isolate(&e, "x") {
-            Some(Solution::Direct(expr)) => assert_eq!(expr.to_string(), "(a - y)"),
+        match solved(&e, "x") {
+            Some((Solution::Direct(_), text)) => assert_eq!(text, "(a - y)"),
             other => panic!("expected direct, got {other:?}"),
         }
     }
@@ -323,8 +324,8 @@ mod tests {
     fn isolation_inverts_div_denominator() {
         // y == a / x  →  x = a / y
         let e = eq("y", "a / x");
-        match isolate(&e, "x") {
-            Some(Solution::Direct(expr)) => assert_eq!(expr.to_string(), "(a / y)"),
+        match solved(&e, "x") {
+            Some((Solution::Direct(_), text)) => assert_eq!(text, "(a / y)"),
             other => panic!("expected direct, got {other:?}"),
         }
     }
@@ -333,9 +334,9 @@ mod tests {
     fn dot_isolation_yields_integral() {
         // x'dot == -x + u  →  x = ∫(-x + u)
         let e = eq("x'dot", "u - x");
-        match isolate(&e, "x") {
-            Some(Solution::Integral(expr)) => {
-                assert_eq!(expr.to_string(), "(u - x)");
+        match solved(&e, "x") {
+            Some((Solution::Integral(_), text)) => {
+                assert_eq!(text, "(u - x)");
             }
             other => panic!("expected integral, got {other:?}"),
         }
@@ -345,8 +346,8 @@ mod tests {
     fn dot_under_arithmetic_still_isolates() {
         // 2 * x'dot + u == 0  →  x = ∫((0 - u) / 2)
         let e = eq("2.0 * x'dot + u", "0.0");
-        match isolate(&e, "x") {
-            Some(Solution::Integral(expr)) => assert_eq!(expr.to_string(), "((0 - u) / 2)"),
+        match solved(&e, "x") {
+            Some((Solution::Integral(_), text)) => assert_eq!(text, "((0 - u) / 2)"),
             other => panic!("expected integral, got {other:?}"),
         }
     }
@@ -354,8 +355,8 @@ mod tests {
     #[test]
     fn integ_isolation_yields_derivative() {
         let e = eq("y", "x'integ");
-        match isolate(&e, "x") {
-            Some(Solution::Derivative(expr)) => assert_eq!(expr.to_string(), "y"),
+        match solved(&e, "x") {
+            Some((Solution::Derivative(_), text)) => assert_eq!(text, "y"),
             other => panic!("expected derivative, got {other:?}"),
         }
     }
@@ -363,8 +364,8 @@ mod tests {
     #[test]
     fn log_inverts_to_exp() {
         let e = eq("y", "log(x)");
-        match isolate(&e, "x") {
-            Some(Solution::Direct(expr)) => assert_eq!(expr.to_string(), "exp(y)"),
+        match solved(&e, "x") {
+            Some((Solution::Direct(_), text)) => assert_eq!(text, "exp(y)"),
             other => panic!("expected direct, got {other:?}"),
         }
     }
@@ -373,24 +374,24 @@ mod tests {
     fn repeated_variable_not_isolatable() {
         // x appears twice: x*x == y is not invertible by path isolation.
         let e = eq("x * x", "y");
-        assert!(isolate(&e, "x").is_none());
+        assert!(solved(&e, "x").is_none());
         // but y still is
-        assert!(isolate(&e, "y").is_some());
+        assert!(solved(&e, "y").is_some());
     }
 
     #[test]
     fn abs_is_not_invertible() {
         let e = eq("y", "abs x");
-        assert!(isolate(&e, "x").is_none());
+        assert!(solved(&e, "x").is_none());
     }
 
     #[test]
     fn solutions_enumerates_all_rearrangements() {
         // y == 2*x + 1: both x and y are isolatable → 2 solvers
         let e = eq("y", "2.0 * x + 1.0");
-        let sols = solutions(&e);
+        let sols = solutions(&e.0);
         assert_eq!(sols.len(), 2);
-        let vars: Vec<_> = sols.iter().map(|(v, _)| v.as_str()).collect();
+        let vars: Vec<_> = sols.iter().map(|(v, _)| e.1.resolve(*v)).collect();
         assert!(vars.contains(&"x") && vars.contains(&"y"));
     }
 
@@ -398,15 +399,15 @@ mod tests {
     fn three_way_equation_has_three_solvers() {
         // paper-style: v == i * r has three rearrangements
         let e = eq("v", "i * r");
-        assert_eq!(solutions(&e).len(), 3);
+        assert_eq!(solutions(&e.0).len(), 3);
     }
 
     #[test]
     fn negated_variable() {
         // y == -x → x = -y
         let e = eq("y", "-x");
-        match isolate(&e, "x") {
-            Some(Solution::Direct(expr)) => assert_eq!(expr.to_string(), "(-(y))"),
+        match solved(&e, "x") {
+            Some((Solution::Direct(_), text)) => assert_eq!(text, "(-(y))"),
             other => panic!("expected direct, got {other:?}"),
         }
     }

@@ -8,6 +8,7 @@ use crate::annot::Annotation;
 use crate::ast::decl::{FunctionDecl, ObjectClass, ObjectDecl, TypeName};
 use crate::ast::expr::Ident;
 use crate::ast::stmt::ConcurrentStmt;
+use crate::names::{Name, Names};
 use crate::span::Span;
 
 /// Port object class (paper §3: VASS accepts signal, quantity, and
@@ -94,7 +95,7 @@ pub struct Entity {
 
 impl Entity {
     /// Find a port declaration covering `name`.
-    pub fn port(&self, name: &str) -> Option<&PortDecl> {
+    pub fn port(&self, name: Name) -> Option<&PortDecl> {
         self.ports.iter().find(|p| p.names.iter().any(|n| n.name == name))
     }
 }
@@ -156,6 +157,9 @@ impl DesignUnit {
 pub struct DesignFile {
     /// The units in declaration order.
     pub units: Vec<DesignUnit>,
+    /// The file's name table: every [`Ident`] of the units is a name in
+    /// it.
+    pub names: Names,
 }
 
 impl DesignFile {
@@ -166,6 +170,7 @@ impl DesignFile {
 
     /// Find the entity named `name`.
     pub fn entity(&self, name: &str) -> Option<&Entity> {
+        let name = self.names.lookup(name)?;
         self.units.iter().find_map(|u| match u {
             DesignUnit::Entity(e) if e.name.name == name => Some(e),
             _ => None,
@@ -174,6 +179,7 @@ impl DesignFile {
 
     /// Find an architecture of entity `entity` (the first if several).
     pub fn architecture_of(&self, entity: &str) -> Option<&Architecture> {
+        let entity = self.names.lookup(entity)?;
         self.units.iter().find_map(|u| match u {
             DesignUnit::Architecture(a) if a.entity.name == entity => Some(a),
             _ => None,
@@ -209,17 +215,18 @@ impl DesignFile {
 mod tests {
     use super::*;
 
-    fn entity(name: &str) -> Entity {
+    fn entity(name: Name) -> Entity {
         Entity { name: Ident::synthetic(name), ports: vec![], span: Span::synthetic() }
     }
 
     #[test]
     fn design_file_lookup() {
         let mut df = DesignFile::new();
-        df.units.push(DesignUnit::Entity(entity("telephone")));
+        let telephone = df.names.intern("telephone");
+        df.units.push(DesignUnit::Entity(entity(telephone)));
         df.units.push(DesignUnit::Architecture(Architecture {
-            name: Ident::synthetic("behavioral"),
-            entity: Ident::synthetic("telephone"),
+            name: Ident::synthetic(df.names.intern("behavioral")),
+            entity: Ident::synthetic(telephone),
             decls: vec![],
             functions: vec![],
             stmts: vec![],
@@ -241,17 +248,19 @@ mod tests {
 
     #[test]
     fn entity_port_lookup_handles_multi_name_decls() {
-        let mut e = entity("e");
+        let mut names = Names::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| names.intern(n));
+        let mut e = entity(names.intern("e"));
         e.ports.push(PortDecl {
             class: PortClass::Quantity,
-            names: vec![Ident::synthetic("a"), Ident::synthetic("b")],
+            names: vec![Ident::synthetic(a), Ident::synthetic(b)],
             mode: Mode::In,
             ty: TypeName::Real,
             annotations: vec![],
             span: Span::synthetic(),
         });
-        assert!(e.port("a").is_some());
-        assert!(e.port("b").is_some());
-        assert!(e.port("c").is_none());
+        assert!(e.port(a).is_some());
+        assert!(e.port(b).is_some());
+        assert!(e.port(c).is_none());
     }
 }

@@ -4,34 +4,30 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::names::{Name, Names};
 use crate::span::Span;
 
 /// An identifier with its source span. VHDL identifiers are
-/// case-insensitive; the lexer normalizes them to lower case, so two
-/// [`Ident`]s refer to the same object iff their `name`s are equal.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// case-insensitive; the lexer interns them lower-cased, so two
+/// [`Ident`]s of one file refer to the same object iff their `name`s
+/// are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Ident {
-    /// Lower-cased identifier text.
-    pub name: String,
+    /// The interned name, in the file's [`Names`] table.
+    pub name: Name,
     /// Where the identifier appeared.
     pub span: Span,
 }
 
 impl Ident {
-    /// Construct an identifier (the caller is responsible for lower-casing).
-    pub fn new(name: impl Into<String>, span: Span) -> Self {
-        Ident { name: name.into(), span }
+    /// Construct an identifier.
+    pub fn new(name: Name, span: Span) -> Self {
+        Ident { name, span }
     }
 
     /// Construct a synthetic identifier not tied to source text.
-    pub fn synthetic(name: impl Into<String>) -> Self {
-        Ident { name: name.into(), span: Span::synthetic() }
-    }
-}
-
-impl fmt::Display for Ident {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
+    pub fn synthetic(name: Name) -> Self {
+        Ident { name, span: Span::synthetic() }
     }
 }
 
@@ -270,8 +266,14 @@ impl Expr {
     }
 
     /// A synthetic name expression.
-    pub fn name(name: impl Into<String>) -> Self {
+    pub fn name(name: Name) -> Self {
         Expr::new(ExprKind::Name(Ident::synthetic(name)), Span::synthetic())
+    }
+
+    /// The expression in VHDL surface syntax, fully parenthesized, with
+    /// its names spelled from `names` (the table they were interned in).
+    pub fn display<'a>(&'a self, names: &'a Names) -> impl fmt::Display + 'a {
+        ExprDisplay { expr: self, names }
     }
 
     /// Iterate over all simple-name and attribute-prefix identifiers
@@ -341,46 +343,54 @@ impl Expr {
     }
 }
 
-impl fmt::Display for Expr {
+/// [`Expr::display`]: an expression with the table its names are in.
+struct ExprDisplay<'a> {
+    expr: &'a Expr,
+    names: &'a Names,
+}
+
+impl fmt::Display for ExprDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
+        let names = self.names;
+        let args = |f: &mut fmt::Formatter<'_>, args: &[Expr]| -> fmt::Result {
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{}", a.display(names))?;
+            }
+            Ok(())
+        };
+        match &self.expr.kind {
             ExprKind::Int(v) => write!(f, "{v}"),
             ExprKind::Real(v) => write!(f, "{v}"),
             ExprKind::Char(c) => write!(f, "'{c}'"),
             ExprKind::Str(s) => write!(f, "\"{s}\""),
             ExprKind::Bool(b) => write!(f, "{b}"),
-            ExprKind::Name(id) => write!(f, "{id}"),
-            ExprKind::Call { name, args } => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
+            ExprKind::Name(id) => f.write_str(names.resolve(id.name)),
+            ExprKind::Call { name, args: a } => {
+                write!(f, "{}(", names.resolve(name.name))?;
+                args(f, a)?;
                 write!(f, ")")
             }
-            ExprKind::Attribute { prefix, attr, args } => {
-                write!(f, "{prefix}'{attr}")?;
-                if !args.is_empty() {
+            ExprKind::Attribute { prefix, attr, args: a } => {
+                write!(f, "{}'{attr}", names.resolve(prefix.name))?;
+                if !a.is_empty() {
                     write!(f, "(")?;
-                    for (i, a) in args.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{a}")?;
-                    }
+                    args(f, a)?;
                     write!(f, ")")?;
                 }
                 Ok(())
             }
             ExprKind::Unary { op, operand } => match op {
-                UnaryOp::Not | UnaryOp::Abs => write!(f, "{op} ({operand})"),
+                UnaryOp::Not | UnaryOp::Abs => write!(f, "{op} ({})", operand.display(names)),
                 // VHDL permits a sign only at the head of a simple
                 // expression, so print signs pre-parenthesized.
-                _ => write!(f, "({op}({operand}))"),
+                _ => write!(f, "({op}({}))", operand.display(names)),
             },
-            ExprKind::Binary { op, lhs, rhs } => write!(f, "({lhs} {op} {rhs})"),
+            ExprKind::Binary { op, lhs, rhs } => {
+                write!(f, "({} {op} {})", lhs.display(names), rhs.display(names))
+            }
         }
     }
 }
@@ -404,29 +414,32 @@ mod tests {
 
     #[test]
     fn const_fold_stops_at_names() {
-        let e = bin(BinaryOp::Add, Expr::real(1.0), Expr::name("x"));
+        let x = Names::new().intern("x");
+        let e = bin(BinaryOp::Add, Expr::real(1.0), Expr::name(x));
         assert_eq!(e.const_fold(), None);
     }
 
     #[test]
     fn referenced_names_walks_tree() {
+        let mut names = Names::new();
         let attr = Expr::new(
             ExprKind::Attribute {
-                prefix: Ident::synthetic("line"),
+                prefix: Ident::synthetic(names.intern("line")),
                 attr: AttributeKind::Above,
-                args: vec![Expr::name("vth")],
+                args: vec![Expr::name(names.intern("vth"))],
             },
             Span::synthetic(),
         );
-        let e = bin(BinaryOp::And, attr, Expr::name("c1"));
-        let names: Vec<_> = e.referenced_names().iter().map(|i| i.name.clone()).collect();
-        assert_eq!(names, vec!["line", "vth", "c1"]);
+        let e = bin(BinaryOp::And, attr, Expr::name(names.intern("c1")));
+        let found: Vec<_> = e.referenced_names().iter().map(|i| names.resolve(i.name)).collect();
+        assert_eq!(found, vec!["line", "vth", "c1"]);
     }
 
     #[test]
     fn display_roundtrips_structure() {
-        let e = bin(BinaryOp::Add, Expr::name("a"), Expr::real(2.0));
-        assert_eq!(e.to_string(), "(a + 2)");
+        let mut names = Names::new();
+        let e = bin(BinaryOp::Add, Expr::name(names.intern("a")), Expr::real(2.0));
+        assert_eq!(e.display(&names).to_string(), "(a + 2)");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::annot::Annotation;
 use crate::ast::decl::ObjectDecl;
 use crate::ast::expr::{Expr, Ident};
+use crate::names::Names;
 use crate::span::Span;
 
 /// Loop/range direction.
@@ -36,11 +37,12 @@ pub enum Choice {
     Others,
 }
 
-impl fmt::Display for Choice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Choice {
+    /// The choice in VHDL surface syntax, its names spelled from `names`.
+    pub fn display(&self, names: &Names) -> String {
         match self {
-            Choice::Expr(e) => write!(f, "{e}"),
-            Choice::Others => f.write_str("others"),
+            Choice::Expr(e) => e.display(names).to_string(),
+            Choice::Others => "others".to_owned(),
         }
     }
 }
@@ -244,10 +246,11 @@ mod tests {
 
     #[test]
     fn concurrent_partition_classification() {
+        let mut names = Names::new();
         let sim = ConcurrentStmt::SimpleSimultaneous {
             label: None,
-            lhs: Expr::name("y"),
-            rhs: Expr::name("x"),
+            lhs: Expr::name(names.intern("y")),
+            rhs: Expr::name(names.intern("x")),
             span: Span::synthetic(),
         };
         assert!(sim.is_continuous_time());
@@ -263,7 +266,8 @@ mod tests {
 
     #[test]
     fn choice_display() {
-        assert_eq!(Choice::Others.to_string(), "others");
-        assert_eq!(Choice::Expr(Expr::real(1.0)).to_string(), "1");
+        let names = Names::new();
+        assert_eq!(Choice::Others.display(&names), "others");
+        assert_eq!(Choice::Expr(Expr::real(1.0)).display(&names), "1");
     }
 }

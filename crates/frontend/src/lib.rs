@@ -46,6 +46,7 @@ pub mod annot;
 pub mod ast;
 pub mod error;
 pub mod lexer;
+pub mod names;
 pub mod parser;
 pub mod sema;
 pub mod span;
@@ -53,5 +54,6 @@ pub mod token;
 
 pub use annot::{Annotation, AnnotationSet, SignalKind};
 pub use error::{FrontendError, LexError, ParseError, SemaError, SemaErrorKind};
+pub use names::{Name, Names};
 pub use parser::{parse_design_file, parse_design_file_recovering, parse_expression};
 pub use sema::{analyze, AnalyzedDesign};

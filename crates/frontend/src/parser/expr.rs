@@ -5,7 +5,7 @@ use crate::error::ParseError;
 use crate::parser::Parser;
 use crate::token::{Keyword, TokenKind};
 
-impl Parser {
+impl Parser<'_> {
     /// expr := relation { (and|or|xor|nand|nor) relation }
     pub(crate) fn parse_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_relation()?;
@@ -131,7 +131,7 @@ impl Parser {
     /// primary := literal | true | false | name | ( expr )
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         let span = self.here();
-        match self.peek_kind().clone() {
+        match *self.peek_kind() {
             TokenKind::IntLiteral(v) => {
                 self.advance();
                 Ok(Expr::new(ExprKind::Int(v), span))
@@ -146,7 +146,7 @@ impl Parser {
             }
             TokenKind::StringLiteral(s) => {
                 self.advance();
-                Ok(Expr::new(ExprKind::Str(s), span))
+                Ok(Expr::new(ExprKind::Str(self.names.resolve(s).to_owned()), span))
             }
             TokenKind::Keyword(Keyword::True) => {
                 self.advance();
@@ -165,7 +165,7 @@ impl Parser {
             TokenKind::Ident(_) => self.parse_name(),
             other => Err(self.error_here(format!(
                 "expected expression, found {}",
-                other.describe()
+                other.describe(self.names)
             ))),
         }
     }
@@ -195,7 +195,7 @@ impl Parser {
         while self.peek_kind() == &TokenKind::Tick {
             // Attribute: prefix must currently be a simple name.
             let prefix = match &expr.kind {
-                ExprKind::Name(id) => id.clone(),
+                ExprKind::Name(id) => *id,
                 _ => {
                     return Err(self.error_here(
                         "attributes may only be applied to simple names in VASS",
@@ -205,27 +205,27 @@ impl Parser {
             self.advance(); // tick
             // `across`/`through` double as annotation keywords, so the
             // attribute name may arrive as an identifier or a keyword.
-            let attr_name = match self.peek_kind().clone() {
+            let attr_name = match *self.peek_kind() {
                 TokenKind::Ident(name) => {
                     self.advance();
-                    name
+                    self.names.resolve(name)
                 }
                 TokenKind::Keyword(Keyword::Across) => {
                     self.advance();
-                    "across".to_owned()
+                    "across"
                 }
                 TokenKind::Keyword(Keyword::Through) => {
                     self.advance();
-                    "through".to_owned()
+                    "through"
                 }
                 other => {
                     return Err(self.error_here(format!(
                         "expected attribute name after `'`, found {}",
-                        other.describe()
+                        other.describe(self.names)
                     )))
                 }
             };
-            let attr = AttributeKind::from_name(&attr_name).ok_or_else(|| {
+            let attr = AttributeKind::from_name(attr_name).ok_or_else(|| {
                 self.error_here(format!(
                     "unknown attribute `'{attr_name}` (VASS supports 'above, 'dot, 'integ, \
                      'delayed, 'across, 'through)"
@@ -253,22 +253,29 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use crate::ast::{AttributeKind, BinaryOp, ExprKind, UnaryOp};
+    use crate::names::Names;
     use crate::parser::parse_expression;
 
     fn parse(src: &str) -> crate::ast::Expr {
-        parse_expression(src).expect("expression parses")
+        parse_expression(src, &mut Names::new()).expect("expression parses")
+    }
+
+    /// `src` parsed and printed back.
+    fn printed(src: &str) -> String {
+        let mut names = Names::new();
+        let e = parse_expression(src, &mut names).expect("expression parses");
+        let printed = e.display(&names).to_string();
+        printed
     }
 
     #[test]
     fn precedence_mul_over_add() {
-        let e = parse("a + b * c");
-        assert_eq!(e.to_string(), "(a + (b * c))");
+        assert_eq!(printed("a + b * c"), "(a + (b * c))");
     }
 
     #[test]
     fn parenthesization_overrides() {
-        let e = parse("(a + b) * c");
-        assert_eq!(e.to_string(), "((a + b) * c)");
+        assert_eq!(printed("(a + b) * c"), "((a + b) * c)");
     }
 
     #[test]
@@ -291,8 +298,7 @@ mod tests {
 
     #[test]
     fn unary_minus() {
-        let e = parse("-a + b");
-        assert_eq!(e.to_string(), "((-(a)) + b)");
+        assert_eq!(printed("-a + b"), "((-(a)) + b)");
     }
 
     #[test]
@@ -314,10 +320,11 @@ mod tests {
 
     #[test]
     fn function_call_and_indexing_shape() {
-        let e = parse("f(a, b + 1.0)");
+        let mut names = Names::new();
+        let e = parse_expression("f(a, b + 1.0)", &mut names).expect("parses");
         match e.kind {
             ExprKind::Call { name, args } => {
-                assert_eq!(name.name, "f");
+                assert_eq!(names.resolve(name.name), "f");
                 assert_eq!(args.len(), 2);
             }
             _ => panic!("expected call"),
@@ -327,10 +334,11 @@ mod tests {
     #[test]
     fn above_attribute_from_paper() {
         // Paper Fig. 2: line'ABOVE(Vth)
-        let e = parse("line'above(vth)");
+        let mut names = Names::new();
+        let e = parse_expression("line'above(vth)", &mut names).expect("parses");
         match e.kind {
             ExprKind::Attribute { prefix, attr, args } => {
-                assert_eq!(prefix.name, "line");
+                assert_eq!(names.resolve(prefix.name), "line");
                 assert_eq!(attr, AttributeKind::Above);
                 assert_eq!(args.len(), 1);
             }
@@ -352,7 +360,7 @@ mod tests {
 
     #[test]
     fn unknown_attribute_rejected() {
-        assert!(parse_expression("x'zen").is_err());
+        assert!(parse_expression("x'zen", &mut Names::new()).is_err());
     }
 
     #[test]
@@ -383,6 +391,6 @@ mod tests {
         for _ in 0..60 {
             src.push(')');
         }
-        assert!(parse_expression(&src).is_ok());
+        assert!(parse_expression(&src, &mut Names::new()).is_ok());
     }
 }

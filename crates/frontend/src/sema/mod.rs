@@ -122,8 +122,9 @@ mod tests {
     fn receiver_module_from_paper_analyzes_cleanly() {
         let analyzed = analyze_src(RECEIVER).expect("analyzes");
         let arch = analyzed.architecture_of("telephone").expect("arch");
-        assert!(arch.symbols.get("rvar").is_some());
-        assert!(arch.symbols.get("c1").unwrap().is_signal());
+        let name = |text| analyzed.design.names.lookup(text).expect("interned");
+        assert!(arch.symbols.get(name("rvar")).is_some());
+        assert!(arch.symbols.get(name("c1")).unwrap().is_signal());
         assert_eq!(arch.symbols.ports().count(), 3);
     }
 

@@ -16,39 +16,42 @@ use std::collections::HashSet;
 
 use crate::ast::{Expr, SeqStmt, SeqStmtKind};
 use crate::error::{SemaError, SemaErrorKind};
+use crate::names::{Name, Names};
 use crate::sema::symbols::SymbolTable;
 
 /// Check the "no reference after assignment" rule for *signals* in a
 /// process body: once a signal is assigned, later statements may not
 /// read it. This lets the compiler allocate exactly one memory block
-/// per signal (paper Section 4).
+/// per signal (paper Section 4). `names` is the file's name table.
 pub fn check_signal_read_after_write(
+    names: &Names,
     body: &[SeqStmt],
     symbols: &SymbolTable,
     errors: &mut Vec<SemaError>,
 ) {
     let mut written = HashSet::new();
-    walk_raw(body, symbols, &mut written, errors);
+    walk_raw(names, body, symbols, &mut written, errors);
 }
 
-fn is_signal(symbols: &SymbolTable, name: &str) -> bool {
+fn is_signal(symbols: &SymbolTable, name: Name) -> bool {
     symbols.get(name).is_some_and(|s| s.is_signal())
 }
 
 fn check_reads(
+    names: &Names,
     expr: &Expr,
     symbols: &SymbolTable,
-    written: &HashSet<String>,
+    written: &HashSet<Name>,
     errors: &mut Vec<SemaError>,
 ) {
     for id in expr.referenced_names() {
-        if written.contains(&id.name) && is_signal(symbols, &id.name) {
+        if written.contains(&id.name) && is_signal(symbols, id.name) {
             errors.push(SemaError::new(
                 SemaErrorKind::RestrictionViolation,
                 format!(
                     "signal `{}` is referenced after being assigned in the same process; \
                      VASS requires one memory block per signal (no read-after-write)",
-                    id.name
+                    names.resolve(id.name)
                 ),
                 id.span,
             ));
@@ -57,62 +60,63 @@ fn check_reads(
 }
 
 fn walk_raw(
+    names: &Names,
     body: &[SeqStmt],
     symbols: &SymbolTable,
-    written: &mut HashSet<String>,
+    written: &mut HashSet<Name>,
     errors: &mut Vec<SemaError>,
 ) {
     for stmt in body {
         match &stmt.kind {
             SeqStmtKind::VarAssign { index, value, .. } => {
                 if let Some(idx) = index {
-                    check_reads(idx, symbols, written, errors);
+                    check_reads(names, idx, symbols, written, errors);
                 }
-                check_reads(value, symbols, written, errors);
+                check_reads(names, value, symbols, written, errors);
             }
             SeqStmtKind::SignalAssign { target, value } => {
-                check_reads(value, symbols, written, errors);
-                if is_signal(symbols, &target.name) {
-                    written.insert(target.name.clone());
+                check_reads(names, value, symbols, written, errors);
+                if is_signal(symbols, target.name) {
+                    written.insert(target.name);
                 }
             }
             SeqStmtKind::If { branches, else_body } => {
                 for (cond, _) in branches {
-                    check_reads(cond, symbols, written, errors);
+                    check_reads(names, cond, symbols, written, errors);
                 }
                 // Writes in any branch poison subsequent reads: take the
                 // union of writes across branches.
                 let mut union = written.clone();
                 for (_, b) in branches {
                     let mut w = written.clone();
-                    walk_raw(b, symbols, &mut w, errors);
+                    walk_raw(names, b, symbols, &mut w, errors);
                     union.extend(w);
                 }
                 let mut w = written.clone();
-                walk_raw(else_body, symbols, &mut w, errors);
+                walk_raw(names, else_body, symbols, &mut w, errors);
                 union.extend(w);
                 *written = union;
             }
             SeqStmtKind::Case { selector, arms } => {
-                check_reads(selector, symbols, written, errors);
+                check_reads(names, selector, symbols, written, errors);
                 let mut union = written.clone();
                 for arm in arms {
                     let mut w = written.clone();
-                    walk_raw(&arm.body, symbols, &mut w, errors);
+                    walk_raw(names, &arm.body, symbols, &mut w, errors);
                     union.extend(w);
                 }
                 *written = union;
             }
             SeqStmtKind::For { lo, hi, body, .. } => {
-                check_reads(lo, symbols, written, errors);
-                check_reads(hi, symbols, written, errors);
-                walk_raw(body, symbols, written, errors);
+                check_reads(names, lo, symbols, written, errors);
+                check_reads(names, hi, symbols, written, errors);
+                walk_raw(names, body, symbols, written, errors);
             }
             SeqStmtKind::While { cond, body } => {
-                check_reads(cond, symbols, written, errors);
-                walk_raw(body, symbols, written, errors);
+                check_reads(names, cond, symbols, written, errors);
+                walk_raw(names, body, symbols, written, errors);
             }
-            SeqStmtKind::Return(Some(e)) => check_reads(e, symbols, written, errors),
+            SeqStmtKind::Return(Some(e)) => check_reads(names, e, symbols, written, errors),
             SeqStmtKind::Return(None) | SeqStmtKind::Null | SeqStmtKind::Wait => {}
         }
     }
@@ -152,6 +156,7 @@ pub fn check_no_wait(body: &[SeqStmt], errors: &mut Vec<SemaError>) {
 /// denotes sampling over continuous values, and its outputs go through
 /// sample-and-hold circuits, not signal memories (paper Fig. 4).
 pub fn check_while_restrictions(
+    names: &Names,
     body: &[SeqStmt],
     symbols: &SymbolTable,
     errors: &mut Vec<SemaError>,
@@ -159,55 +164,62 @@ pub fn check_while_restrictions(
     for stmt in body {
         match &stmt.kind {
             SeqStmtKind::While { body: wbody, .. } => {
-                forbid_signal_assign(wbody, symbols, errors);
+                forbid_signal_assign(names, wbody, symbols, errors);
                 // nested whiles inside the body are checked recursively
-                check_while_restrictions(wbody, symbols, errors);
+                check_while_restrictions(names, wbody, symbols, errors);
             }
             SeqStmtKind::If { branches, else_body } => {
                 for (_, b) in branches {
-                    check_while_restrictions(b, symbols, errors);
+                    check_while_restrictions(names, b, symbols, errors);
                 }
-                check_while_restrictions(else_body, symbols, errors);
+                check_while_restrictions(names, else_body, symbols, errors);
             }
             SeqStmtKind::Case { arms, .. } => {
                 for arm in arms {
-                    check_while_restrictions(&arm.body, symbols, errors);
+                    check_while_restrictions(names, &arm.body, symbols, errors);
                 }
             }
-            SeqStmtKind::For { body, .. } => check_while_restrictions(body, symbols, errors),
+            SeqStmtKind::For { body, .. } => {
+                check_while_restrictions(names, body, symbols, errors)
+            }
             _ => {}
         }
     }
 }
 
-fn forbid_signal_assign(body: &[SeqStmt], symbols: &SymbolTable, errors: &mut Vec<SemaError>) {
+fn forbid_signal_assign(
+    names: &Names,
+    body: &[SeqStmt],
+    symbols: &SymbolTable,
+    errors: &mut Vec<SemaError>,
+) {
     for stmt in body {
         match &stmt.kind {
-            SeqStmtKind::SignalAssign { target, .. } if is_signal(symbols, &target.name) => {
+            SeqStmtKind::SignalAssign { target, .. } if is_signal(symbols, target.name) => {
                 errors.push(SemaError::new(
                     SemaErrorKind::RestrictionViolation,
                     format!(
                         "signal `{}` is assigned inside a `while` loop; VASS while-loops \
                          denote sampling functionality and may only assign variables and \
                          quantities",
-                        target.name
+                        names.resolve(target.name)
                     ),
                     stmt.span,
                 ));
             }
             SeqStmtKind::If { branches, else_body } => {
                 for (_, b) in branches {
-                    forbid_signal_assign(b, symbols, errors);
+                    forbid_signal_assign(names, b, symbols, errors);
                 }
-                forbid_signal_assign(else_body, symbols, errors);
+                forbid_signal_assign(names, else_body, symbols, errors);
             }
             SeqStmtKind::Case { arms, .. } => {
                 for arm in arms {
-                    forbid_signal_assign(&arm.body, symbols, errors);
+                    forbid_signal_assign(names, &arm.body, symbols, errors);
                 }
             }
             SeqStmtKind::For { body, .. } | SeqStmtKind::While { body, .. } => {
-                forbid_signal_assign(body, symbols, errors);
+                forbid_signal_assign(names, body, symbols, errors);
             }
             _ => {}
         }
@@ -222,7 +234,7 @@ pub fn fold_static(expr: &Expr, symbols: &SymbolTable) -> Option<f64> {
     match &expr.kind {
         ExprKind::Int(v) => Some(*v as f64),
         ExprKind::Real(v) => Some(*v),
-        ExprKind::Name(id) => symbols.get(&id.name).and_then(|s| s.const_value),
+        ExprKind::Name(id) => symbols.get(id.name).and_then(|s| s.const_value),
         ExprKind::Unary { op, operand } => {
             let v = fold_static(operand, symbols)?;
             match op {
@@ -256,7 +268,7 @@ pub fn fold_static(expr: &Expr, symbols: &SymbolTable) -> Option<f64> {
 /// *enclosing* loop variables (which take a known value in every
 /// unrolled copy of the outer loop, so the nested loop still unrolls —
 /// e.g. `for j in 1 to i` inside `for i in 1 to 4`).
-fn is_static_bound(expr: &Expr, symbols: &SymbolTable, loop_vars: &HashSet<String>) -> bool {
+fn is_static_bound(expr: &Expr, symbols: &SymbolTable, loop_vars: &HashSet<Name>) -> bool {
     use crate::ast::ExprKind;
     if fold_static(expr, symbols).is_some() {
         return true;
@@ -278,15 +290,21 @@ fn is_static_bound(expr: &Expr, symbols: &SymbolTable, loop_vars: &HashSet<Strin
 }
 
 /// Check that every `for` loop in `body` has statically-known bounds.
-pub fn check_for_bounds(body: &[SeqStmt], symbols: &SymbolTable, errors: &mut Vec<SemaError>) {
+pub fn check_for_bounds(
+    names: &Names,
+    body: &[SeqStmt],
+    symbols: &SymbolTable,
+    errors: &mut Vec<SemaError>,
+) {
     let mut loop_vars = HashSet::new();
-    check_for_bounds_in(body, symbols, &mut loop_vars, errors);
+    check_for_bounds_in(names, body, symbols, &mut loop_vars, errors);
 }
 
 fn check_for_bounds_in(
+    names: &Names,
     body: &[SeqStmt],
     symbols: &SymbolTable,
-    loop_vars: &mut HashSet<String>,
+    loop_vars: &mut HashSet<Name>,
     errors: &mut Vec<SemaError>,
 ) {
     for stmt in body {
@@ -300,7 +318,7 @@ fn check_for_bounds_in(
                         format!(
                             "for-loop over `{}` must have statically-known bounds so the \
                              loop can be unrolled into the signal-flow structure",
-                            var.name
+                            names.resolve(var.name)
                         ),
                         stmt.span,
                     ));
@@ -308,25 +326,25 @@ fn check_for_bounds_in(
                 // Inside the body the loop variable is static either
                 // way; treating it so even after a bad bound avoids
                 // cascading errors on the nested loops.
-                let added = loop_vars.insert(var.name.clone());
-                check_for_bounds_in(fbody, symbols, loop_vars, errors);
+                let added = loop_vars.insert(var.name);
+                check_for_bounds_in(names, fbody, symbols, loop_vars, errors);
                 if added {
                     loop_vars.remove(&var.name);
                 }
             }
             SeqStmtKind::If { branches, else_body } => {
                 for (_, b) in branches {
-                    check_for_bounds_in(b, symbols, loop_vars, errors);
+                    check_for_bounds_in(names, b, symbols, loop_vars, errors);
                 }
-                check_for_bounds_in(else_body, symbols, loop_vars, errors);
+                check_for_bounds_in(names, else_body, symbols, loop_vars, errors);
             }
             SeqStmtKind::Case { arms, .. } => {
                 for arm in arms {
-                    check_for_bounds_in(&arm.body, symbols, loop_vars, errors);
+                    check_for_bounds_in(names, &arm.body, symbols, loop_vars, errors);
                 }
             }
             SeqStmtKind::While { body, .. } => {
-                check_for_bounds_in(body, symbols, loop_vars, errors)
+                check_for_bounds_in(names, body, symbols, loop_vars, errors)
             }
             _ => {}
         }
@@ -341,7 +359,7 @@ mod tests {
     use crate::sema::symbols::Symbol;
     use crate::span::Span;
 
-    fn symbols() -> SymbolTable {
+    fn symbols(names: &mut Names) -> SymbolTable {
         let mut t = SymbolTable::new();
         for (n, c, ty) in [
             ("s1", ObjectClass::Signal, TypeName::Bit),
@@ -350,6 +368,7 @@ mod tests {
         ] {
             t.insert(Symbol {
                 name: n.into(),
+                key: names.intern(n),
                 class: c,
                 ty,
                 mode: None,
@@ -362,6 +381,7 @@ mod tests {
         }
         let mut n = Symbol {
             name: "lim".into(),
+            key: names.intern("lim"),
             class: ObjectClass::Constant,
             ty: TypeName::Integer,
             mode: None,
@@ -372,57 +392,63 @@ mod tests {
         };
         t.insert(n.clone()).expect("insert lim");
         n.name = "q".into();
+        n.key = names.intern("q");
         n.const_value = None;
         t.insert(n).expect("insert q");
         t
     }
 
-    fn process_body(src: &str) -> Vec<SeqStmt> {
+    /// A process body of statements `src`, the fixture's symbols, and
+    /// the name table both are in.
+    fn process_body(src: &str) -> (Vec<SeqStmt>, SymbolTable, Names) {
         let full = format!(
             "entity e is end entity; architecture a of e is begin
              process is variable v : real; variable i : integer; begin {src} end process;
              end architecture;"
         );
         let df = parse_design_file(&full).expect("parses");
-        match &df.architecture_of("e").unwrap().stmts[0] {
+        let body = match &df.architecture_of("e").unwrap().stmts[0] {
             ConcurrentStmt::Process { body, .. } => body.clone(),
             _ => unreachable!(),
-        }
+        };
+        let mut names = df.names;
+        let symbols = symbols(&mut names);
+        (body, symbols, names)
     }
 
     #[test]
     fn read_after_write_detected() {
-        let body = process_body("s1 <= '1'; s2 <= s1;");
+        let (body, symbols, names) = process_body("s1 <= '1'; s2 <= s1;");
         let mut errors = Vec::new();
-        check_signal_read_after_write(&body, &symbols(), &mut errors);
+        check_signal_read_after_write(&names, &body, &symbols, &mut errors);
         assert_eq!(errors.len(), 1);
         assert!(errors[0].message.contains("s1"));
     }
 
     #[test]
     fn write_without_later_read_ok() {
-        let body = process_body("s1 <= '1'; s2 <= '0';");
+        let (body, symbols, names) = process_body("s1 <= '1'; s2 <= '0';");
         let mut errors = Vec::new();
-        check_signal_read_after_write(&body, &symbols(), &mut errors);
+        check_signal_read_after_write(&names, &body, &symbols, &mut errors);
         assert!(errors.is_empty());
     }
 
     #[test]
     fn read_before_write_ok() {
-        let body = process_body("s2 <= s1; s1 <= '1';");
+        let (body, symbols, names) = process_body("s2 <= s1; s1 <= '1';");
         let mut errors = Vec::new();
-        check_signal_read_after_write(&body, &symbols(), &mut errors);
+        check_signal_read_after_write(&names, &body, &symbols, &mut errors);
         assert!(errors.is_empty());
     }
 
     #[test]
     fn write_in_branch_poisons_later_read() {
-        let body = process_body(
+        let (body, symbols, names) = process_body(
             "if (x > 0.0) then s1 <= '1'; end if;
              s2 <= s1;",
         );
         let mut errors = Vec::new();
-        check_signal_read_after_write(&body, &symbols(), &mut errors);
+        check_signal_read_after_write(&names, &body, &symbols, &mut errors);
         assert_eq!(errors.len(), 1);
     }
 
@@ -430,17 +456,17 @@ mod tests {
     fn reads_within_sibling_branches_ok() {
         // Writing in one branch and reading in the *other* branch of the
         // same if is fine: only one branch executes.
-        let body = process_body(
+        let (body, symbols, names) = process_body(
             "if (x > 0.0) then s1 <= '1'; else s2 <= s1; end if;",
         );
         let mut errors = Vec::new();
-        check_signal_read_after_write(&body, &symbols(), &mut errors);
+        check_signal_read_after_write(&names, &body, &symbols, &mut errors);
         assert!(errors.is_empty());
     }
 
     #[test]
     fn wait_rejected_even_nested() {
-        let body = process_body("if (x > 0.0) then wait; end if;");
+        let (body, _, _) = process_body("if (x > 0.0) then wait; end if;");
         let mut errors = Vec::new();
         check_no_wait(&body, &mut errors);
         assert_eq!(errors.len(), 1);
@@ -449,33 +475,33 @@ mod tests {
 
     #[test]
     fn signal_assign_in_while_rejected() {
-        let body = process_body("while x > 0.0 loop s1 <= '1'; end loop;");
+        let (body, symbols, names) = process_body("while x > 0.0 loop s1 <= '1'; end loop;");
         let mut errors = Vec::new();
-        check_while_restrictions(&body, &symbols(), &mut errors);
+        check_while_restrictions(&names, &body, &symbols, &mut errors);
         assert_eq!(errors.len(), 1);
     }
 
     #[test]
     fn var_assign_in_while_ok() {
-        let body = process_body("while x > 0.0 loop v := v + 1.0; end loop;");
+        let (body, symbols, names) = process_body("while x > 0.0 loop v := v + 1.0; end loop;");
         let mut errors = Vec::new();
-        check_while_restrictions(&body, &symbols(), &mut errors);
+        check_while_restrictions(&names, &body, &symbols, &mut errors);
         assert!(errors.is_empty());
     }
 
     #[test]
     fn static_for_bounds_accepted() {
-        let body = process_body("for i in 1 to lim loop v := v + x; end loop;");
+        let (body, symbols, names) = process_body("for i in 1 to lim loop v := v + x; end loop;");
         let mut errors = Vec::new();
-        check_for_bounds(&body, &symbols(), &mut errors);
+        check_for_bounds(&names, &body, &symbols, &mut errors);
         assert!(errors.is_empty(), "{errors:?}");
     }
 
     #[test]
     fn dynamic_for_bounds_rejected() {
-        let body = process_body("for i in 1 to q loop v := v + x; end loop;");
+        let (body, symbols, names) = process_body("for i in 1 to q loop v := v + x; end loop;");
         let mut errors = Vec::new();
-        check_for_bounds(&body, &symbols(), &mut errors);
+        check_for_bounds(&names, &body, &symbols, &mut errors);
         assert_eq!(errors.len(), 1);
     }
 
@@ -486,52 +512,53 @@ mod tests {
             "for i in -lim to lim loop v := v + x; end loop;",
             "for i in 1 to 2 * lim + 1 loop v := v + x; end loop;",
         ] {
-            let body = process_body(src);
+            let (body, symbols, names) = process_body(src);
             let mut errors = Vec::new();
-            check_for_bounds(&body, &symbols(), &mut errors);
+            check_for_bounds(&names, &body, &symbols, &mut errors);
             assert!(errors.is_empty(), "{src}: {errors:?}");
         }
     }
 
     #[test]
     fn nested_loop_bound_on_outer_var_accepted() {
-        let body = process_body(
+        let (body, symbols, names) = process_body(
             "for i in 1 to lim loop
                for j in 1 to i loop v := v + x; end loop;
              end loop;",
         );
         let mut errors = Vec::new();
-        check_for_bounds(&body, &symbols(), &mut errors);
+        check_for_bounds(&names, &body, &symbols, &mut errors);
         assert!(errors.is_empty(), "{errors:?}");
         // The loop variable is only static *inside* its loop.
-        let body = process_body(
+        let (body, symbols, names) = process_body(
             "for i in 1 to lim loop v := v + x; end loop;
              for j in 1 to i loop v := v + x; end loop;",
         );
         let mut errors = Vec::new();
-        check_for_bounds(&body, &symbols(), &mut errors);
+        check_for_bounds(&names, &body, &symbols, &mut errors);
         assert_eq!(errors.len(), 1, "{errors:?}");
     }
 
     #[test]
     fn dynamic_outer_bound_reported_once_not_cascaded() {
-        let body = process_body(
+        let (body, symbols, names) = process_body(
             "for i in 1 to q loop
                for j in 1 to i loop v := v + x; end loop;
              end loop;",
         );
         let mut errors = Vec::new();
-        check_for_bounds(&body, &symbols(), &mut errors);
+        check_for_bounds(&names, &body, &symbols, &mut errors);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].message.contains("`i`"));
     }
 
     #[test]
     fn fold_static_uses_constants() {
-        let t = symbols();
-        let e = crate::parser::parse_expression("2 * lim - 1").expect("parses");
+        let mut names = Names::new();
+        let t = symbols(&mut names);
+        let e = crate::parser::parse_expression("2 * lim - 1", &mut names).expect("parses");
         assert_eq!(fold_static(&e, &t), Some(7.0));
-        let e = crate::parser::parse_expression("q + 1").expect("parses");
+        let e = crate::parser::parse_expression("q + 1", &mut names).expect("parses");
         assert_eq!(fold_static(&e, &t), None);
     }
 }

@@ -9,6 +9,7 @@ use crate::ast::{
     AttributeKind, BinaryOp, Expr, ExprKind, FunctionDecl, ObjectClass, TypeName, UnaryOp,
 };
 use crate::error::{SemaError, SemaErrorKind};
+use crate::names::{Name, Names};
 use crate::sema::symbols::SymbolTable;
 use crate::span::Span;
 
@@ -72,24 +73,33 @@ impl fmt::Display for Ty {
     }
 }
 
-/// The environment used during inference: the architecture's symbols,
-/// its functions, and any active loop variables (which are integers).
+/// The environment used during inference: the file's names, the
+/// architecture's symbols, its functions, and any active loop variables
+/// (which are integers).
 pub struct TypeEnv<'a> {
+    /// The name table of the file, for messages.
+    pub names: &'a Names,
     /// Architecture symbols.
     pub symbols: &'a SymbolTable,
     /// Visible functions by name.
-    pub functions: &'a HashMap<String, &'a FunctionDecl>,
+    pub functions: &'a HashMap<Name, &'a FunctionDecl>,
     /// Names of active `for`-loop variables.
-    pub loop_vars: Vec<String>,
+    pub loop_vars: Vec<Name>,
 }
 
 impl<'a> TypeEnv<'a> {
     /// Create an environment with no active loop variables.
     pub fn new(
+        names: &'a Names,
         symbols: &'a SymbolTable,
-        functions: &'a HashMap<String, &'a FunctionDecl>,
+        functions: &'a HashMap<Name, &'a FunctionDecl>,
     ) -> Self {
-        TypeEnv { symbols, functions, loop_vars: Vec::new() }
+        TypeEnv { names, symbols, functions, loop_vars: Vec::new() }
+    }
+
+    /// The spelling of `name`.
+    fn text(&self, name: Name) -> &'a str {
+        self.names.resolve(name)
     }
 
     fn err(&self, kind: SemaErrorKind, msg: String, span: Span) -> SemaError {
@@ -113,11 +123,11 @@ impl<'a> TypeEnv<'a> {
                 if self.loop_vars.contains(&id.name) {
                     return Ok(Ty::Integer);
                 }
-                match self.symbols.get(&id.name) {
+                match self.symbols.get(id.name) {
                     Some(sym) => Ok(Ty::from_type_name(&sym.ty)),
                     None => Err(self.err(
                         SemaErrorKind::UndeclaredName,
-                        format!("`{}` is not declared", id.name),
+                        format!("`{}` is not declared", self.text(id.name)),
                         id.span,
                     )),
                 }
@@ -158,20 +168,21 @@ impl<'a> TypeEnv<'a> {
     }
 
     fn infer_call(&self, name: &crate::ast::Ident, args: &[Expr], span: Span) -> Result<Ty, SemaError> {
+        let text = self.text(name.name);
         // Math/conversion intrinsics (not user-definable, always visible).
-        let intrinsic_ret = match name.name.as_str() {
-            "log" | "ln" | "exp" | "antilog" => Some(Ty::Real),
-            "adc" => Some(Ty::Integer),
+        let intrinsic_ret = match name.name {
+            Name::LOG | Name::LN | Name::EXP | Name::ANTILOG => Some(Ty::Real),
+            Name::ADC => Some(Ty::Integer),
             _ => None,
         };
         if let Some(ret) = intrinsic_ret {
-            if self.functions.contains_key(&name.name) || self.symbols.contains(&name.name) {
+            if self.functions.contains_key(&name.name) || self.symbols.contains(name.name) {
                 // user declaration shadows the intrinsic; fall through
             } else {
                 if args.len() != 1 {
                     return Err(self.err(
                         SemaErrorKind::TypeMismatch,
-                        format!("intrinsic `{}` takes exactly one argument", name.name),
+                        format!("intrinsic `{text}` takes exactly one argument"),
                         span,
                     ));
                 }
@@ -179,7 +190,7 @@ impl<'a> TypeEnv<'a> {
                 if !at.is_numeric() {
                     return Err(self.err(
                         SemaErrorKind::TypeMismatch,
-                        format!("intrinsic `{}` expects a numeric argument, got {at}", name.name),
+                        format!("intrinsic `{text}` expects a numeric argument, got {at}"),
                         args[0].span,
                     ));
                 }
@@ -192,8 +203,7 @@ impl<'a> TypeEnv<'a> {
                 return Err(self.err(
                     SemaErrorKind::TypeMismatch,
                     format!(
-                        "function `{}` takes {} argument(s), {} given",
-                        name.name,
+                        "function `{text}` takes {} argument(s), {} given",
                         func.params.len(),
                         args.len()
                     ),
@@ -207,8 +217,8 @@ impl<'a> TypeEnv<'a> {
                     return Err(self.err(
                         SemaErrorKind::TypeMismatch,
                         format!(
-                            "argument `{}` of `{}` expects {want}, got {at}",
-                            pname.name, name.name
+                            "argument `{}` of `{text}` expects {want}, got {at}",
+                            self.text(pname.name)
                         ),
                         arg.span,
                     ));
@@ -217,14 +227,14 @@ impl<'a> TypeEnv<'a> {
             return Ok(Ty::from_type_name(&func.ret));
         }
         // Indexed name?
-        if let Some(sym) = self.symbols.get(&name.name) {
+        if let Some(sym) = self.symbols.get(name.name) {
             let elem = match &sym.ty {
                 TypeName::BitVector { .. } => Ty::Bit,
                 TypeName::RealVector { .. } => Ty::Real,
                 other => {
                     return Err(self.err(
                         SemaErrorKind::InvalidUse,
-                        format!("`{}` of type {other} cannot be indexed or called", name.name),
+                        format!("`{text}` of type {other} cannot be indexed or called"),
                         span,
                     ))
                 }
@@ -232,7 +242,7 @@ impl<'a> TypeEnv<'a> {
             if args.len() != 1 {
                 return Err(self.err(
                     SemaErrorKind::TypeMismatch,
-                    format!("indexing `{}` requires exactly one index", name.name),
+                    format!("indexing `{text}` requires exactly one index"),
                     span,
                 ));
             }
@@ -248,7 +258,7 @@ impl<'a> TypeEnv<'a> {
         }
         Err(self.err(
             SemaErrorKind::UndeclaredName,
-            format!("`{}` is neither a declared function nor an indexable object", name.name),
+            format!("`{text}` is neither a declared function nor an indexable object"),
             span,
         ))
     }
@@ -260,10 +270,10 @@ impl<'a> TypeEnv<'a> {
         args: &[Expr],
         span: Span,
     ) -> Result<Ty, SemaError> {
-        let sym = self.symbols.get(&prefix.name).ok_or_else(|| {
+        let sym = self.symbols.get(prefix.name).ok_or_else(|| {
             self.err(
                 SemaErrorKind::UndeclaredName,
-                format!("`{}` is not declared", prefix.name),
+                format!("`{}` is not declared", self.text(prefix.name)),
                 prefix.span,
             )
         })?;
@@ -425,10 +435,11 @@ mod tests {
     use crate::parser::parse_expression;
     use crate::sema::symbols::{Symbol, SymbolTable};
 
-    fn table() -> SymbolTable {
+    fn table(names: &mut Names) -> SymbolTable {
         let mut t = SymbolTable::new();
-        let mk = |name: &str, class: ObjectClass, ty: TypeName| Symbol {
+        let mut mk = |name: &str, class: ObjectClass, ty: TypeName| Symbol {
             name: name.into(),
+            key: names.intern(name),
             class,
             ty,
             mode: None,
@@ -448,10 +459,11 @@ mod tests {
     }
 
     fn infer(src: &str) -> Result<Ty, SemaError> {
-        let table = table();
+        let mut names = Names::new();
+        let table = table(&mut names);
+        let expr = parse_expression(src, &mut names).expect("parses");
         let functions = HashMap::new();
-        let env = TypeEnv::new(&table, &functions);
-        env.infer(&parse_expression(src).expect("parses"))
+        TypeEnv::new(&names, &table, &functions).infer(&expr)
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::names::{Name, Names};
 use crate::span::Span;
 
 /// Keywords recognized by the VASS subset.
@@ -216,12 +217,13 @@ impl fmt::Display for Keyword {
     }
 }
 
-/// The kind of a lexed token.
-#[derive(Debug, Clone, PartialEq)]
+/// The kind of a lexed token. Tokens are `Copy`: the text of an
+/// identifier or string literal lives in the file's [`Names`] table.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
-    /// An identifier (case-insensitive in VHDL; stored lower-cased with
-    /// the original spelling preserved separately by the lexer).
-    Ident(String),
+    /// An identifier. VHDL is case-insensitive: the lexer interns the
+    /// lower-cased spelling, and the original spelling is not kept.
+    Ident(Name),
     /// A reserved word.
     Keyword(Keyword),
     /// An integer literal.
@@ -231,8 +233,9 @@ pub enum TokenKind {
     RealLiteral(f64),
     /// A character literal such as `'0'` or `'1'`.
     CharLiteral(char),
-    /// A string literal such as `"0101"`.
-    StringLiteral(String),
+    /// A string literal such as `"0101"`, its text (quotes removed,
+    /// doubled quotes undone) interned like an identifier's.
+    StringLiteral(Name),
     /// `==` — the simultaneous-statement relation.
     EqEq,
     /// `:=` — variable assignment.
@@ -285,15 +288,18 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// A short human-readable description used in error messages.
-    pub fn describe(&self) -> String {
+    /// A short human-readable description used in error messages;
+    /// `names` is the table the token was lexed into.
+    pub fn describe(&self, names: &Names) -> String {
         match self {
-            TokenKind::Ident(name) => format!("identifier `{name}`"),
+            TokenKind::Ident(name) => format!("identifier `{}`", names.resolve(*name)),
             TokenKind::Keyword(kw) => format!("keyword `{kw}`"),
             TokenKind::IntLiteral(v) => format!("integer literal `{v}`"),
             TokenKind::RealLiteral(v) => format!("real literal `{v}`"),
             TokenKind::CharLiteral(c) => format!("character literal `'{c}'`"),
-            TokenKind::StringLiteral(s) => format!("string literal `\"{s}\"`"),
+            TokenKind::StringLiteral(s) => {
+                format!("string literal `\"{}\"`", names.resolve(*s))
+            }
             TokenKind::EqEq => "`==`".into(),
             TokenKind::ColonEq => "`:=`".into(),
             TokenKind::LtEq => "`<=`".into(),
@@ -323,7 +329,7 @@ impl TokenKind {
 }
 
 /// A lexed token: kind plus source span.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// What was lexed.
     pub kind: TokenKind,
@@ -340,12 +346,6 @@ impl Token {
     /// Whether this token is the given keyword.
     pub fn is_keyword(&self, kw: Keyword) -> bool {
         matches!(self.kind, TokenKind::Keyword(k) if k == kw)
-    }
-}
-
-impl fmt::Display for Token {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.kind.describe())
     }
 }
 
@@ -378,13 +378,16 @@ mod tests {
         let t = Token::new(TokenKind::Keyword(Keyword::Entity), Span::default());
         assert!(t.is_keyword(Keyword::Entity));
         assert!(!t.is_keyword(Keyword::End));
-        let t = Token::new(TokenKind::Ident("entityx".into()), Span::default());
+        let entityx = Names::new().intern("entityx");
+        let t = Token::new(TokenKind::Ident(entityx), Span::default());
         assert!(!t.is_keyword(Keyword::Entity));
     }
 
     #[test]
     fn describe_is_nonempty() {
-        assert!(TokenKind::Eof.describe().contains("end of input"));
-        assert!(TokenKind::Ident("foo".into()).describe().contains("foo"));
+        let mut names = Names::new();
+        let foo = names.intern("foo");
+        assert!(TokenKind::Eof.describe(&names).contains("end of input"));
+        assert!(TokenKind::Ident(foo).describe(&names).contains("foo"));
     }
 }

@@ -10,6 +10,7 @@
 use vase::archgen::{map_graph, MapperConfig};
 use vase::estimate::Estimator;
 use vase::frontend::ast::{BinaryOp, Expr, ExprKind, UnaryOp};
+use vase::frontend::names::{Name, Names};
 use vase::frontend::parse_expression;
 use vase::frontend::span::Span;
 use vase::sim::Stimulus;
@@ -57,36 +58,41 @@ fn case_seeds(suite: u64, cases: usize) -> impl Iterator<Item = u64> {
 
 // ---------------------------------------------------------------- expr
 
+/// The names `a b c x`, interned into `names`.
+fn leaf_names(names: &mut Names) -> [Name; 4] {
+    ["a", "b", "c", "x"].map(|leaf| names.intern(leaf))
+}
+
 /// A well-formed analog expression over a fixed name set, with
 /// recursion bounded by `depth` (mirrors the old proptest strategy:
-/// leaves are small ints, reals, or one of `a b c x`).
-fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
+/// leaves are small ints, reals, or one of `leaves`).
+fn random_expr(rng: &mut Rng, leaves: &[Name; 4], depth: usize) -> Expr {
     if depth == 0 || rng.index(3) == 0 {
         return match rng.index(3) {
             0 => Expr::new(ExprKind::Int(rng.int_in(1, 100)), Span::synthetic()),
             1 => Expr::new(ExprKind::Real(rng.f64_in(0.1, 100.0)), Span::synthetic()),
-            _ => Expr::name(["a", "b", "c", "x"][rng.index(4)]),
+            _ => Expr::name(leaves[rng.index(4)]),
         };
     }
     match rng.index(3) {
         0 => {
             let op = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div]
                 [rng.index(4)];
-            let lhs = Box::new(random_expr(rng, depth - 1));
-            let rhs = Box::new(random_expr(rng, depth - 1));
+            let lhs = Box::new(random_expr(rng, leaves, depth - 1));
+            let rhs = Box::new(random_expr(rng, leaves, depth - 1));
             Expr::new(ExprKind::Binary { op, lhs, rhs }, Span::synthetic())
         }
         1 => Expr::new(
             ExprKind::Unary {
                 op: UnaryOp::Neg,
-                operand: Box::new(random_expr(rng, depth - 1)),
+                operand: Box::new(random_expr(rng, leaves, depth - 1)),
             },
             Span::synthetic(),
         ),
         _ => Expr::new(
             ExprKind::Unary {
                 op: UnaryOp::Abs,
-                operand: Box::new(random_expr(rng, depth - 1)),
+                operand: Box::new(random_expr(rng, leaves, depth - 1)),
             },
             Span::synthetic(),
         ),
@@ -94,16 +100,18 @@ fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
 }
 
 /// Printing an expression and re-parsing it yields the same expression
-/// (up to spans), so `Display` is a faithful surface syntax.
+/// (up to spans), so `Expr::display` is a faithful surface syntax.
 #[test]
 fn expr_print_parse_roundtrip() {
+    let mut names = Names::new();
+    let leaves = leaf_names(&mut names);
     for seed in case_seeds(0x000e_0001, 256) {
-        let e = random_expr(&mut Rng::new(seed), 4);
-        let printed = e.to_string();
-        let reparsed = parse_expression(&printed).unwrap_or_else(|err| {
+        let e = random_expr(&mut Rng::new(seed), &leaves, 4);
+        let printed = e.display(&names).to_string();
+        let reparsed = parse_expression(&printed, &mut names).unwrap_or_else(|err| {
             panic!("seed={seed:#x}: printed form `{printed}` failed to parse: {err}")
         });
-        assert_eq!(reparsed.to_string(), printed, "seed={seed:#x}");
+        assert_eq!(reparsed.display(&names).to_string(), printed, "seed={seed:#x}");
     }
 }
 
@@ -140,7 +148,7 @@ fn const_fold_matches_evaluation() {
         }
     }
     for seed in case_seeds(0x000e_0002, 256) {
-        let e = random_expr(&mut Rng::new(seed), 4);
+        let e = random_expr(&mut Rng::new(seed), &leaf_names(&mut Names::new()), 4);
         match (e.const_fold(), eval(&e)) {
             (Some(f), Some(direct)) => {
                 let ok = (f - direct).abs() <= 1e-9 * direct.abs().max(1.0)
@@ -161,9 +169,9 @@ fn const_fold_matches_evaluation() {
 
 /// An invertible expression path around the unknown `x`: wrap x in 1-4
 /// random invertible operations with nonzero consts in [0.5, 4.0).
-fn random_solvable_rhs(rng: &mut Rng) -> Expr {
+fn random_solvable_rhs(rng: &mut Rng, x: Name) -> Expr {
     let wraps = 1 + rng.index(4);
-    let mut e = Expr::name("x");
+    let mut e = Expr::name(x);
     for _ in 0..wraps {
         let k = rng.f64_in(0.5, 4.0);
         let konst = Expr::new(ExprKind::Real(k), Span::synthetic());
@@ -194,7 +202,7 @@ fn random_solvable_rhs(rng: &mut Rng) -> Expr {
     e
 }
 
-fn eval_with_var(e: &Expr, var: &str, value: f64) -> f64 {
+fn eval_with_var(e: &Expr, var: Name, value: f64) -> f64 {
     match &e.kind {
         ExprKind::Int(v) => *v as f64,
         ExprKind::Real(v) => *v,
@@ -229,27 +237,30 @@ fn eval_with_var(e: &Expr, var: &str, value: f64) -> f64 {
 #[test]
 fn isolation_is_numerical_inverse() {
     use vase::compiler::solver::{isolate, Equation, Solution};
+    let mut names = Names::new();
+    let [x, y] = ["x", "y"].map(|v| names.intern(v));
     for seed in case_seeds(0x50_1ce2, 256) {
         let mut rng = Rng::new(seed);
-        let rhs = random_solvable_rhs(&mut rng);
+        let rhs = random_solvable_rhs(&mut rng, x);
         let x0 = rng.f64_in(0.5, 8.0);
         let eq = Equation {
-            lhs: Expr::name("y"),
+            lhs: Expr::name(y),
             rhs: rhs.clone(),
             span: Span::synthetic(),
         };
-        let sol = isolate(&eq, "x").expect("single-occurrence x is isolatable");
+        let sol = isolate(&eq, x).expect("single-occurrence x is isolatable");
         let Solution::Direct(inverse) = sol else {
             panic!("seed={seed:#x}: expected a direct solution");
         };
-        let y0 = eval_with_var(&rhs, "x", x0);
+        let y0 = eval_with_var(&rhs, x, x0);
         if !y0.is_finite() {
             continue; // mirrors the old prop_assume!
         }
-        let recovered = eval_with_var(&inverse, "y", y0);
+        let recovered = eval_with_var(&inverse, y, y0);
         assert!(
             (recovered - x0).abs() <= 1e-6 * x0.abs().max(1.0),
-            "seed={seed:#x}: f(x0)={y0}, recovered {recovered} != {x0} via {inverse}"
+            "seed={seed:#x}: f(x0)={y0}, recovered {recovered} != {x0} via {}",
+            inverse.display(&names)
         );
     }
 }
@@ -426,7 +437,7 @@ fn lexer_is_total() {
     for seed in case_seeds(0x1e_0001, 256) {
         let mut rng = Rng::new(seed);
         let src = random_string(&mut rng, &charset, 200);
-        let _ = vase::frontend::lexer::lex(&src);
+        let _ = vase::frontend::lexer::lex(&src, &mut Names::new());
     }
 }
 
@@ -440,6 +451,6 @@ fn parser_is_total() {
         let mut rng = Rng::new(seed);
         let src = random_string(&mut rng, &charset, 120);
         let _ = vase::frontend::parse_design_file(&src);
-        let _ = parse_expression(&src);
+        let _ = parse_expression(&src, &mut Names::new());
     }
 }
