@@ -66,6 +66,7 @@ cargo test -q -p vase-sim --test lane_equivalence
 cargo test -q -p vase-sim --test no_alloc
 cargo test -q -p vase --test lane_corpus
 cargo test -q -p vase --test netlist_traces
+cargo test -q -p vase --test behavioral_traces
 
 echo "== tier 1: Monte Carlo yield smoke (lane-batched) =="
 # A small sample count exercises the whole batched MC path: netlist
