@@ -8,7 +8,8 @@
 //! * **behavioral** ([`simulate_design`]) — simulates a
 //!   [`vase_vhif::VhifDesign`] directly: signal-flow blocks evaluated
 //!   in topological order with RK4 integration, FSMs co-simulated on
-//!   event edges;
+//!   event edges. One engine, [`BatchSession`], runs every behavioral
+//!   simulation; a single run is its one-lane batch;
 //! * **macromodel** ([`simulate_netlist`]) — simulates a synthesized
 //!   [`vase_library::Netlist`] with first-order op-amp macromodels
 //!   (ideal transfer + rail saturation, output-stage limiting,
@@ -71,7 +72,7 @@ pub use netlist_sim::{
     simulate_netlist, simulate_netlist_with_cancel, BatchNetlistSession, CompiledNetlist,
     AMP_SATURATION,
 };
-pub use plan::{CompiledSim, SimSession};
+pub use plan::CompiledSim;
 pub use plot::render_ascii;
 pub use response::{
     frequency_response, frequency_response_with, log_sweep, ResponsePoint, SweepConfig,

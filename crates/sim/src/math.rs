@@ -1,10 +1,10 @@
 //! Deterministic inline transcendentals for the simulation engines.
 //!
-//! Every engine — the scalar session, the lane-batched kernels, and
-//! the netlist tape kernel — evaluates `sin`/`exp`/`ln` through the
-//! same straight-line code here, so per-lane results are bit-identical
-//! across engines by construction. Unlike the libm entry points they
-//! replace, these bodies contain no calls, no table lookups, and no
+//! Both engines — the behavioral lane kernels and the netlist tape
+//! kernel — evaluate `sin`/`exp`/`ln` through the same straight-line
+//! code here, so per-lane results are bit-identical across batch widths
+//! by construction. Unlike the libm entry points they replace, these
+//! bodies contain no calls, no table lookups, and no
 //! data-dependent control flow (only selects), so the fixed-width lane
 //! loops in `batch.rs` and `netlist_sim.rs` autovectorize them across
 //! lanes — which is where the batched engines earn most of their

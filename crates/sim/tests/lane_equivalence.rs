@@ -1,12 +1,14 @@
 //! The wide-simulation contract: a lane of a [`BatchSession`] is
-//! *bit-identical* to the scalar [`SimSession`] under fixed-step RK4,
-//! for any batch width and lane packing — the SoA layout changes the
-//! indexing, never the per-lane floating-point operation sequence.
-//! Plus: per-lane fault isolation, adaptive RKF45 sanity, and the
-//! netlist-level batch (factor 1.0 lanes reproduce the scalar run).
+//! *bit-identical* to the one-lane run of its own configuration
+//! ([`CompiledSim::run`]) under fixed-step RK4, for any batch width and
+//! lane packing — the SoA layout changes the indexing, never the
+//! per-lane floating-point operation sequence. The one-lane run's bits
+//! are pinned by `tests/behavioral_traces.rs`. Plus: per-lane fault
+//! isolation, adaptive RKF45 sanity, and the netlist-level batch
+//! (factor 1.0 lanes reproduce the scalar run).
 //!
 //! [`BatchSession`]: vase_sim::BatchSession
-//! [`SimSession`]: vase_sim::SimSession
+//! [`CompiledSim::run`]: vase_sim::CompiledSim::run
 
 use std::collections::BTreeMap;
 

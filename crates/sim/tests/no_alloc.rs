@@ -1,11 +1,11 @@
-//! The compiled-plan acceptance property: once a [`SimSession`] or a
+//! The compiled-plan acceptance property: once a [`BatchSession`] or a
 //! [`BatchNetlistSession`] exists, stepping it performs **zero heap
 //! allocation** — every buffer (block values or slots, RK4 stages, FSM
 //! event levels, trace storage) is sized at session creation — and a
 //! Monte Carlo yield run requests the same bytes however many steps it
 //! takes. Asserted with a counting global allocator.
 //!
-//! [`SimSession`]: vase_sim::SimSession
+//! [`BatchSession`]: vase_sim::BatchSession
 //! [`BatchNetlistSession`]: vase_sim::BatchNetlistSession
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -123,32 +123,6 @@ fn fsm_design() -> VhifDesign {
     d
 }
 
-fn assert_steady_state_alloc_free(design: &VhifDesign, inputs: &[(&str, Stimulus)]) {
-    let inputs: BTreeMap<String, Stimulus> =
-        inputs.iter().map(|(n, s)| (n.to_string(), *s)).collect();
-    let config = SimConfig::new(1e-5, 10e-3); // 1000 steps
-    let plan = CompiledSim::new(design, &inputs, &config).expect("compiles");
-    let mut session = plan.session();
-    // A couple of warm-up steps so any lazily touched state settles.
-    session.step();
-    session.step();
-    let before = allocations();
-    while !session.done() {
-        session.step();
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state stepping must not allocate ({} allocations over {} steps)",
-        after - before,
-        plan.steps(),
-    );
-    // The run still produced the full trace set.
-    let result = session.into_result();
-    assert_eq!(result.time.len(), plan.steps() + 1);
-}
-
 fn assert_batched_steady_state_alloc_free(
     design: &VhifDesign,
     inputs: &[(&str, Stimulus)],
@@ -180,7 +154,11 @@ fn assert_batched_steady_state_alloc_free(
 
 #[test]
 fn continuous_stepping_is_allocation_free() {
-    assert_steady_state_alloc_free(&rc_lowpass_design(), &[("x", Stimulus::sine(1.0, 200.0))]);
+    assert_batched_steady_state_alloc_free(
+        &rc_lowpass_design(),
+        &[("x", Stimulus::sine(1.0, 200.0))],
+        1,
+    );
 }
 
 #[test]
@@ -206,7 +184,11 @@ fn fsm_stepping_is_allocation_free() {
     // The sine crosses the event threshold repeatedly, so the FSM takes
     // transitions (and rewrites `c1`) throughout the window — the exact
     // path that formerly built a `String` event key per event per step.
-    assert_steady_state_alloc_free(&fsm_design(), &[("line", Stimulus::sine(1.0, 500.0))]);
+    assert_batched_steady_state_alloc_free(
+        &fsm_design(),
+        &[("line", Stimulus::sine(1.0, 500.0))],
+        1,
+    );
 }
 
 fn place(kind: ComponentKind, inputs: Vec<SourceRef>) -> PlacedComponent {
