@@ -100,6 +100,24 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
     }
 }
 
+#[test]
+fn sim_windows_that_cannot_be_recorded_are_errors() {
+    let receiver = spec("receiver.vhd");
+    let base = ["sim", &receiver, "--input", "line=sine:0.5,1000", "--input", "local=const:0"];
+    for window in [
+        // 10^10 steps: far more samples than a run may record.
+        ["--dt", "1e-9", "--tend", "10"],
+        ["--dt", "NaN", "--tend", "5e-3"],
+        ["--dt", "1e-6", "--tend", "NaN"],
+        ["--dt", "1e-6", "--tend", "inf"],
+    ] {
+        let output = Command::new(VASE).args(base).args(window).output().expect("vase runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{window:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{window:?} must report an error: {stderr}");
+    }
+}
+
 /// Spawn `vase serve`, feed it request lines on stdin, and collect the
 /// parsed response lines plus the daemon's exit code.
 fn serve_round_trip(requests: &[String], cache: &std::path::Path) -> (i32, Vec<Json>) {
@@ -213,5 +231,29 @@ fn serve_deadline_and_timings_ride_the_wire() {
         assert!(timings.get(phase).and_then(Json::as_f64).is_some(), "missing {phase}");
     }
     assert!(r.get("elapsed_ms").and_then(Json::as_f64).expect("elapsed") > 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_answers_a_window_too_large_to_record_with_an_error() {
+    let dir = scratch_dir("window");
+    let source = "entity src is port (quantity vout : out real is voltage range -2.0 to 2.0); \
+                  end entity; architecture a of src is begin vout == 0.75; end architecture;";
+    let requests = vec![
+        format!(r#"{{"id": 2, "op": "sim", "source": "{source}", "dt": 1e-9, "tend": 10}}"#),
+        r#"{"id": 3, "op": "ping"}"#.to_owned(),
+        r#"{"id": 4, "op": "shutdown"}"#.to_owned(),
+    ];
+    let (code, responses) = serve_round_trip(&requests, &dir.join("covers.bin"));
+    assert_eq!(code, 0, "the daemon survives the request and shuts down cleanly");
+    let status_of = |id: i128| {
+        responses
+            .iter()
+            .find(|r| r.get("id").and_then(Json::as_int) == Some(id))
+            .and_then(|r| r.get("status").and_then(Json::as_str))
+            .map(str::to_owned)
+    };
+    assert_eq!(status_of(2).as_deref(), Some("error"));
+    assert_eq!(status_of(3).as_deref(), Some("ok"));
     let _ = std::fs::remove_dir_all(&dir);
 }
