@@ -26,12 +26,20 @@
 //! `VASE-COVER-CACHE v1`) so `vase synth --cache-file` can carry
 //! covers across runs; `f64`s are stored as exact bit patterns to keep
 //! the bitwise-identity guarantee through a save/load round trip.
+//!
+//! Saving costs only what changed. Each entry's file lines are rendered
+//! once, when the entry is inserted or loaded, and a save streams those
+//! texts in key order. Every insert bumps a generation counter, and a
+//! save to the path of the last successful save at an unchanged
+//! generation writes nothing. Saves take a lock for their whole length,
+//! so two of them never share the temp file.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::io::{BufWriter, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use vase_estimate::{Estimator, NetlistEstimate};
 use vase_library::{ComponentKind, Netlist};
@@ -40,11 +48,36 @@ use vase_vhif::{structural_hash, BlockId, GraphBounds, SignalFlowGraph};
 use crate::config::MapperConfig;
 use crate::plan::{interface_cover, resolve, PlannedComponent};
 
+/// The first line of every cache file.
+const HEADER: &str = "VASE-COVER-CACHE v1";
+
 /// A best-known cover for one `(graph content, context)` key.
 #[derive(Debug, Clone)]
 struct CachedCover {
     opamps: usize,
     components: Vec<PlannedComponent>,
+    /// The entry's lines in the cache file: its `e` line and one `c`
+    /// line per component.
+    text: Arc<str>,
+}
+
+impl CachedCover {
+    fn new(key: (u64, u64), opamps: usize, components: Vec<PlannedComponent>) -> Self {
+        let text = render_entry(key, opamps, &components).into();
+        CachedCover {
+            opamps,
+            components,
+            text,
+        }
+    }
+}
+
+/// The covers in key order (so files are deterministic) and a count of
+/// the inserts that built them.
+#[derive(Debug, Default)]
+struct Table {
+    covers: BTreeMap<(u64, u64), CachedCover>,
+    generation: u64,
 }
 
 /// A concurrent, content-addressed table of best-known covers.
@@ -54,9 +87,12 @@ struct CachedCover {
 /// one cache can serve parallel flows.
 #[derive(Debug, Default)]
 pub struct CoverCache {
-    table: Mutex<HashMap<(u64, u64), CachedCover>>,
+    table: Mutex<Table>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Path and table generation of the last successful save. Held for
+    /// the whole of a save, so saves never overlap.
+    saved: Mutex<Option<(PathBuf, u64)>>,
 }
 
 impl CoverCache {
@@ -102,7 +138,7 @@ impl CoverCache {
     ) -> Option<(Netlist, NetlistEstimate)> {
         let cover = {
             let table = self.table.lock().expect("cover-cache poisoned");
-            table.get(&key).cloned()
+            table.covers.get(&key).cloned()
         };
         let replayed = cover.and_then(|c| replay(&c, graph, estimator, config));
         match replayed {
@@ -121,13 +157,19 @@ impl CoverCache {
     /// writers for one key found covers for the same graph under the
     /// same context with the same (deterministic) search, they agree.
     pub fn insert(&self, key: (u64, u64), opamps: usize, components: Vec<PlannedComponent>) {
+        let cover = CachedCover::new(key, opamps, components);
         let mut table = self.table.lock().expect("cover-cache poisoned");
-        table.insert(key, CachedCover { opamps, components });
+        table.covers.insert(key, cover);
+        table.generation += 1;
     }
 
     /// Number of cached covers.
     pub fn len(&self) -> usize {
-        self.table.lock().expect("cover-cache poisoned").len()
+        self.table
+            .lock()
+            .expect("cover-cache poisoned")
+            .covers
+            .len()
     }
 
     /// Whether the cache holds no covers.
@@ -145,36 +187,13 @@ impl CoverCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Serialize the cache to its line-oriented text format.
+    /// Serialize the cache to its line-oriented text format: the exact
+    /// bytes [`CoverCache::save`] writes.
     pub fn serialize(&self) -> String {
         let table = self.table.lock().expect("cover-cache poisoned");
-        let mut keys: Vec<&(u64, u64)> = table.keys().collect();
-        keys.sort(); // deterministic files
-        let mut out = String::from("VASE-COVER-CACHE v1\n");
-        for key in keys {
-            let cover = &table[key];
-            let _ = writeln!(
-                out,
-                "e {:016x} {:016x} {} {}",
-                key.0,
-                key.1,
-                cover.opamps,
-                cover.components.len()
-            );
-            for c in &cover.components {
-                out.push('c');
-                let _ = write!(out, " {}", c.output.index());
-                let _ = write!(out, " {}", c.covered.len());
-                for b in &c.covered {
-                    let _ = write!(out, " {}", b.index());
-                }
-                let _ = write!(out, " {}", c.inputs.len());
-                for b in &c.inputs {
-                    let _ = write!(out, " {}", b.index());
-                }
-                write_kind(&mut out, &c.kind);
-                out.push('\n');
-            }
+        let mut out = format!("{HEADER}\n");
+        for cover in table.covers.values() {
+            out.push_str(&cover.text);
         }
         out
     }
@@ -187,11 +206,10 @@ impl CoverCache {
     /// malformed entry.
     pub fn deserialize(text: &str) -> std::io::Result<Self> {
         let mut lines = text.lines();
-        match lines.next() {
-            Some("VASE-COVER-CACHE v1") => {}
-            _ => return Err(bad("missing VASE-COVER-CACHE v1 header")),
+        if lines.next() != Some(HEADER) {
+            return Err(bad("missing VASE-COVER-CACHE v1 header"));
         }
-        let mut table = HashMap::new();
+        let mut covers = BTreeMap::new();
         while let Some(line) = lines.next() {
             if line.is_empty() {
                 continue;
@@ -233,20 +251,28 @@ impl CoverCache {
                     output,
                 });
             }
-            table.insert((hash, ctx), CachedCover { opamps, components });
+            let key = (hash, ctx);
+            covers.insert(key, CachedCover::new(key, opamps, components));
         }
         Ok(CoverCache {
-            table: Mutex::new(table),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            table: Mutex::new(Table {
+                covers,
+                generation: 0,
+            }),
+            ..CoverCache::default()
         })
     }
 
-    /// Write the cache to `path` atomically: the serialized table goes
-    /// to `<path>.tmp` first and is renamed over `path` only once fully
+    /// Write the cache to `path` atomically: the table goes to
+    /// `<path>.tmp` first and is renamed over `path` only once fully
     /// written, so a crash (or `kill -9`) mid-save leaves the previous
     /// cache intact instead of a truncated file. The temp file lives in
     /// the same directory so the rename never crosses filesystems.
+    ///
+    /// A save to the path of this cache's last successful save, with no
+    /// insert since, returns at once and leaves the file alone. The
+    /// first save of a cache always writes, and a failed one is retried
+    /// in full by the next. Concurrent saves run one at a time.
     ///
     /// # Errors
     ///
@@ -254,11 +280,31 @@ impl CoverCache {
     /// untouched (a stale `<path>.tmp` may remain and is overwritten by
     /// the next save).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let mut saved = self.saved.lock().expect("cover-cache poisoned");
+        let (generation, texts) = {
+            let table = self.table.lock().expect("cover-cache poisoned");
+            if saved
+                .as_ref()
+                .is_some_and(|(p, g)| p == path && *g == table.generation)
+            {
+                return Ok(());
+            }
+            let texts: Vec<Arc<str>> = table.covers.values().map(|c| Arc::clone(&c.text)).collect();
+            (table.generation, texts)
+        };
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.serialize())?;
-        std::fs::rename(&tmp, path)
+        let tmp = PathBuf::from(tmp);
+        let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
+        writeln!(out, "{HEADER}")?;
+        for text in &texts {
+            out.write_all(text.as_bytes())?;
+        }
+        out.flush()?;
+        drop(out);
+        std::fs::rename(&tmp, path)?;
+        *saved = Some((path.to_owned(), generation));
+        Ok(())
     }
 
     /// Read a cache from `path`.
@@ -379,6 +425,35 @@ fn u64_hex(tok: Option<&str>) -> std::io::Result<u64> {
 
 fn f64_bits(tok: Option<&str>) -> std::io::Result<f64> {
     u64_hex(tok).map(f64::from_bits)
+}
+
+/// One entry's lines in the cache file: `e hash ctx opamps n`, then
+/// `c output ncov covered… nin inputs… kind…` per component.
+fn render_entry(key: (u64, u64), opamps: usize, components: &[PlannedComponent]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "e {:016x} {:016x} {} {}",
+        key.0,
+        key.1,
+        opamps,
+        components.len()
+    );
+    for c in components {
+        out.push('c');
+        let _ = write!(out, " {}", c.output.index());
+        let _ = write!(out, " {}", c.covered.len());
+        for b in &c.covered {
+            let _ = write!(out, " {}", b.index());
+        }
+        let _ = write!(out, " {}", c.inputs.len());
+        for b in &c.inputs {
+            let _ = write!(out, " {}", b.index());
+        }
+        write_kind(&mut out, &c.kind);
+        out.push('\n');
+    }
+    out
 }
 
 /// Append a component kind as `tag field…`, floats as exact bit
@@ -757,6 +832,156 @@ mod tests {
         reloaded.save(&path).expect("saves over stale tmp");
         assert!(!dir.join("covers.cache.tmp").exists());
         assert_eq!(CoverCache::load(&path).expect("still loads").len(), cache.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Insert a one-component cover under key `(i, 0)`: distinct keys
+    /// and file lines without mapping anything.
+    fn insert_toy(cache: &CoverCache, i: usize) {
+        cache.insert(
+            (i as u64, 0),
+            1,
+            vec![PlannedComponent {
+                kind: ComponentKind::Follower,
+                covered: vec![BlockId::from_index(i)],
+                inputs: vec![],
+                output: BlockId::from_index(i),
+            }],
+        );
+    }
+
+    /// The file's inode: a save that writes renames a new file over
+    /// the old one, so its inode changes.
+    #[cfg(unix)]
+    fn inode(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(path).expect("saved file").ino()
+    }
+
+    fn read(path: &Path) -> String {
+        std::fs::read_to_string(path).expect("saved file reads")
+    }
+
+    #[test]
+    fn a_save_with_no_insert_since_the_last_leaves_the_file_alone() {
+        let dir = scratch_dir("unchanged");
+        let path = dir.join("covers.cache");
+        let cache = CoverCache::new();
+        insert_toy(&cache, 1);
+        cache.save(&path).expect("saves");
+        #[cfg(unix)]
+        let before = inode(&path);
+        cache.save(&path).expect("saves");
+        #[cfg(unix)]
+        assert_eq!(inode(&path), before, "nothing new, nothing written");
+        assert_eq!(read(&path), cache.serialize());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_insert_makes_the_next_save_replace_the_file() {
+        let dir = scratch_dir("insert");
+        let path = dir.join("covers.cache");
+        let cache = CoverCache::new();
+        insert_toy(&cache, 1);
+        cache.save(&path).expect("saves");
+        #[cfg(unix)]
+        let before = inode(&path);
+        insert_toy(&cache, 2);
+        cache.save(&path).expect("saves");
+        #[cfg(unix)]
+        assert_ne!(inode(&path), before, "the insert is written");
+        assert_eq!(read(&path), cache.serialize());
+        assert_eq!(CoverCache::load(&path).expect("loads").len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_save_of_an_empty_or_freshly_loaded_cache_writes() {
+        let dir = scratch_dir("first");
+        let path = dir.join("covers.cache");
+        CoverCache::new().save(&path).expect("saves");
+        assert_eq!(read(&path), "VASE-COVER-CACHE v1\n");
+
+        let cache = CoverCache::new();
+        insert_toy(&cache, 1);
+        cache.save(&path).expect("saves");
+        let loaded = CoverCache::load(&path).expect("loads");
+        std::fs::remove_file(&path).expect("remove");
+        loaded.save(&path).expect("saves");
+        assert_eq!(
+            read(&path),
+            cache.serialize(),
+            "a loaded cache writes the same bytes"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_to_another_path_writes() {
+        let dir = scratch_dir("other");
+        let cache = CoverCache::new();
+        insert_toy(&cache, 1);
+        cache.save(&dir.join("a.cache")).expect("saves");
+        cache.save(&dir.join("b.cache")).expect("saves");
+        assert_eq!(read(&dir.join("b.cache")), cache.serialize());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_save_is_retried_by_the_next() {
+        let dir = scratch_dir("retry");
+        let path = dir.join("missing").join("covers.cache");
+        let cache = CoverCache::new();
+        insert_toy(&cache, 1);
+        assert!(
+            cache.save(&path).is_err(),
+            "the directory does not exist yet"
+        );
+        std::fs::create_dir_all(dir.join("missing")).expect("create dir");
+        cache.save(&path).expect("saves");
+        assert_eq!(read(&path), cache.serialize());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_all_succeed_and_never_tear_the_file() {
+        // Each round, one thread inserts a cover while two others save
+        // the previous round's table to the same path; the barrier
+        // starts both saves of a round together.
+        const ROUNDS: usize = 1000;
+        let dir = scratch_dir("concurrent");
+        let path = dir.join("covers.cache");
+        let cache = CoverCache::new();
+        let barrier = std::sync::Barrier::new(3);
+        let failed = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..ROUNDS {
+                    insert_toy(&cache, i);
+                    barrier.wait();
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        if cache.save(&path).is_err() {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failed.load(Ordering::Relaxed), 0, "every save returns Ok");
+        let text = read(&path);
+        assert_eq!(
+            CoverCache::deserialize(&text)
+                .expect("final file parses")
+                .len(),
+            ROUNDS
+        );
+        assert_eq!(text, cache.serialize());
         std::fs::remove_dir_all(&dir).ok();
     }
 

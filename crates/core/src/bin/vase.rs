@@ -64,6 +64,10 @@
 //!     --socket <path> | --workers <n> | --queue-depth <n> | --cache-file <p> |
 //!     --snapshot-every <n> | --inject panic:N,timeout:N,malformed:N |
 //!     --seed <u64> | --deadline-ms/--max-nodes/--strategy (as in `synth`)
+//!     --snapshot-every <n>  save the --cache-file every <n> completed jobs
+//!                           (default 8; 0 = only at shutdown); a snapshot
+//!                           point with no new cover since the last save
+//!                           writes nothing
 //! vase table1 [--jobs <n>]             regenerate the paper's Table 1
 //!     --jobs <n>        synthesize the five applications concurrently
 //!     --deadline-ms/--max-nodes  mapping budget, as in `synth`
@@ -594,7 +598,8 @@ fn synth_reports_to_json(reports: &[vase::flow::FlowReport]) -> Json {
 /// under the `--deadline-ms` default (overridable per request), which
 /// the watchdog enforces with `A220` best-so-far degradation. Warm
 /// state (`--cache-file`) is snapshotted crash-safely every
-/// `--snapshot-every` jobs and at shutdown. `--inject
+/// `--snapshot-every` jobs and at shutdown; a snapshot point with no
+/// cover inserted since the last save writes nothing. `--inject
 /// panic:N,timeout:N,malformed:N` (with `--seed`) arms deterministic
 /// fault injection for resilience testing.
 fn cmd_serve(args: &[String]) -> Result<u8, String> {

@@ -5,10 +5,13 @@
 //! state — a shared [`CoverCache`] that accumulates proven covers
 //! across requests — and persists it crash-safely on the server's
 //! snapshot cadence (the cache's own write-temp-then-rename protocol,
-//! see `vase_archgen::cache`). Every job runs with the effective
-//! deadline lowered into the mapper's [`vase_budget::Budget`] *and*
-//! the serve-level [`CancelToken`] threaded through analysis and
-//! simulation stepping loops, so a deadline stops all three layers.
+//! see `vase_archgen::cache`). A snapshot point writes only when a
+//! cover was inserted since the last successful write, and two
+//! workers' snapshots run one after the other. Every job runs with
+//! the effective deadline lowered into the mapper's
+//! [`vase_budget::Budget`] *and* the serve-level [`CancelToken`]
+//! threaded through analysis and simulation stepping loops, so a
+//! deadline stops all three layers.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -264,9 +267,11 @@ impl JobHandler for FlowJobHandler {
     }
 
     /// Crash-safe warm-state persistence: `CoverCache::save` writes
-    /// `<path>.tmp` and renames, so a `kill -9` mid-snapshot leaves
-    /// either the previous snapshot or the new one — never a torn
-    /// file.
+    /// `<path>.tmp` and renames, one save at a time, so a `kill -9`
+    /// mid-snapshot leaves either the previous snapshot or the new one
+    /// — never a torn file. With no insert since the last successful
+    /// save it writes nothing; a failed save is retried at the next
+    /// snapshot point.
     fn snapshot(&self) {
         if let Some((path, cache)) = &self.cache {
             if let Err(e) = cache.save(path) {

@@ -107,11 +107,11 @@ mod tests {
         }
     }
 
-    fn run(input: &str, config: ServerConfig) -> (ServeStats, Vec<Json>, Scripted) {
+    fn run(input: impl AsRef<[u8]>, config: ServerConfig) -> (ServeStats, Vec<Json>, Scripted) {
         let handler = Scripted::default();
         let mut out = Vec::new();
         let stats =
-            serve(input.as_bytes(), &mut out, &handler, config).expect("in-process serve");
+            serve(input.as_ref(), &mut out, &handler, config).expect("in-process serve");
         let responses = String::from_utf8(out)
             .expect("responses are UTF-8")
             .lines()
@@ -233,6 +233,19 @@ mod tests {
         let statuses: Vec<&str> = responses.iter().map(status_of).collect();
         assert_eq!(statuses.iter().filter(|s| **s == "malformed").count(), 2);
         assert_eq!(statuses.iter().filter(|s| **s == "ok").count(), 1);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_answers_malformed_and_serving_goes_on() {
+        let input = b"{\"id\": 1, \"op\": \"ping\"}\n\xff\xfe bad\n{\"id\": 2, \"op\": \"ping\"}\n";
+        let (stats, responses, _) = run(input, ServerConfig::default());
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.malformed, 1);
+        let answers: Vec<(Option<i128>, &str)> = responses
+            .iter()
+            .map(|r| (r.get("id").and_then(Json::as_int), status_of(r)))
+            .collect();
+        assert_eq!(answers, [(Some(1), "ok"), (None, "malformed"), (Some(2), "ok")]);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! shed immediately as `overloaded` (A221) with a retry-after hint
 //! instead of growing the queue without bound.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -119,7 +120,8 @@ pub struct ServeStats {
     pub panicked: u64,
     /// Jobs stopped by the deadline watchdog (A220).
     pub deadline_hits: u64,
-    /// Lines that failed to parse as requests.
+    /// Lines that failed to parse as requests (not UTF-8, not JSON, or
+    /// not a request object).
     pub malformed: u64,
     /// Whether a `shutdown` op (rather than EOF) ended the session.
     pub shutdown: bool,
@@ -193,6 +195,22 @@ impl<W: Write> Shared<'_, W> {
     /// trouble degrades the snapshot, never the daemon.
     fn snapshot_guarded(&self) {
         let _ = catch_unwind(AssertUnwindSafe(|| self.handler.snapshot()));
+    }
+}
+
+/// The answer to a line that is not a request.
+fn malformed(id: Json, error: String) -> Response {
+    let mut r = Response::bare(id, "malformed");
+    r.error = Some(error);
+    r
+}
+
+/// A line read by `read_until` without its `\n` or `\r\n`, as
+/// [`BufRead::lines`] returns it.
+fn strip_line_end(line: &[u8]) -> &[u8] {
+    match line.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => line,
     }
 }
 
@@ -318,10 +336,10 @@ fn watchdog<W: Write>(shared: &Shared<'_, W>) {
 /// # Errors
 ///
 /// Only reader I/O errors propagate; handler panics, deadline hits,
-/// malformed lines, and client write failures each degrade exactly
-/// one response.
+/// malformed lines (bytes that are not UTF-8 included), and client
+/// write failures each degrade exactly one response.
 pub fn serve<R, W, H>(
-    reader: R,
+    mut reader: R,
     writer: W,
     handler: &H,
     config: ServerConfig,
@@ -359,28 +377,43 @@ where
             .collect();
         let dog = scope.spawn(move || watchdog(shared));
 
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
+        loop {
+            // A fresh buffer per line, so one huge line is not kept
+            // for the rest of the session.
+            let mut buf = Vec::new();
+            match reader.read_until(b'\n', &mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
                 Err(e) => {
                     read_result = Err(e);
                     break;
                 }
+            }
+            let Ok(line) = std::str::from_utf8(strip_line_end(&buf)) else {
+                // Bad bytes are one bad request, not a dead stream.
+                stats.requests += 1;
+                stats.malformed += 1;
+                shared.respond(&malformed(
+                    Json::Null,
+                    "malformed request: not UTF-8".to_owned(),
+                ));
+                continue;
             };
             if line.trim().is_empty() {
                 continue;
             }
             stats.requests += 1;
             let fault = inject.as_mut().and_then(FaultPlan::draw);
-            let effective =
-                if fault == Some(Fault::Malformed) { FaultPlan::corrupt(&line) } else { line };
+            let effective = if fault == Some(Fault::Malformed) {
+                Cow::Owned(FaultPlan::corrupt(line))
+            } else {
+                Cow::Borrowed(line)
+            };
             let request = match Request::parse(&effective) {
                 Ok(r) => r,
                 Err(e) => {
                     stats.malformed += 1;
-                    let mut r = Response::bare(e.id, "malformed");
-                    r.error = Some(e.message);
-                    shared.respond(&r);
+                    shared.respond(&malformed(e.id, e.message));
                     continue;
                 }
             };

@@ -114,31 +114,9 @@ echo "== tier 1: vase-fuzz --soak (fault-injected service) =="
 ./target/release/vase-fuzz --soak
 
 echo "== tier 1: serve crash safety (kill -9 during snapshots) =="
-# Flood a daemon that snapshots after every job, kill -9 it mid-run,
-# and prove the write-temp-then-rename protocol left the cache either
-# loadable or cleanly ignored — never a hard failure.
-crash_cache="$cache_dir/crash-covers.cache"
-./target/release/vase synth crates/core/specs/funcgen.vhd \
-    --cache-file "$crash_cache" >/dev/null
-crash_req="$cache_dir/crash-requests.ndjson"
-: > "$crash_req"
-for i in $(seq 1 4000); do
-    printf '{"id": %d, "op": "synth", "path": "crates/core/specs/funcgen.vhd"}\n' "$i"
-done > "$crash_req"
-./target/release/vase serve --queue-depth 100000 --snapshot-every 1 \
-    --cache-file "$crash_cache" < "$crash_req" >/dev/null 2>&1 &
-serve_pid=$!
-sleep 0.5
-if ! kill -9 "$serve_pid" 2>/dev/null; then
-    echo "serve drained 4000 requests before kill -9; crash gate was vacuous" >&2
-    exit 1
-fi
-wait "$serve_pid" 2>/dev/null || true
-if ! ./target/release/vase synth crates/core/specs/funcgen.vhd \
-    --cache-file "$crash_cache" >/dev/null; then
-    echo "cover cache unusable after kill -9 during snapshot" >&2
-    exit 1
-fi
+# kill -9 a daemon that writes a snapshot after every job: no snapshot
+# may fail, and the cache file left behind must load (see the script).
+bash scripts/serve_crash_gate.sh ./target/release/vase
 
 echo "== tier 1: vase opt smoke over shipped specs =="
 for f in crates/core/specs/*.vhd; do

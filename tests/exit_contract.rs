@@ -121,6 +121,15 @@ fn sim_windows_that_cannot_be_recorded_are_errors() {
 /// Spawn `vase serve`, feed it request lines on stdin, and collect the
 /// parsed response lines plus the daemon's exit code.
 fn serve_round_trip(requests: &[String], cache: &std::path::Path) -> (i32, Vec<Json>) {
+    let mut input = Vec::new();
+    for line in requests {
+        writeln!(input, "{line}").expect("request buffered");
+    }
+    serve_bytes(&input, cache)
+}
+
+/// [`serve_round_trip`] over raw stdin bytes.
+fn serve_bytes(input: &[u8], cache: &std::path::Path) -> (i32, Vec<Json>) {
     let mut child = Command::new(VASE)
         .args(["serve", "--workers", "2", "--cache-file"])
         .arg(cache)
@@ -129,12 +138,12 @@ fn serve_round_trip(requests: &[String], cache: &std::path::Path) -> (i32, Vec<J
         .stderr(Stdio::null())
         .spawn()
         .expect("vase serve spawns");
-    {
-        let stdin = child.stdin.as_mut().expect("stdin piped");
-        for line in requests {
-            writeln!(stdin, "{line}").expect("request written");
-        }
-    }
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input)
+        .expect("requests written");
     let output = child.wait_with_output().expect("daemon exits");
     let responses = String::from_utf8(output.stdout)
         .expect("UTF-8 responses")
@@ -255,5 +264,27 @@ fn serve_answers_a_window_too_large_to_record_with_an_error() {
     };
     assert_eq!(status_of(2).as_deref(), Some("error"));
     assert_eq!(status_of(3).as_deref(), Some("ok"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_answers_a_line_that_is_not_utf8_and_keeps_serving() {
+    let dir = scratch_dir("utf8");
+    let input = b"{\"id\":1,\"op\":\"ping\"}\n\xff\xfe bad\n{\"id\":2,\"op\":\"ping\"}\n";
+    let (code, responses) = serve_bytes(input, &dir.join("covers.bin"));
+    assert_eq!(code, 0, "bad bytes never end the daemon");
+    let statuses: Vec<(Option<i128>, &str)> = responses
+        .iter()
+        .map(|r| {
+            (
+                r.get("id").and_then(Json::as_int),
+                r.get("status").and_then(Json::as_str).expect("status"),
+            )
+        })
+        .collect();
+    assert_eq!(
+        statuses,
+        [(Some(1), "ok"), (None, "malformed"), (Some(2), "ok")]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
