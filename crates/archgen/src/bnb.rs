@@ -18,12 +18,9 @@
 //! paper, the implementation (a) consults a per-block [`MatchCache`]
 //! so the pattern matcher runs exactly once per block per mapping call
 //! — greedy seed included — instead of once per visited decision-tree
-//! node, (b) keys the dominance memo by an allocation-free
-//! [`CoverSet`](crate::cover::CoverSet) bitset, and (c) optionally
-//! splits the decision tree across worker threads (see
-//! [`crate::parallel`]) around a shared incumbent bound.
+//! node, and (b) keys the dominance memo by an allocation-free
+//! [`CoverSet`](crate::cover::CoverSet) bitset.
 
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use vase_budget::{BudgetMeter, CancelToken};
@@ -34,9 +31,8 @@ use vase_vhif::{BlockId, GraphBounds, SignalFlowGraph};
 use crate::cache::CoverCache;
 use crate::config::{MapStats, MapperConfig, SearchStrategy};
 use crate::error::MapError;
-use crate::parallel::{run_parallel, SharedSearchState};
 use crate::plan::{Plan, Step};
-use crate::search::{Best, Driver, MemoBackend, SearchCtx};
+use crate::search::{Best, Driver, Memo, SearchCtx};
 
 /// The result of mapping one signal-flow graph.
 #[derive(Debug, Clone)]
@@ -50,10 +46,6 @@ pub struct MapResult {
 }
 
 /// Map `graph` onto a minimum-area netlist of library components.
-///
-/// With `config.parallelism > 1` (or `0` for one worker per core) the
-/// decision tree is split into subtree tasks searched concurrently; the
-/// parallel search returns the same optimal area as the sequential one.
 ///
 /// # Errors
 ///
@@ -155,16 +147,13 @@ pub(crate) fn map_graph_metered_cached(
     } else {
         None
     };
-    let jobs = config.effective_parallelism();
     let (best, mut stats) = match config.strategy {
         SearchStrategy::Guided => crate::guide::run_guided(&ctx, seed),
-        SearchStrategy::Exact if jobs <= 1 => {
-            let mut search = Search::new(&ctx, None);
-            search.best = seed;
+        SearchStrategy::Exact => {
+            let mut search = Search::new(&ctx, seed);
             search.run(Plan::new(graph));
             (search.best, search.stats)
         }
-        SearchStrategy::Exact => run_parallel(&ctx, jobs, seed),
     };
     stats.elapsed_us = start.elapsed().as_micros() as u64;
     stats.budget_exhausted = meter.exhausted();
@@ -193,33 +182,35 @@ pub(crate) fn map_graph_metered_cached(
 
 /// The exact depth-first driver: plain recursion over the branching
 /// step, bounded by `(opamps + added) · MinArea` against the incumbent.
-pub(crate) struct Search<'a> {
+struct Search<'a> {
     ctx: &'a SearchCtx<'a>,
-    pub(crate) best: Option<Best>,
-    memo: MemoBackend<'a>,
-    shared: Option<&'a SharedSearchState>,
-    pub(crate) stats: MapStats,
+    best: Option<Best>,
+    /// The fewest op amps each cover set was reached with.
+    memo: Memo<usize>,
+    stats: MapStats,
 }
 
 impl<'a> Search<'a> {
-    /// A search over the whole decision tree (`shared: None`), or a
-    /// worker search over one subtree, pruning against the shared
-    /// incumbent bound and the shared dominance memo.
-    pub(crate) fn new(ctx: &'a SearchCtx<'a>, shared: Option<&'a SharedSearchState>) -> Self {
+    /// A search from `seed`, the incumbent it must strictly improve.
+    fn new(ctx: &'a SearchCtx<'a>, seed: Option<Best>) -> Self {
         Search {
             ctx,
-            best: None,
-            memo: MemoBackend::new(ctx.config, shared.map(|s| &s.memo)),
-            shared,
+            best: seed,
+            memo: Memo::new(ctx.config),
             stats: MapStats::default(),
         }
     }
 
-    pub(crate) fn run(&mut self, plan: Plan) {
+    fn run(&mut self, plan: Plan) {
         // The anytime contract: once the budget trips, every pending
         // recursion unwinds immediately, leaving `self.best` as the
-        // incumbent to return.
-        if !self.ctx.note_visit(&mut self.stats) || self.memo.prunes(&plan, &mut self.stats) {
+        // incumbent to return. Visits arrive in preorder, so a cover
+        // set reached before with as few or fewer op amps dominates.
+        if !self.ctx.note_visit(&mut self.stats)
+            || self.memo.prunes(&plan, &mut self.stats, |&best| best <= plan.opamps, || {
+                plan.opamps
+            })
+        {
             return;
         }
         let ctx = self.ctx;
@@ -229,31 +220,12 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// The incumbent area to bound against: the local best, tightened
-    /// by the best any worker has published.
-    fn bound_area(&self) -> f64 {
-        let local = self.best.as_ref().map_or(f64::INFINITY, |b| b.area);
-        match self.shared {
-            Some(shared) => local.min(f64::from_bits(shared.best_area.load(Ordering::Relaxed))),
-            None => local,
-        }
-    }
-
     fn complete(&mut self, plan: &Plan) {
         let Ok(leaf) = self.ctx.evaluate(plan, &mut self.stats) else {
             return;
         };
-        let area = leaf.area;
-        if self.best.as_ref().is_none_or(|b| area < b.area) {
+        if self.best.as_ref().is_none_or(|b| leaf.area < b.area) {
             self.best = Some(leaf);
-        }
-        if let Some(shared) = self.shared {
-            // Publish for cross-worker bounding. Non-negative IEEE
-            // doubles order the same as their bit patterns, so an
-            // atomic integer min keeps the true minimum area.
-            shared
-                .best_area
-                .fetch_min(area.to_bits(), Ordering::Relaxed);
         }
     }
 }
@@ -267,7 +239,7 @@ impl Driver for Search<'_> {
         if !self.ctx.config.bounding {
             return false;
         }
-        let bound = self.bound_area();
+        let bound = self.best.as_ref().map_or(f64::INFINITY, |b| b.area);
         let added = self.ctx.cache.at(cur)[alt].kind.opamp_count();
         bound.is_finite() && (plan.opamps + added) as f64 * self.ctx.min_area >= bound
     }
@@ -487,10 +459,10 @@ mod tests {
     fn matcher_runs_once_per_block_per_call() {
         use vase_budget::Budget;
         use vase_library::matches_at_calls_on_thread;
-        // parallelism = 1 keeps the whole search on this thread, so the
-        // thread-local matcher-call counter sees every invocation. A
-        // limited budget or a token seeds the search with a greedy
-        // mapping, which must read the search's own match table.
+        // The search runs on this thread, so the thread-local
+        // matcher-call counter sees every invocation. A limited budget
+        // or a token seeds the search with a greedy mapping, which must
+        // read the search's own match table.
         let limited = MapperConfig {
             budget: Budget::nodes(1_000_000),
             ..MapperConfig::default()
@@ -515,77 +487,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_sequential_optimum() {
-        for graph in [fig6_graph(), buffer_chain(10)] {
-            let seq = map_graph(&graph, &estimator(), &MapperConfig::default()).expect("maps");
-            for parallelism in [2usize, 4, 8] {
-                let config = MapperConfig {
-                    parallelism,
-                    ..MapperConfig::default()
-                };
-                let par = map_graph(&graph, &estimator(), &config).expect("maps");
-                assert_eq!(
-                    par.netlist.opamp_count(),
-                    seq.netlist.opamp_count(),
-                    "parallelism={parallelism} on {}",
-                    graph.name()
-                );
-                assert!(
-                    (par.estimate.area_m2 - seq.estimate.area_m2).abs()
-                        <= seq.estimate.area_m2 * 1e-12,
-                    "parallelism={parallelism} on {}: {} vs {}",
-                    graph.name(),
-                    par.estimate.area_m2,
-                    seq.estimate.area_m2
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_infeasible_still_errors() {
-        use vase_estimate::PerformanceConstraints;
-        let g = fig6_graph();
-        let e = Estimator::new(PerformanceConstraints {
-            bandwidth_hz: 4e3,
-            signal_peak_v: 1.0,
-            max_power_w: 0.0,
-            max_area_m2: f64::INFINITY,
-        });
-        let err = map_graph(
-            &g,
-            &e,
-            &MapperConfig {
-                parallelism: 4,
-                ..MapperConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, MapError::NoFeasibleMapping);
-    }
-
-    #[test]
     fn node_budget_returns_verifier_clean_incumbent() {
         use vase_budget::Budget;
         let g = buffer_chain(12);
         let unbudgeted = map_graph(&g, &estimator(), &MapperConfig::default()).expect("maps");
-        for parallelism in [1usize, 4] {
-            let config = MapperConfig {
-                budget: Budget::nodes(8),
-                parallelism,
-                ..MapperConfig::default()
-            };
-            let result = map_graph(&g, &estimator(), &config).expect("anytime mapping");
-            assert!(
-                result.stats.budget_exhausted,
-                "8 nodes cannot finish a 12-block chain (parallelism={parallelism})"
-            );
-            result.netlist.validate().expect("incumbent is structurally valid");
-            assert!(result.estimate.feasible(), "incumbent meets constraints");
-            // The incumbent can only be as good as or worse than the
-            // proven optimum.
-            assert!(result.estimate.area_m2 >= unbudgeted.estimate.area_m2 * 0.999);
-        }
+        let config = MapperConfig {
+            budget: Budget::nodes(8),
+            ..MapperConfig::default()
+        };
+        let result = map_graph(&g, &estimator(), &config).expect("anytime mapping");
+        assert!(result.stats.budget_exhausted, "8 nodes cannot finish a 12-block chain");
+        result.netlist.validate().expect("incumbent is structurally valid");
+        assert!(result.estimate.feasible(), "incumbent meets constraints");
+        // The incumbent can only be as good as or worse than the
+        // proven optimum.
+        assert!(result.estimate.area_m2 >= unbudgeted.estimate.area_m2 * 0.999);
     }
 
     #[test]
@@ -689,9 +605,9 @@ mod tests {
 
     #[test]
     fn range_prune_matches_across_strategies() {
-        // The pruning table is strategy-independent: exact, guided, and
-        // parallel searches see the same pruned alternatives and agree
-        // on the result.
+        // The pruning table is strategy-independent: the exact and the
+        // guided search see the same pruned alternatives and agree on
+        // the result.
         let mut g = SignalFlowGraph::new("two_stage");
         let x = g.add(BlockKind::Input { name: "x".into() });
         let s1 = g.add(BlockKind::Scale { gain: 40.0 });
@@ -706,13 +622,9 @@ mod tests {
 
         let exact = MapperConfig { range_prune: true, ..MapperConfig::default() };
         let guided = MapperConfig { range_prune: true, ..MapperConfig::guided() };
-        let parallel = MapperConfig { range_prune: true, parallelism: 4, ..MapperConfig::default() };
         let e = map_with_bounds(&g, &estimator(), &exact, Some(&bounds)).expect("maps");
         let u = map_with_bounds(&g, &estimator(), &guided, Some(&bounds)).expect("maps");
-        let p = map_with_bounds(&g, &estimator(), &parallel, Some(&bounds)).expect("maps");
         assert_eq!(e.netlist, u.netlist);
-        assert_eq!(e.netlist.opamp_count(), p.netlist.opamp_count());
-        assert!((e.estimate.area_m2 - p.estimate.area_m2).abs() <= e.estimate.area_m2 * 1e-12);
     }
 
     #[test]

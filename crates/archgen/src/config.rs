@@ -16,14 +16,14 @@ pub enum SearchStrategy {
     #[default]
     Exact,
     /// Model-guided best-first search: candidates are expanded in order
-    /// of an estimator-derived score (placed-component area plus a
-    /// remaining-coverage heuristic) and pruned against the incumbent
-    /// with the *admissible* placed-area lower bound — a much tighter
-    /// bound than `opamps · MinArea`. Run to completion it returns the
-    /// same optimal netlist as [`SearchStrategy::Exact`]
-    /// (property-tested bit-identical); under a limited
-    /// [`Budget`] it is anytime exactly like the exact search. The
-    /// guided search is sequential — `parallelism` is ignored.
+    /// of an estimator-derived lower bound on their final area (placed
+    /// component area plus an admissible completion bound over the
+    /// uncovered blocks) and pruned when that bound exceeds the
+    /// incumbent — a much tighter bound than `opamps · MinArea`. Run to
+    /// completion it returns the netlist of [`SearchStrategy::Exact`]
+    /// bit for bit wherever the two find the same area (tested on the
+    /// corpus and on generated graphs); under a limited [`Budget`] it
+    /// is anytime exactly like the exact search.
     Guided,
 }
 
@@ -47,24 +47,16 @@ pub struct MapperConfig {
     /// output drives more than this many consumers.
     pub fanout_limit: usize,
     /// Safety cap on visited decision-tree nodes; the search returns
-    /// the best solution found so far when exceeded. Shared across all
-    /// workers in a parallel run.
+    /// the best solution found so far when exceeded.
     pub node_limit: u64,
     /// Dominance memoization (an extension beyond the paper): prune a
     /// partial mapping whose covered-block set was already reached with
     /// no more op amps. Collapses the exponential revisiting the paper
-    /// identifies as the algorithm's scaling limit, while preserving
-    /// the optimum on every workload we test.
+    /// identifies as the algorithm's scaling limit. It compares op
+    /// amps, not area, so it can drop the area optimum among mappings
+    /// of equal op-amp count (seen on generated control loops, where
+    /// the loss is below 0.1% of the area).
     pub memoize: bool,
-    /// Worker threads for the branch-and-bound search: `0` auto-detects
-    /// from the host's available cores, `1` (the default) runs the
-    /// sequential search, `n > 1` expands the top of the decision tree
-    /// into about four subtree tasks per worker, executed by `n` scoped
-    /// threads around a shared incumbent bound. The parallel search
-    /// returns the same optimal area as the sequential one
-    /// (property-tested). The guided strategy ignores it.
-    #[serde(default = "default_parallelism")]
-    pub parallelism: usize,
     /// Caller-facing compute budget (wall-clock deadline and/or node
     /// cap) on top of the `node_limit` safety cap. When any limit here
     /// is set the search runs in *anytime* mode: a greedy mapping seeds
@@ -89,10 +81,6 @@ pub struct MapperConfig {
     pub range_prune: bool,
 }
 
-fn default_parallelism() -> usize {
-    1
-}
-
 impl Default for MapperConfig {
     fn default() -> Self {
         MapperConfig {
@@ -103,7 +91,6 @@ impl Default for MapperConfig {
             fanout_limit: 3,
             node_limit: 2_000_000,
             memoize: true,
-            parallelism: default_parallelism(),
             budget: Budget::unlimited(),
             strategy: SearchStrategy::default(),
             range_prune: false,
@@ -135,33 +122,12 @@ impl MapperConfig {
         }
     }
 
-    /// The default configuration with auto-detected parallelism: one
-    /// worker per available core.
-    pub fn parallel() -> Self {
-        MapperConfig {
-            parallelism: 0,
-            ..MapperConfig::default()
-        }
-    }
-
     /// The default configuration with the model-guided best-first
     /// search strategy.
     pub fn guided() -> Self {
         MapperConfig {
             strategy: SearchStrategy::Guided,
             ..MapperConfig::default()
-        }
-    }
-
-    /// The number of worker threads this configuration resolves to:
-    /// `parallelism`, or the host's available core count when it is
-    /// `0` (auto).
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
         }
     }
 
@@ -220,8 +186,7 @@ pub struct MapStats {
 
 impl MapStats {
     /// Accumulate `other` into `self` (summing every counter,
-    /// including elapsed time — callers tracking wall clock across
-    /// concurrent runs should overwrite `elapsed_us` afterwards).
+    /// including elapsed time).
     pub fn merge(&mut self, other: &MapStats) {
         self.visited_nodes += other.visited_nodes;
         self.pruned_nodes += other.pruned_nodes;
@@ -297,7 +262,6 @@ mod tests {
         let c = MapperConfig::default();
         assert!(c.bounding && c.sequencing && c.sharing && c.memoize);
         assert!(c.match_options.multi_block && c.match_options.transforms);
-        assert_eq!(c.parallelism, 1);
         assert_eq!(c.strategy, SearchStrategy::Exact);
     }
 
@@ -328,7 +292,6 @@ mod tests {
         // default staying false.
         assert!(!MapperConfig::default().range_prune);
         assert!(!MapperConfig::guided().range_prune);
-        assert!(!MapperConfig::parallel().range_prune);
         let mut a = MapStats { range_pruned: 2, ..MapStats::default() };
         let b = MapStats { range_pruned: 3, ..MapStats::default() };
         a.merge(&b);
@@ -350,17 +313,6 @@ mod tests {
         let c = MapperConfig::exhaustive_memoized();
         assert!(!c.bounding);
         assert!(c.memoize);
-    }
-
-    #[test]
-    fn effective_parallelism_resolves_auto() {
-        assert!(MapperConfig::parallel().effective_parallelism() >= 1);
-        let c = MapperConfig {
-            parallelism: 3,
-            ..MapperConfig::default()
-        };
-        assert_eq!(c.effective_parallelism(), 3);
-        assert_eq!(MapperConfig::default().effective_parallelism(), 1);
     }
 
     #[test]

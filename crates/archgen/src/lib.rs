@@ -8,8 +8,7 @@
 //!
 //! * [`map_graph`] — the optimal **branch-and-bound** mapper with the
 //!   paper's branching, bounding, and sequencing rules plus hardware
-//!   sharing (Fig. 5), optionally parallelized over subtree tasks with
-//!   a shared incumbent bound (`MapperConfig::parallelism`);
+//!   sharing (Fig. 5);
 //! * [`map_graph_greedy`] — the faster heuristic baseline the paper's
 //!   conclusion anticipates;
 //! * [`map_fsm`] — the event-driven part's mapping onto Schmitt
@@ -17,10 +16,10 @@
 //! * [`synthesize`] — the full-design driver combining both parts.
 //!
 //! One Fig. 5 branching step, dominance memo and leaf evaluation (the
-//! private `search` module) serve four drivers: the exact DFS, the
-//! guided best-first search ([`SearchStrategy::Guided`]), the parallel
-//! frontier split, and the greedy heuristic, which also seeds every
-//! budgeted or cancellable search from that search's own match table.
+//! private `search` module) serve three sequential drivers: the exact
+//! DFS, the guided best-first search ([`SearchStrategy::Guided`]), and
+//! the greedy heuristic, which also seeds every budgeted or cancellable
+//! search from that search's own match table.
 //! Each layer has one plain and one full entry point: [`map_graph`] /
 //! [`map_graph_with_cache`] per graph, [`synthesize`] /
 //! [`synthesize_with_cache`] per design.
@@ -57,7 +56,6 @@ pub mod error;
 pub mod fsm_map;
 pub mod greedy;
 mod guide;
-mod parallel;
 pub mod plan;
 mod search;
 
@@ -95,13 +93,9 @@ pub struct SynthesisResult {
 }
 
 /// Synthesize a whole VHIF design: branch-and-bound over each
-/// signal-flow graph, direct mapping of each FSM, merged into one
-/// netlist.
-///
-/// With `config.parallelism != 1` and several signal-flow graphs, the
-/// graphs are mapped concurrently (the configured worker budget is
-/// divided among them); `stats.elapsed_us` then reports the wall-clock
-/// time of the whole mapping phase rather than the per-graph sum.
+/// signal-flow graph in design order, direct mapping of each FSM,
+/// merged into one netlist. `stats.elapsed_us` reports the wall-clock
+/// time of the whole mapping phase.
 ///
 /// # Errors
 ///
@@ -144,7 +138,6 @@ pub fn synthesize_with_cache(
     let start = Instant::now();
     let seed_incumbent = config.budget.is_limited() || token.is_some();
     let meter = BudgetMeter::new(config.effective_budget(), token);
-    let meter = &meter;
     // Proven value bounds (attached by the `vase-analyze` fixed point)
     // for one graph, looked up by name. Only consulted when
     // `config.range_prune` is on; the mapper receives `None` otherwise
@@ -155,59 +148,18 @@ pub fn synthesize_with_cache(
         }
         design.bounds.iter().find(|b| b.graph == graph.name())
     };
-    let jobs = config.effective_parallelism();
-    let results: Vec<Result<MapResult, MapError>> = if jobs > 1 && design.graphs.len() > 1 {
-        // Spread the worker budget across the graphs; each graph's own
-        // search may still split further when the budget allows.
-        let per_graph = MapperConfig {
-            parallelism: (jobs / design.graphs.len()).max(1),
-            ..*config
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = design
-                .graphs
-                .iter()
-                .map(|graph| {
-                    let bounds = bounds_for(graph);
-                    scope.spawn(move || {
-                        bnb::map_graph_metered_cached(
-                            graph,
-                            estimator,
-                            &per_graph,
-                            meter,
-                            seed_incumbent,
-                            cache,
-                            bounds,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("graph mapper panicked"))
-                .collect()
-        })
-    } else {
-        design
-            .graphs
-            .iter()
-            .map(|graph| {
-                bnb::map_graph_metered_cached(
-                    graph,
-                    estimator,
-                    config,
-                    meter,
-                    seed_incumbent,
-                    cache,
-                    bounds_for(graph),
-                )
-            })
-            .collect()
-    };
     let mut netlist = Netlist::new();
     let mut stats = MapStats::default();
-    for result in results {
-        let result = result?;
+    for graph in &design.graphs {
+        let result = bnb::map_graph_metered_cached(
+            graph,
+            estimator,
+            config,
+            &meter,
+            seed_incumbent,
+            cache,
+            bounds_for(graph),
+        )?;
         merge(&mut netlist, result.netlist);
         stats.merge(&result.stats);
     }
@@ -367,9 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_synthesis_matches_sequential() {
+    fn multi_graph_synthesis_merges_each_graph_in_design_order() {
         // A two-graph design: the receiver's continuous part plus an
-        // independent gain stage, mapped concurrently.
+        // independent gain stage. Each graph maps as it would alone, and
+        // the merged netlist keeps design order.
         let mut design = receiver_vhif();
         let mut g2 = SignalFlowGraph::new("aux");
         let x = g2.add(BlockKind::Input {
@@ -383,19 +336,23 @@ mod tests {
         g2.connect(s, y, 0).expect("wire");
         design.graphs.push(g2);
 
-        let seq =
-            synthesize(&design, &Estimator::default(), &MapperConfig::default()).expect("maps");
-        let par_config = MapperConfig {
-            parallelism: 4,
-            ..MapperConfig::default()
-        };
-        let par = synthesize(&design, &Estimator::default(), &par_config).expect("maps");
-        par.netlist.validate().expect("valid");
-        assert_eq!(par.netlist.opamp_count(), seq.netlist.opamp_count());
-        assert!(
-            (par.estimate.area_m2 - seq.estimate.area_m2).abs() <= seq.estimate.area_m2 * 1e-12
+        let estimator = Estimator::default();
+        let config = MapperConfig::default();
+        let result = synthesize(&design, &estimator, &config).expect("maps");
+        result.netlist.validate().expect("valid");
+        let alone: Vec<_> = design
+            .graphs
+            .iter()
+            .map(|g| map_graph(g, &estimator, &config).expect("maps"))
+            .collect();
+        let fsm_opamps = 1; // the receiver's zero-cross detector
+        assert_eq!(
+            result.netlist.opamp_count(),
+            alone.iter().map(|r| r.netlist.opamp_count()).sum::<usize>() + fsm_opamps
         );
-        assert_eq!(par.control_bindings.len(), seq.control_bindings.len());
+        let outputs: Vec<&str> = result.netlist.outputs.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(outputs, ["earph", "aux_out"]);
+        assert_eq!(result.stats.cache_hits + result.stats.cache_misses, 0);
     }
 
     #[test]

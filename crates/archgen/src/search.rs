@@ -7,13 +7,12 @@
 //! filter, **share** before **allocate**, and the spec, range-prune and
 //! driver-bound filters on allocations. Each child it hands a driver is
 //! one [`Step`], which [`Plan::child`] appends to a copy of the plan's
-//! step list. Next to it live the one dominance memo ([`MemoBackend`])
-//! and the one leaf evaluation ([`SearchCtx::evaluate`]), which builds
-//! the plan's components from its steps, resolves and estimates them.
-//! The exact DFS ([`crate::bnb`]), guided search ([`crate::guide`]),
-//! parallel split ([`crate::parallel`]) and greedy heuristic
-//! ([`crate::greedy`], own choice rule) keep only their frontier order,
-//! bound and leaf tie-break.
+//! step list. Next to it live the one dominance memo ([`Memo`]) and the
+//! one leaf evaluation ([`SearchCtx::evaluate`]), which builds the
+//! plan's components from its steps, resolves and estimates them. The
+//! exact DFS ([`crate::bnb`]), guided search ([`crate::guide`]) and
+//! greedy heuristic ([`crate::greedy`], own choice rule) keep only
+//! their frontier order, bound, memo record and leaf tie-break.
 
 use std::collections::HashMap;
 
@@ -25,7 +24,6 @@ use vase_vhif::{BlockId, GraphBounds, SignalFlowGraph};
 use crate::config::{MapStats, MapperConfig};
 use crate::cover::CoverSet;
 use crate::error::MapError;
-use crate::parallel::ShardedMemo;
 use crate::plan::{resolve, Plan, PlannedComponent, Step};
 
 /// What a driver plugs into the branching step: its counters, its
@@ -41,7 +39,7 @@ pub(crate) trait Driver {
     fn child(&mut self, plan: &Plan, step: Step);
 }
 
-/// The best complete mapping found by one search (or worker).
+/// The best complete mapping found by one search.
 pub(crate) struct Best {
     pub(crate) area: f64,
     pub(crate) netlist: Netlist,
@@ -52,7 +50,7 @@ pub(crate) struct Best {
     pub(crate) opamps: usize,
 }
 
-/// Immutable, thread-shareable context of one mapping call: the graph,
+/// Immutable context of one mapping call: the graph,
 /// the precomputed match table and per-alternative spec feasibility,
 /// the block coverage order, and the bound constant.
 pub(crate) struct SearchCtx<'a> {
@@ -65,9 +63,10 @@ pub(crate) struct SearchCtx<'a> {
     pub(crate) spec_ok: Vec<Vec<bool>>,
     /// `alt_area[block][alternative]`: the matched component's
     /// estimated area. The guided search accumulates these as its
-    /// admissible placed-area bound; computed alongside `spec_ok` from
-    /// the same (memoized) estimates, so the search itself never calls
-    /// the estimator per node.
+    /// placed area and derives its completion bound from them
+    /// ([`SearchCtx::completion_bounds`]); computed alongside `spec_ok`
+    /// from the same (memoized) estimates, so the search itself never
+    /// calls the estimator per node.
     pub(crate) alt_area: Vec<Vec<f64>>,
     /// `range_pruned[block][alternative]`: whether a proven value bound
     /// showed the alternative dominated at the proven swing (see
@@ -154,7 +153,11 @@ impl<'a> SearchCtx<'a> {
             if !fits(plan, m) {
                 continue;
             }
-            let step = |share| Step { block: cur, alt: alt as u32, share };
+            let step = |share| Step {
+                block: cur,
+                alt: alt as u32,
+                share,
+            };
             // Share branch first (sequencing rule: sharing before
             // allocation).
             if let share @ Some(_) = self.share_target(plan, m) {
@@ -234,6 +237,68 @@ impl<'a> SearchCtx<'a> {
         })
     }
 
+    /// The guided search's completion bound per block, `lb[b]`: the
+    /// least area per covered block, `alt_area / |covered|`, over every
+    /// match-table alternative that covers `b`. When sharing is on, an
+    /// alternative with a twin elsewhere in the table counts zero: the
+    /// same kind and inputs with a disjoint cover is the only kind of
+    /// alternative a plan can allocate and later share onto (a share
+    /// must fit), and a share places nothing. A complete mapping's
+    /// estimate is the sum of its components' areas plus non-negative
+    /// fan-out followers; spreading each component's area evenly over
+    /// the blocks it covers gives every block at least its `lb`, so the
+    /// sum of `lb` over a plan's uncovered blocks never exceeds the
+    /// area still to be placed.
+    pub(crate) fn completion_bounds(&self) -> Vec<f64> {
+        let twin = |x: &PatternMatch, y: &PatternMatch| {
+            x.kind == y.kind
+                && x.inputs == y.inputs
+                && !x.covered.iter().any(|b| y.covered.contains(b))
+        };
+        // Twins have equal inputs and, their kinds being equal, bitwise
+        // equal estimates: sorted by area bits and a hash of the inputs,
+        // they sit in one run, and only a run's members are compared.
+        let inputs_hash = |m: &PatternMatch| {
+            m.inputs.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ b.index() as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let mut alts: Vec<(u64, u64, &PatternMatch)> = Vec::new();
+        for (i, areas) in self.alt_area.iter().enumerate() {
+            let matches = self.cache.at(BlockId::from_index(i));
+            alts.extend(
+                matches
+                    .iter()
+                    .zip(areas)
+                    .map(|(m, a)| (a.to_bits(), inputs_hash(m), m)),
+            );
+        }
+        alts.sort_unstable_by_key(|&(area, hash, _)| (area, hash));
+        let mut lb = vec![f64::INFINITY; self.graph.len()];
+        for run in alts.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            for (k, &(area, _, m)) in run.iter().enumerate() {
+                let shares = self.config.sharing
+                    && run.iter().enumerate().any(|(j, y)| j != k && twin(m, y.2));
+                let per_block = if shares {
+                    0.0
+                } else {
+                    f64::from_bits(area) / m.covered.len().max(1) as f64
+                };
+                for b in &m.covered {
+                    lb[b.index()] = lb[b.index()].min(per_block);
+                }
+            }
+        }
+        // A block no alternative covers is pre-covered (an interface
+        // block) or makes every plan incomplete: it bounds nothing.
+        for x in &mut lb {
+            if !x.is_finite() {
+                *x = 0.0;
+            }
+        }
+        lb
+    }
+
     /// Whether the swing-aware dominance table marked this alternative
     /// pruned (always false when range pruning is off).
     fn is_range_pruned(&self, block: BlockId, alt: usize) -> bool {
@@ -249,51 +314,43 @@ pub(crate) fn fits(plan: &Plan, m: &PatternMatch) -> bool {
     !m.covered.iter().any(|&b| plan.is_covered(b))
 }
 
-/// Dominance-memo storage: disabled, owned by one search, or shared
-/// across parallel workers.
-pub(crate) enum MemoBackend<'a> {
-    Off,
-    Local(HashMap<CoverSet, usize>),
-    Shared(&'a ShardedMemo),
-}
+/// The dominance memo, off unless `config.memoize`: one record per
+/// cover set reached, kept by the visit that dominates later ones. The
+/// exact DFS records the fewest op amps; the guided search adds the
+/// visit's branch path for its tie rule.
+pub(crate) struct Memo<R>(Option<HashMap<CoverSet, R>>);
 
-impl<'a> MemoBackend<'a> {
-    /// The memo a search under `config` keeps: none without
-    /// `config.memoize`, else `shared` or a map of its own.
-    pub(crate) fn new(config: &MapperConfig, shared: Option<&'a ShardedMemo>) -> Self {
-        if !config.memoize {
-            return MemoBackend::Off;
-        }
-        shared.map_or_else(|| MemoBackend::Local(HashMap::new()), MemoBackend::Shared)
+impl<R> Memo<R> {
+    pub(crate) fn new(config: &MapperConfig) -> Self {
+        Memo(config.memoize.then(HashMap::new))
     }
 
-    /// Whether an earlier visit dominates `plan` (counted in
-    /// `stats.memo_pruned`); records the visit otherwise.
-    pub(crate) fn prunes(&mut self, plan: &Plan, stats: &mut MapStats) -> bool {
-        let dominated = match self {
-            MemoBackend::Off => false,
-            MemoBackend::Local(map) => dominated(map, &plan.covered, plan.opamps),
-            MemoBackend::Shared(memo) => memo.dominated(&plan.covered, plan.opamps),
+    /// Whether the record of `plan`'s cover set dominates this visit
+    /// (`dominates(record)`, counted in `stats.memo_pruned`); otherwise
+    /// the visit's `record()` replaces it.
+    pub(crate) fn prunes(
+        &mut self,
+        plan: &Plan,
+        stats: &mut MapStats,
+        dominates: impl FnOnce(&R) -> bool,
+        record: impl FnOnce() -> R,
+    ) -> bool {
+        let Some(map) = &mut self.0 else {
+            return false;
         };
-        if dominated {
-            stats.memo_pruned += 1;
-        }
-        dominated
-    }
-}
-
-/// The dominance rule: a cover set reached before with as few or fewer
-/// op amps dominates this visit; otherwise the visit is recorded.
-pub(crate) fn dominated(map: &mut HashMap<CoverSet, usize>, key: &CoverSet, opamps: usize) -> bool {
-    match map.get_mut(key) {
-        Some(best) if *best <= opamps => true,
-        Some(best) => {
-            *best = opamps;
-            false
-        }
-        None => {
-            map.insert(key.clone(), opamps);
-            false
+        match map.get_mut(&plan.covered) {
+            Some(best) if dominates(best) => {
+                stats.memo_pruned += 1;
+                true
+            }
+            Some(best) => {
+                *best = record();
+                false
+            }
+            None => {
+                map.insert(plan.covered.clone(), record());
+                false
+            }
         }
     }
 }

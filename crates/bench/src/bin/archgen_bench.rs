@@ -1,5 +1,5 @@
 //! Emit `BENCH_archgen.json`: mapper search cost on the five Table 1
-//! applications (sequential vs parallel vs guided) and search scaling
+//! applications (exact vs guided) and search scaling
 //! on seeded synthetic graphs (exact vs guided vs cover-cache), so the
 //! performance trajectory of the architecture generator is recorded
 //! run-over-run.
@@ -9,10 +9,10 @@
 //! ```
 //!
 //! For each Table 1 application the full flow is synthesized `REPS`
-//! times with the sequential mapper, with two mapper workers, and with
-//! the model-guided best-first search run to completion; the fastest
-//! mapping phase of each is reported and the guided op-amp count is
-//! asserted equal to the exact one (guided-to-completion is exact).
+//! times with the exact search and with the model-guided best-first
+//! search run to completion; the fastest mapping phase of each is
+//! reported and the guided op-amp count is asserted equal to the exact
+//! one.
 //!
 //! For each synthetic family (`filter_chain`, `control_loop`,
 //! `fanout_mesh`) at 25/50/100/200 operation blocks, one mapping run
@@ -39,17 +39,12 @@ use vase_bench::synthetic::{FAMILIES, SIZES};
 use vase_bench::SEED;
 
 const REPS: usize = 3;
-/// Mapper worker threads of the `parallel` column. Explicit rather than
-/// auto-detected, so the column never silently times the sequential
-/// search on a host that reports one core.
-const PARALLEL_JOBS: usize = 2;
 /// Per-search wall-clock deadline for the synthetic sweep: a backstop,
 /// not the limit that binds. The mapper's stock 2M-node cap
-/// (`MapperConfig::node_limit`) stops a search first — the exact search
-/// on `control_loop` at 100 blocks (~10.5M nodes needed) and both
-/// searches at 200 blocks — while the guided search completes
-/// `control_loop` at 100 blocks (~1.3M nodes): the model-guided bound
-/// proves optimality with ~8× fewer visits.
+/// (`MapperConfig::node_limit`) stops the exact search first on
+/// `control_loop` at 100 and 200 blocks (~10.5M nodes needed at 100),
+/// while the guided search's completion bound proves the optimum there
+/// in about a hundred visits.
 const DEADLINE_MS: u64 = 60_000;
 const SMOKE_DEADLINE_MS: u64 = 250;
 
@@ -80,11 +75,8 @@ impl RunRecord {
 struct AppRecord {
     application: String,
     opamps: usize,
-    sequential: RunRecord,
-    parallel: RunRecord,
+    exact: RunRecord,
     guided: RunRecord,
-    /// Sequential wall time over parallel wall time (mapping phase).
-    speedup: f64,
 }
 
 impl AppRecord {
@@ -92,10 +84,8 @@ impl AppRecord {
         Json::obj([
             ("application", Json::str(self.application.clone())),
             ("opamps", Json::Int(self.opamps as i128)),
-            ("sequential", self.sequential.to_json()),
-            ("parallel", self.parallel.to_json()),
+            ("exact", self.exact.to_json()),
             ("guided", self.guided.to_json()),
-            ("speedup", Json::Num(self.speedup)),
         ])
     }
 }
@@ -183,7 +173,7 @@ fn best_run(source: &str, mapper: MapperConfig, reps: usize) -> Result<(MapStats
     Ok((best.expect("reps >= 1"), opamps))
 }
 
-/// The Table 1 corpus: sequential vs parallel vs guided-to-completion.
+/// The Table 1 corpus: exact vs guided-to-completion.
 fn bench_corpus(reps: usize) -> Result<Vec<AppRecord>, Box<dyn std::error::Error>> {
     static BENCHMARKS: [vase::benchmarks::Benchmark; 5] = [
         vase::benchmarks::RECEIVER,
@@ -198,40 +188,26 @@ fn bench_corpus(reps: usize) -> Result<Vec<AppRecord>, Box<dyn std::error::Error
     };
     let mut apps = Vec::new();
     for b in &BENCHMARKS {
-        let (seq, seq_opamps) = best_run(b.source, MapperConfig::default(), reps)?;
-        let parallel = MapperConfig {
-            parallelism: PARALLEL_JOBS,
-            ..MapperConfig::default()
-        };
-        let (par, par_opamps) = best_run(b.source, parallel, reps)?;
+        let (exact, exact_opamps) = best_run(b.source, MapperConfig::default(), reps)?;
         let (gui, gui_opamps) = best_run(b.source, guided_config, reps)?;
         assert_eq!(
-            seq_opamps, par_opamps,
-            "{}: parallel mapping changed the architecture",
-            b.name
-        );
-        assert_eq!(
-            seq_opamps, gui_opamps,
+            exact_opamps, gui_opamps,
             "{}: guided-to-completion cost differs from exact",
             b.name
         );
-        let speedup = seq.elapsed_us as f64 / par.elapsed_us.max(1) as f64;
         println!(
-            "{:<22} seq {:>10} | par {:>10} | guided {:>10} | speedup {:.2}x ({} visited)",
+            "{:<22} exact {:>10} ({} visited) | guided {:>10} ({} visited)",
             b.name,
-            format!("{} µs", seq.elapsed_us),
-            format!("{} µs", par.elapsed_us),
+            format!("{} µs", exact.elapsed_us),
+            exact.visited_nodes,
             format!("{} µs", gui.elapsed_us),
-            speedup,
-            seq.visited_nodes,
+            gui.visited_nodes,
         );
         apps.push(AppRecord {
             application: b.name.to_owned(),
-            opamps: seq_opamps,
-            sequential: RunRecord::from_stats(&seq),
-            parallel: RunRecord::from_stats(&par),
+            opamps: exact_opamps,
+            exact: RunRecord::from_stats(&exact),
             guided: RunRecord::from_stats(&gui),
-            speedup,
         });
     }
     Ok(apps)
@@ -321,7 +297,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = Json::obj([
         ("benchmark", Json::str("archgen")),
         ("smoke", Json::Bool(smoke)),
-        ("jobs", Json::Int(PARALLEL_JOBS as i128)),
         ("repetitions", Json::Int(reps as i128)),
         ("deadline_ms", Json::Int(deadline_ms as i128)),
         ("seed", Json::Int(SEED as i128)),
@@ -332,6 +307,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ]);
     let path = vase_bench::write_report("archgen", smoke, &report)?;
-    println!("\nwritten to {} ({PARALLEL_JOBS} worker(s))", path.display());
+    println!("\nwritten to {}", path.display());
     Ok(())
 }

@@ -10,18 +10,15 @@
 //! vase synth   <file.vhd>... [options] synthesize to an op-amp netlist
 //!     -O0|-O1|-O2       optimization level for the VHIF passes (default -O0)
 //!     --greedy          use the greedy heuristic instead of branch-and-bound
-//!     --jobs <n>        mapper worker threads (0 = one per core, default 1);
-//!                       the top of the decision tree splits into about
-//!                       four subtree tasks per worker (guided ignores it)
 //!     --deadline-ms <t> mapping wall-clock budget; on exhaustion the best
 //!                       incumbent architecture is returned (exit code 3)
 //!     --max-nodes <n>   mapping explored-node budget (same anytime contract)
 //!     --strategy exact|guided  mapping search: exhaustive branch-and-bound
 //!                       (default) or model-guided best-first, which prunes on
-//!                       estimated placed area and returns bit-identical
-//!                       results when run to completion (both run the one
-//!                       shared Fig. 5 branching step; the greedy heuristic
-//!                       and the parallel split call it too)
+//!                       a lower bound of the final area and returns the
+//!                       exact search's netlist when run to completion (both
+//!                       run the one shared Fig. 5 branching step; the
+//!                       greedy heuristic calls it too)
 //!     --cache-file <p>  persistent content-addressed cover cache: loaded
 //!                       before mapping (when the file exists), saved after;
 //!                       structurally repeated graphs then map in O(lookup)
@@ -69,7 +66,8 @@
 //!                           point with no new cover since the last save
 //!                           writes nothing
 //! vase table1 [--jobs <n>]             regenerate the paper's Table 1
-//!     --jobs <n>        synthesize the five applications concurrently
+//!     --jobs <n>        synthesize up to <n> of the five applications
+//!                       concurrently (0 = one per core, default 1)
 //!     --deadline-ms/--max-nodes  mapping budget, as in `synth`
 //!
 //! `sim`, `serve` and `table1` also accept the `-O` levels of `synth`.
@@ -162,7 +160,7 @@ const LINT: FlagSet = flags("lint", "--format --deny", "", false);
 const ANALYZE: FlagSet = flags("analyze", "--format", "", false);
 const SYNTH: FlagSet = flags(
     "synth",
-    "--deadline-ms --max-nodes --strategy --jobs --cache-file --format --spice",
+    "--deadline-ms --max-nodes --strategy --cache-file --format --spice",
     "--greedy --range-prune",
     true,
 );
@@ -286,7 +284,7 @@ fn strategy_flag(args: &[String]) -> Result<Option<SearchStrategy>, String> {
     }
 }
 
-/// Parse `--jobs <n>` (`0` = one worker per core).
+/// Parse `--jobs <n>` (`0` = one per core).
 fn jobs_flag(args: &[String]) -> Result<Option<usize>, String> {
     match flag_value(args, "--jobs") {
         None => Ok(None),
@@ -405,11 +403,10 @@ fn cmd_analyze(args: &[String]) -> Result<u8, String> {
 
 fn cmd_synth(args: &[String]) -> Result<u8, String> {
     let greedy = args.iter().any(|a| a == "--greedy");
-    let mut mapper = MapperConfig::default();
-    if let Some(jobs) = jobs_flag(args)? {
-        mapper.parallelism = jobs;
-    }
-    mapper.budget = budget_flags(args)?;
+    let mut mapper = MapperConfig {
+        budget: budget_flags(args)?,
+        ..MapperConfig::default()
+    };
     if let Some(strategy) = strategy_flag(args)? {
         mapper.strategy = strategy;
     }
@@ -928,11 +925,10 @@ fn cmd_table1(args: &[String]) -> Result<u8, String> {
         vase::benchmarks::FUNCTION_GENERATOR,
     ];
     TABLE1.inputs(args)?;
-    let mut mapper = MapperConfig::default();
-    if let Some(jobs) = jobs_flag(args)? {
-        mapper.parallelism = jobs;
-    }
-    mapper.budget = budget_flags(args)?;
+    let mut mapper = MapperConfig {
+        budget: budget_flags(args)?,
+        ..MapperConfig::default()
+    };
     if let Some(strategy) = strategy_flag(args)? {
         mapper.strategy = strategy;
     }
@@ -942,29 +938,29 @@ fn cmd_table1(args: &[String]) -> Result<u8, String> {
         opt_level,
         ..FlowOptions::default()
     };
-    // With a worker budget, synthesize the five applications
-    // concurrently (each app's mapper stays sequential; the budget is
-    // spent across apps).
-    let results: Vec<Result<vase::Table1Row, String>> = if mapper.effective_parallelism() > 1 {
-        let app_options = FlowOptions {
-            mapper: MapperConfig {
-                budget: mapper.budget,
-                strategy: mapper.strategy,
-                ..MapperConfig::default()
-            },
-            opt_level,
-            ..FlowOptions::default()
-        };
+    let jobs = match jobs_flag(args)?.unwrap_or(1) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    // With several jobs, synthesize up to that many applications at
+    // once (each app's mapper stays sequential).
+    let results: Vec<Result<vase::Table1Row, String>> = if jobs > 1 {
         std::thread::scope(|scope| {
-            let app_options = &app_options;
+            let options = &options;
             BENCHMARKS
-                .iter()
-                .map(|b| {
-                    scope.spawn(move || vase::table1_row(b, app_options).map_err(|e| e.to_string()))
+                .chunks(jobs)
+                .flat_map(|chunk| {
+                    chunk
+                        .iter()
+                        .map(|b| {
+                            scope.spawn(move || {
+                                vase::table1_row(b, options).map_err(|e| e.to_string())
+                            })
+                        })
+                        .collect::<Vec<_>>()
+                        .into_iter()
+                        .map(|h| h.join().expect("table1 worker panicked"))
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("table1 worker panicked"))
                 .collect()
         })
     } else {

@@ -20,7 +20,8 @@
 //!   best-so-far results the handler salvaged;
 //! * requests beyond `--queue-depth` are shed immediately as
 //!   `overloaded` with diagnostic `A221` and a retry-after hint;
-//! * a malformed line answers `malformed` without touching the pool;
+//! * a malformed line answers `malformed` without touching the pool,
+//!   and a line longer than [`MAX_LINE_BYTES`] is skipped unbuffered;
 //! * warm state is snapshotted crash-safely (write-temp-then-rename)
 //!   on a cadence and at shutdown.
 //!
@@ -54,7 +55,7 @@ pub mod server;
 
 pub use inject::{Fault, FaultPlan};
 pub use proto::{exit_for_status, Op, Request, RequestError, Response};
-pub use server::{serve, JobHandler, JobOutput, ServeStats, ServerConfig};
+pub use server::{serve, JobHandler, JobOutput, ServeStats, ServerConfig, MAX_LINE_BYTES};
 
 #[cfg(test)]
 mod tests {
@@ -238,6 +239,21 @@ mod tests {
     #[test]
     fn a_line_that_is_not_utf8_answers_malformed_and_serving_goes_on() {
         let input = b"{\"id\": 1, \"op\": \"ping\"}\n\xff\xfe bad\n{\"id\": 2, \"op\": \"ping\"}\n";
+        let (stats, responses, _) = run(input, ServerConfig::default());
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.malformed, 1);
+        let answers: Vec<(Option<i128>, &str)> = responses
+            .iter()
+            .map(|r| (r.get("id").and_then(Json::as_int), status_of(r)))
+            .collect();
+        assert_eq!(answers, [(Some(1), "ok"), (None, "malformed"), (Some(2), "ok")]);
+    }
+
+    #[test]
+    fn a_line_past_the_cap_answers_malformed_and_serving_goes_on() {
+        let mut input = b"{\"id\": 1, \"op\": \"ping\"}\n".to_vec();
+        input.resize(input.len() + MAX_LINE_BYTES, b'a');
+        input.extend_from_slice(b"\n{\"id\": 2, \"op\": \"ping\"}\n");
         let (stats, responses, _) = run(input, ServerConfig::default());
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.malformed, 1);

@@ -205,7 +205,55 @@ fn malformed(id: Json, error: String) -> Response {
     r
 }
 
-/// A line read by `read_until` without its `\n` or `\r\n`, as
+/// The longest request line the reader buffers, line end included:
+/// 1 MiB, far above any real request (the largest shipped spec is
+/// under 2 KB). A longer line answers `malformed`.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line as [`read_line`] reads it.
+enum Line {
+    /// End of the stream.
+    Eof,
+    /// A line of at most `cap` bytes, line end included.
+    Read(Vec<u8>),
+    /// A longer line, consumed through its `\n` without buffering it.
+    TooLong,
+}
+
+/// Read the next `\n`-terminated line of at most `cap` bytes from
+/// `reader`. Past the cap the bytes read so far are dropped and the
+/// rest of the line is skipped chunk by chunk, so memory stays bounded
+/// by the cap whatever the line's length.
+fn read_line(reader: &mut impl BufRead, cap: usize) -> io::Result<Line> {
+    let mut line = Vec::new();
+    let (mut read_any, mut too_long) = (false, false);
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let (len, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None if chunk.is_empty() && !read_any => return Ok(Line::Eof),
+            None => (chunk.len(), chunk.is_empty()),
+        };
+        read_any = true;
+        if !too_long && line.len() + len > cap {
+            too_long = true;
+            line = Vec::new();
+        }
+        if !too_long {
+            line.extend_from_slice(&chunk[..len]);
+        }
+        reader.consume(len);
+        if done {
+            return Ok(if too_long { Line::TooLong } else { Line::Read(line) });
+        }
+    }
+}
+
+/// A line read by [`read_line`] without its `\n` or `\r\n`, as
 /// [`BufRead::lines`] returns it.
 fn strip_line_end(line: &[u8]) -> &[u8] {
     match line.strip_suffix(b"\n") {
@@ -336,8 +384,9 @@ fn watchdog<W: Write>(shared: &Shared<'_, W>) {
 /// # Errors
 ///
 /// Only reader I/O errors propagate; handler panics, deadline hits,
-/// malformed lines (bytes that are not UTF-8 included), and client
-/// write failures each degrade exactly one response.
+/// malformed lines (bytes that are not UTF-8 and lines longer than
+/// [`MAX_LINE_BYTES`] included), and client write failures each
+/// degrade exactly one response.
 pub fn serve<R, W, H>(
     mut reader: R,
     writer: W,
@@ -378,17 +427,25 @@ where
         let dog = scope.spawn(move || watchdog(shared));
 
         loop {
-            // A fresh buffer per line, so one huge line is not kept
+            // A fresh buffer per line, so one long line is not kept
             // for the rest of the session.
-            let mut buf = Vec::new();
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
+            let buf = match read_line(&mut reader, MAX_LINE_BYTES) {
+                Ok(Line::Eof) => break,
+                Ok(Line::Read(buf)) => buf,
+                Ok(Line::TooLong) => {
+                    stats.requests += 1;
+                    stats.malformed += 1;
+                    shared.respond(&malformed(
+                        Json::Null,
+                        format!("malformed request: longer than {MAX_LINE_BYTES} bytes"),
+                    ));
+                    continue;
+                }
                 Err(e) => {
                     read_result = Err(e);
                     break;
                 }
-            }
+            };
             let Ok(line) = std::str::from_utf8(strip_line_end(&buf)) else {
                 // Bad bytes are one bad request, not a dead stream.
                 stats.requests += 1;

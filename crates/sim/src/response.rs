@@ -31,8 +31,7 @@ fn default_lanes() -> usize {
 }
 
 /// Worker-thread and lane-batch configuration for sweep-style workloads
-/// (frequency sweeps, multi-design simulation) — the simulation
-/// counterpart of the mapper's `MapperConfig::parallelism`.
+/// (frequency sweeps, multi-design simulation).
 ///
 /// Sweep points are packed into SIMD-friendly lane batches of
 /// [`lanes`](SweepConfig::lanes) points first; threads (if any) then

@@ -52,6 +52,16 @@ cargo test -q -p vase --test opt_snapshots
 echo "== tier 1: compile pin (shipped and generated designs) =="
 cargo test -q -p vase --test compile_pins
 
+echo "== tier 1: search pins (corpus counters, guided≡exact oracle, allocations) =="
+# search_counters pins every driver's counters and netlists on the
+# corpus; guided_oracle checks guided≡exact on 600 generated graphs
+# with and without the sequencing rule; search_equivalence does so on
+# random graphs; search_alloc guards the per-node allocations.
+cargo test -q -p vase --test search_counters
+cargo test -q -p vase-bench --test guided_oracle
+cargo test -q -p vase-archgen --test search_equivalence
+cargo test -q -p vase-bench --test search_alloc
+
 echo "== tier 1: diagnostic pin (shipped sources and fuzz mutants) =="
 cargo test -q -p vase-bench --test diagnostic_pins
 

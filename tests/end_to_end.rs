@@ -136,38 +136,6 @@ fn bounding_rule_never_changes_the_optimum() {
 }
 
 #[test]
-fn parallel_flow_matches_sequential_on_every_benchmark() {
-    // The parallel mapper is a pure performance optimization: the full
-    // flow must synthesize the same-size architecture on every Table 1
-    // benchmark at any worker count.
-    for b in benchmarks::all() {
-        let sequential = synthesize_source(b.source, &FlowOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let parallel = synthesize_source(
-            b.source,
-            &FlowOptions {
-                mapper: MapperConfig::parallel(),
-                ..FlowOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        assert_eq!(
-            sequential[0].synthesis.netlist.opamp_count(),
-            parallel[0].synthesis.netlist.opamp_count(),
-            "{}",
-            b.name
-        );
-        let seq_area = sequential[0].synthesis.estimate.area_m2;
-        let par_area = parallel[0].synthesis.estimate.area_m2;
-        assert!(
-            (seq_area - par_area).abs() <= seq_area * 1e-9,
-            "{}: {seq_area} vs {par_area}",
-            b.name
-        );
-    }
-}
-
-#[test]
 fn multi_block_patterns_reduce_opamps_everywhere() {
     for b in benchmarks::all() {
         let full = synthesize_source(b.source, &FlowOptions::default())

@@ -90,6 +90,8 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
         (vec!["synth", &funcgen, "--strategey", "guided"], "--strategey"),
         // A flag of another subcommand is not accepted either.
         (vec!["parse", &funcgen, "--jobs", "2"], "--jobs"),
+        // The mapper is sequential: `synth` has no worker count.
+        (vec!["synth", &funcgen, "--jobs", "2"], "--jobs"),
         // A value flag needs its operand.
         (vec!["synth", &funcgen, "--strategy"], "--strategy"),
     ] {
@@ -286,5 +288,53 @@ fn serve_answers_a_line_that_is_not_utf8_and_keeps_serving() {
         statuses,
         [(Some(1), "ok"), (None, "malformed"), (Some(2), "ok")]
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request line far past the serve cap answers `malformed` and is
+/// skipped without being buffered: the daemon then answers a ping, and
+/// its peak resident set stays far below the line's 32 MiB.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_skips_an_overlong_line_in_bounded_memory() {
+    use std::io::{BufRead, BufReader};
+
+    let dir = scratch_dir("long-line");
+    let mut child = Command::new(VASE)
+        .args(["serve", "--workers", "2", "--cache-file"])
+        .arg(dir.join("covers.bin"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("vase serve spawns");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut line = vec![b'a'; 32 << 20];
+    line.push(b'\n');
+    stdin.write_all(&line).expect("long line written");
+    stdin.write_all(b"{\"id\": 1, \"op\": \"ping\"}\n").expect("ping written");
+    stdin.flush().expect("flushed");
+    let mut statuses = Vec::new();
+    for _ in 0..2 {
+        let mut response = String::new();
+        stdout.read_line(&mut response).expect("response read");
+        let r = Json::parse(&response).expect("response parses");
+        statuses.push(r.get("status").and_then(Json::as_str).expect("status").to_owned());
+    }
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id()))
+        .expect("daemon status readable");
+    let peak_kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .expect("VmHWM");
+    writeln!(stdin, r#"{{"id": 2, "op": "shutdown"}}"#).expect("shutdown written");
+    drop(stdin);
+    let code = child.wait().expect("daemon exits").code();
+    assert_eq!(statuses, ["malformed", "ok"]);
+    assert_eq!(code, Some(0));
+    assert!(peak_kib < 16 * 1024, "daemon peaked at {peak_kib} KiB for a 32 MiB line");
     let _ = std::fs::remove_dir_all(&dir);
 }
