@@ -3,12 +3,13 @@
 //! ```text
 //! vase parse   <file.vhd>             check a VASS specification
 //! vase compile <file.vhd> [--dot out.dot]  dump the VHIF representation
-//! vase opt     <file.vhd> [options]   run VHIF optimization passes, dump the result
-//!     --passes a,b,c    explicit pass list (default: the -O2 pipeline)
+//! vase opt     <file.vhd> [options]   run the VHIF passes (const-fold, then dce),
+//!                                     dump the result
 //!     --print-stats     per-pass block/edge/rewrite/timing statistics
 //!     --dot <base>      write <base>-before.dot and <base>-after.dot
 //! vase synth   <file.vhd>... [options] synthesize to an op-amp netlist
-//!     -O0|-O1|-O2       optimization level for the VHIF passes (default -O0)
+//!     -O0|-O1|-O2       optimization level for the VHIF passes (default -O0;
+//!                       -O1 and -O2 run the same two passes)
 //!     --greedy          use the greedy heuristic instead of branch-and-bound
 //!     --deadline-ms <t> mapping wall-clock budget; on exhaustion the best
 //!                       incumbent architecture is returned (exit code 3)
@@ -155,7 +156,7 @@ const fn flags(
 
 const PARSE: FlagSet = flags("parse", "", "", false);
 const COMPILE: FlagSet = flags("compile", "--dot", "", false);
-const OPT: FlagSet = flags("opt", "--passes --dot", "--print-stats", false);
+const OPT: FlagSet = flags("opt", "--dot", "--print-stats", false);
 const LINT: FlagSet = flags("lint", "--format --deny", "", false);
 const ANALYZE: FlagSet = flags("analyze", "--format", "", false);
 const SYNTH: FlagSet = flags(
@@ -327,14 +328,7 @@ fn cmd_compile(args: &[String]) -> Result<u8, String> {
 
 fn cmd_opt(args: &[String]) -> Result<u8, String> {
     let (_, source) = read_source(&OPT, args)?;
-    let manager = match flag_value(args, "--passes") {
-        Some(list) => {
-            let names: Vec<&str> =
-                list.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
-            vase::vhif::PassManager::from_names(&names)?
-        }
-        None => vase::vhif::PassManager::for_opt_level(2),
-    };
+    let manager = vase::vhif::PassManager::for_opt_level(2);
     let print_stats = args.iter().any(|a| a == "--print-stats");
     for (entity, mut vhif, _) in compile_source(&source).map_err(|e| e.to_string())? {
         if let Some(base) = flag_value(args, "--dot") {
@@ -350,7 +344,8 @@ fn cmd_opt(args: &[String]) -> Result<u8, String> {
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
             println!("DOT graph written to {path}");
         }
-        println!("-- entity {entity} (passes: {})", manager.pass_names().join(","));
+        let names: Vec<&str> = stats.iter().map(|s| s.name).collect();
+        println!("-- entity {entity} (passes: {})", names.join(","));
         println!("{vhif}");
         if print_stats {
             for s in &stats {
@@ -656,7 +651,9 @@ fn cmd_serve(args: &[String]) -> Result<u8, String> {
 }
 
 /// Serve over a Unix socket: one connection at a time (the warm cache
-/// is shared across connections), until a client sends `shutdown`.
+/// is shared across connections), until a client sends `shutdown`. An
+/// I/O error on a connection, such as a client's reset, ends only that
+/// connection: it is logged to stderr and the next one is accepted.
 fn serve_socket(
     path: &str,
     handler: &vase::service::FlowJobHandler,
@@ -668,11 +665,16 @@ fn serve_socket(
     let mut total = vase::serve::ServeStats::default();
     loop {
         let (stream, _) = listener.accept().map_err(|e| format!("accept failed: {e}"))?;
-        let reader = std::io::BufReader::new(
-            stream.try_clone().map_err(|e| format!("cannot clone socket stream: {e}"))?,
-        );
-        let stats = vase::serve::serve(reader, stream, handler, config.clone())
-            .map_err(|e| format!("serve failed: {e}"))?;
+        let served = stream.try_clone().and_then(|reader| {
+            vase::serve::serve(std::io::BufReader::new(reader), stream, handler, config.clone())
+        });
+        let stats = match served {
+            Ok(stats) => stats,
+            Err(e) => {
+                eprintln!("serve: connection dropped: {e}");
+                continue;
+            }
+        };
         total.requests += stats.requests;
         total.responses += stats.responses;
         total.completed += stats.completed;

@@ -42,9 +42,8 @@ pub struct FlowOptions {
     /// Treat verifier warnings as errors (`vase lint --deny warnings`).
     pub deny_warnings: bool,
     /// Optimization level for the VHIF pass pipeline run between
-    /// compilation and verification/mapping: `0` = none, `1` =
-    /// constant folding + copy coalescing + dead-block elimination,
-    /// `2` = all passes (adds CSE and solver-candidate pruning).
+    /// compilation and verification/mapping: `0` = none; every level
+    /// above runs constant folding, then dead-block elimination.
     pub opt_level: u8,
 }
 
@@ -239,11 +238,7 @@ fn synthesize_source_instrumented(
         // so the verifier re-checks the *optimized* design before it is
         // handed to the mapper.
         let t0 = Instant::now();
-        let opt_stats = if options.opt_level > 0 {
-            PassManager::for_opt_level(options.opt_level).run(&mut arch.vhif)
-        } else {
-            Vec::new()
-        };
+        let opt_stats = PassManager::for_opt_level(options.opt_level).run(&mut arch.vhif);
         timings.opt_ms += t0.elapsed().as_secs_f64() * 1e3;
         if options.verify {
             let t0 = Instant::now();
@@ -586,10 +581,7 @@ pub fn opt_diagnostics(stats: &[PassStats]) -> Vec<Diagnostic> {
         }
         let code = match s.name {
             "const-fold" => Code::O301,
-            "cse" => Code::O302,
             "dce" => Code::O303,
-            "coalesce" => Code::O304,
-            "prune-solvers" => Code::O305,
             _ => Code::O300,
         };
         diags.push(Diagnostic::new(code, s.to_string()));

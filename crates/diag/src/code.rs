@@ -15,7 +15,9 @@
 //!   compiled RK4 stepper and their recovery outcomes).
 //!
 //! Codes are append-only: a released code never changes meaning or
-//! number, so scripts that match on them keep working.
+//! number, so scripts that match on them keep working. A code retired
+//! with its check keeps its number out of use: `O302`, `O304` and
+//! `O305` went with the `cse`, `coalesce` and `prune-solvers` passes.
 //! `docs/lint-codes.md` is generated from this table (see
 //! [`reference_markdown`]) and a test asserts it stays in sync.
 
@@ -58,10 +60,7 @@ pub enum Code {
     A221,
     O300,
     O301,
-    O302,
     O303,
-    O304,
-    O305,
     S400,
     S401,
     S402,
@@ -320,31 +319,11 @@ pub const REGISTRY: &[CodeInfo] = &[
                       constants (computed with the simulator's own arithmetic)",
     },
     CodeInfo {
-        code: Code::O302,
-        name: "opt-cse-merged",
-        severity: Severity::Note,
-        description: "the `cse` pass merged identical pure blocks fed by the same drivers",
-    },
-    CodeInfo {
         code: Code::O303,
         name: "opt-dead-blocks-removed",
         severity: Severity::Note,
         description: "the `dce` pass removed blocks with no path to an output port, \
                       memory block, sampling structure, or FSM-read quantity",
-    },
-    CodeInfo {
-        code: Code::O304,
-        name: "opt-copies-coalesced",
-        severity: Severity::Note,
-        description: "the `coalesce` pass spliced out gain-1.0 scale blocks (copies)",
-    },
-    CodeInfo {
-        code: Code::O305,
-        name: "opt-solver-variants-pruned",
-        severity: Severity::Note,
-        description: "the `prune-solvers` pass dropped candidate solver lowerings that \
-                      are invalid or strictly dominated by another lowering with the \
-                      same interface",
     },
     CodeInfo {
         code: Code::S400,
@@ -424,10 +403,7 @@ impl Code {
             Code::A221 => "A221",
             Code::O300 => "O300",
             Code::O301 => "O301",
-            Code::O302 => "O302",
             Code::O303 => "O303",
-            Code::O304 => "O304",
-            Code::O305 => "O305",
             Code::S400 => "S400",
             Code::S401 => "S401",
             Code::S402 => "S402",
@@ -479,6 +455,8 @@ pub fn reference_markdown() -> String {
          optimization passes, and `S4xx` report numerical faults detected by the\n\
          simulation runtime. Warnings become errors under\n\
          `--deny warnings`; notes are never promoted.\n\n\
+         Retired codes keep their numbers out of use: `O302`, `O304` and `O305`\n\
+         went with the `cse`, `coalesce` and `prune-solvers` passes.\n\n\
          This file is generated from `crates/diag/src/code.rs` (`REGISTRY`); a test\n\
          in that crate asserts it stays in sync.\n\n",
     );

@@ -1,10 +1,10 @@
 //! Optimization equivalence suite: the `-O2` pass pipeline must be
 //! semantics-preserving at the bit level. Each test builds a design
-//! with deliberately redundant structure — duplicate pure blocks for
-//! `cse`, unreachable blocks for `dce`, gain-1.0 copies for `coalesce`,
-//! literal-fed arithmetic for `const-fold` — simulates it before and
-//! after `PassManager::for_opt_level(2)`, and asserts the traces are
-//! `==` (bit-identical `f64`s, not approximately equal).
+//! with deliberately redundant structure — unreachable blocks for
+//! `dce`, literal-fed arithmetic for `const-fold`, and duplicate blocks
+//! and gain-1.0 copies that no pass may break — simulates it before
+//! and after `PassManager::for_opt_level(2)`, and asserts the traces
+//! are `==` (bit-identical `f64`s, not approximately equal).
 
 use std::collections::BTreeMap;
 
@@ -34,10 +34,9 @@ fn optimized(d: &VhifDesign) -> VhifDesign {
 
 /// The RC lowpass `y' = w0 (x - y)` with redundancy layered on top:
 ///
-/// * the input reaches the subtractor through a gain-1.0 copy
-///   (`coalesce` splices it),
-/// * the output tap is computed twice by identical gain-1.0 scales
-///   (`cse` merges, `coalesce` splices),
+/// * the input reaches the subtractor through a gain-1.0 copy,
+/// * the output tap is computed twice by identical gain-1.0 scales,
+///   one of them unread (`dce` collects it),
 /// * a literal product `2 * 3` drives a second output `bias`
 ///   (`const-fold` collapses the multiply),
 /// * a scale hangs off the input with no consumers (`dce` collects it).
@@ -71,7 +70,7 @@ fn redundant_rc_lowpass(w0: f64) -> VhifDesign {
     g.connect(c3, mul, 1).expect("wire");
     g.connect(mul, bias, 0).expect("wire");
     g.connect(x, dead, 0).expect("wire");
-    let _ = tap_b; // identical twin of tap_a, left for cse + dce
+    let _ = tap_b; // identical twin of tap_a, left for dce
     let mut d = VhifDesign::new("t");
     d.graphs.push(g);
     d
@@ -148,6 +147,53 @@ fn oscillator_traces_are_bit_identical_after_o2() {
     // Numerics stay on the analytic solution too, not just self-equal.
     let exact_last = (w * base.time.last().unwrap()).cos();
     assert!((b.last().unwrap() - exact_last).abs() < 1e-7);
+}
+
+/// `y = f(k) * x` for a literal `k`: the constant-fed `Log` or
+/// `Antilog` the compiler emits for `log(k)` or `exp(k)` of a VASS
+/// `constant`.
+fn transcendental_of_literal(kind: BlockKind, k: f64) -> VhifDesign {
+    let mut g = SignalFlowGraph::new("f");
+    let c = g.add(BlockKind::Const { value: k });
+    let f = g.add(kind);
+    let x = g.add(BlockKind::Input { name: "x".into() });
+    let mul = g.add(BlockKind::Mul);
+    let y = g.add(BlockKind::Output { name: "y".into() });
+    g.connect(c, f, 0).expect("wire");
+    g.connect(f, mul, 0).expect("wire");
+    g.connect(x, mul, 1).expect("wire");
+    g.connect(mul, y, 0).expect("wire");
+    let mut d = VhifDesign::new("t");
+    d.graphs.push(g);
+    d
+}
+
+/// Simulate `d` before and after `-O2` and assert `y` is bit-identical.
+fn assert_y_survives_o2(d: &VhifDesign) {
+    let mut opt = d.clone();
+    PassManager::for_opt_level(2).run(&mut opt);
+    let inputs = stim(&[("x", Stimulus::sine(0.5, 1_000.0))]);
+    let config = SimConfig::new(1e-5, 2e-3);
+    let base = simulate_design(d, &inputs, &config).expect("simulates");
+    let fast = simulate_design(&opt, &inputs, &config).expect("simulates");
+    let a = base.trace("y").expect("trace");
+    let b = fast.trace("y").expect("trace survives optimization");
+    assert!(
+        a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits()),
+        "trace y diverged after optimization"
+    );
+}
+
+#[test]
+fn exp_of_a_literal_keeps_the_simulators_bits_after_o2() {
+    // The standard library's exp(1.5) is one ulp below the simulator's.
+    assert_y_survives_o2(&transcendental_of_literal(BlockKind::Antilog, 1.5));
+}
+
+#[test]
+fn ln_of_a_literal_keeps_the_simulators_bits_after_o2() {
+    // The standard library's ln(3) is one ulp above the simulator's.
+    assert_y_survives_o2(&transcendental_of_literal(BlockKind::Log, 3.0));
 }
 
 #[test]

@@ -35,10 +35,8 @@ impl fmt::Display for VhifStats {
 /// An alternative lowering of one signal-flow graph, produced when the
 /// compiler can solve a DAE system for more than one unknown (paper §5:
 /// "the compiler selects one solution; the alternatives are kept as
-/// candidates"). Candidates are advisory metadata — the mapped and
-/// simulated design is always [`VhifDesign::graphs`] — but the
-/// `prune-solvers` pass uses them to discard dominated variants before
-/// an architecture explorer would consider them.
+/// candidates"). Candidates are advisory metadata: the mapped and
+/// simulated design is always [`VhifDesign::graphs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolverCandidate {
     /// Candidate name (`<graph>#<variant>`).

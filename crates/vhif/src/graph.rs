@@ -398,34 +398,6 @@ impl SignalFlowGraph {
         self.inputs.iter().map(|row| row.iter().flatten().count()).sum()
     }
 
-    /// Redirect every consumer of `old`'s output to read `new` instead
-    /// (`old`'s own input edges are left alone). Both blocks must carry
-    /// the same output class, otherwise the rewrite would break the
-    /// control/analog port discipline [`connect`](Self::connect)
-    /// enforces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output classes differ or either id is out of
-    /// range.
-    pub fn replace_uses(&mut self, old: BlockId, new: BlockId) {
-        assert_eq!(
-            self.blocks[old.index()].kind.output_class(),
-            self.blocks[new.index()].kind.output_class(),
-            "replace_uses must preserve the signal class"
-        );
-        if old == new {
-            return;
-        }
-        for row in &mut self.inputs {
-            for slot in row.iter_mut() {
-                if *slot == Some(old) {
-                    *slot = Some(new);
-                }
-            }
-        }
-    }
-
     /// Replace the operation of `id` with `kind`, disconnecting all of
     /// its input edges (the new kind's ports start undriven). The label
     /// and every consumer connection are kept, so the new operation
@@ -444,31 +416,12 @@ impl SignalFlowGraph {
         self.blocks[id.index()].kind = kind;
     }
 
-    /// Splice a single-data-input, no-control block out of its wire:
-    /// every consumer of `id` is redirected to `id`'s port-0 driver.
-    /// Returns the driver, or `None` (no rewrite) when the block shape
-    /// does not allow splicing or the port is undriven. The block
-    /// itself stays in the graph — now fanout-free — until a
-    /// [`compact`](Self::compact) collects it.
-    pub fn splice_out(&mut self, id: BlockId) -> Option<BlockId> {
-        let kind = &self.blocks[id.index()].kind;
-        if kind.data_inputs() != 1 || kind.control_inputs() != 0 {
-            return None;
-        }
-        let driver = self.inputs[id.index()].first().copied().flatten()?;
-        if driver == id {
-            return None; // degenerate self-loop
-        }
-        self.replace_uses(id, driver);
-        Some(driver)
-    }
-
     /// Garbage-collect: keep exactly the blocks with `keep[id] == true`,
     /// renumbering the survivors densely in id order. Returns the remap
     /// table (`old id → new id`, `None` for collected blocks). Edges
-    /// from a survivor to a collected block become undriven ports —
-    /// callers redirect fanout first, so a subsequent
-    /// [`validate`](Self::validate) catches any rewrite mistake.
+    /// from a survivor to a collected block become undriven ports, so a
+    /// subsequent [`validate`](Self::validate) catches a caller that
+    /// collected a block something still reads.
     ///
     /// # Panics
     ///

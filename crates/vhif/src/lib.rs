@@ -68,5 +68,5 @@ pub use error::VhifError;
 pub use fsm::{Fsm, State, StateId, Transition, Trigger};
 pub use graph::{BlockId, SignalFlowGraph};
 pub use hash::structural_hash;
-pub use passes::{by_name, Pass, PassManager, PassStats, PASS_NAMES};
+pub use passes::{PassManager, PassStats};
 pub use verify::{diagnostic_from_error, verify_design, VerifyContext, WireKind};

@@ -1,10 +1,20 @@
 //! Optimization passes over VHIF designs.
 //!
-//! The compiler emits signal-flow graphs naively — one block per source
-//! construct, loop bodies fully unrolled, every candidate solver kept —
-//! and the branch-and-bound mapper pays for every redundant block
-//! exponentially. This module shrinks designs between compilation and
-//! architecture generation with a deterministic pass pipeline.
+//! The compiler value-numbers blocks and shares constants as it emits
+//! them, so little redundancy reaches this module. What does reach it is decided by a generated corpus
+//! (`crates/bench/tests/opt_oracle.rs`: the shipped sources, generated
+//! designs and fuzz mutants, mapped at `-O0` and `-O2`). Two passes
+//! change a mapped netlist there, and every level above `0` runs both,
+//! in this order:
+//!
+//! * `const-fold` replaces arithmetic fed only by literals with the
+//!   literal the simulator would compute;
+//! * `dce` removes the blocks that no root reads, including the
+//!   literals `const-fold` leaves unread.
+//!
+//! Copies and duplicate blocks are left to the mapper: a gain-1.0
+//! scale folds into its consumer's pattern, and the Fig. 5 share step
+//! maps two blocks of one kind with the same inputs onto one component.
 //!
 //! # Legality rules
 //!
@@ -19,17 +29,16 @@
 //!   rewritten or collected: they carry state, realize the paper's
 //!   Fig. 4 sampling shapes checked by verifier code I106, or observe
 //!   `'above` events.
-//! * **Labels survive**: a labelled block is an observation point (FSMs
-//!   resolve `q'above` quantities through
-//!   [`SignalFlowGraph::find_labelled`]); rewrites either transfer the
-//!   label to the replacement block or back off.
-//! * **Arithmetic rewrites mirror the simulator exactly**: constant
-//!   folding applies the same `f64` operations (including division and
-//!   log guards) the compiled simulation plan applies at run time, and
-//!   the only splice is gain-1.0 `Scale` (IEEE multiplication by 1.0
-//!   returns its operand). No reassociation, no `x + 0.0`.
+//! * **Observed labels survive**: a block labelled with a name some FSM
+//!   reads is an observation point (FSMs resolve `q'above` quantities
+//!   through [`SignalFlowGraph::find_labelled`]), so `dce` keeps it.
+//! * **Folds mirror the simulator exactly**: constant folding applies
+//!   the same `f64` operations (including the division guard) the
+//!   compiled simulation plan applies at run time. It leaves `Log` and
+//!   `Antilog` alone: the simulators evaluate them with their own
+//!   `ln`/`exp`, whose last bit can differ from the standard library's.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Instant;
 
@@ -39,13 +48,10 @@ use crate::dp::Event;
 use crate::fsm::Trigger;
 use crate::graph::{BlockId, SignalFlowGraph};
 
-/// Names of every shipped pass, in the order `-O2` runs them.
-pub const PASS_NAMES: [&str; 5] = ["const-fold", "coalesce", "cse", "dce", "prune-solvers"];
-
 /// Measured effect of one pass execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStats {
-    /// Pass name (one of [`PASS_NAMES`]).
+    /// Pass name: `const-fold` or `dce`.
     pub name: &'static str,
     /// Total blocks (all graphs, interface included) before the pass.
     pub blocks_before: usize,
@@ -55,7 +61,7 @@ pub struct PassStats {
     pub edges_before: usize,
     /// Total connected edges after the pass.
     pub edges_after: usize,
-    /// Pass-specific rewrite count (folds, merges, removals, ...).
+    /// Pass-specific rewrite count (folds, removals).
     pub rewrites: usize,
     /// Wall-clock time spent in the pass, microseconds.
     pub elapsed_us: u128,
@@ -86,32 +92,47 @@ impl fmt::Display for PassStats {
     }
 }
 
-/// A design transform. Implementations provide [`Pass::apply`]; the
-/// provided [`Pass::run`] wraps it with timing and before/after counts.
-pub trait Pass {
-    /// Stable pass name (usable with [`by_name`]).
-    fn name(&self) -> &'static str;
+/// A pass: its stable name and the rewrite, which returns how many
+/// rewrites it applied.
+type Pass = (&'static str, fn(&mut VhifDesign) -> usize);
 
-    /// Rewrite the design in place; returns the number of rewrites
-    /// applied. Must preserve simulation semantics bit-for-bit.
-    fn apply(&self, design: &mut VhifDesign) -> usize;
+/// What every level above `0` runs.
+const PIPELINE: [Pass; 2] = [("const-fold", const_fold), ("dce", dce)];
 
-    /// Run the pass, measuring its effect.
-    fn run(&self, design: &mut VhifDesign) -> PassStats {
-        let blocks_before = total_blocks(design);
-        let edges_before = design.edge_count();
-        let started = Instant::now();
-        let rewrites = self.apply(design);
-        let elapsed_us = started.elapsed().as_micros();
-        PassStats {
-            name: self.name(),
-            blocks_before,
-            blocks_after: total_blocks(design),
-            edges_before,
-            edges_after: design.edge_count(),
-            rewrites,
-            elapsed_us,
-        }
+/// The pass pipeline of an optimization level.
+pub struct PassManager {
+    passes: &'static [Pass],
+}
+
+impl PassManager {
+    /// The pipeline for an optimization level: no passes at `0`;
+    /// `const-fold`, then `dce`, at every level above.
+    pub fn for_opt_level(level: u8) -> Self {
+        PassManager { passes: if level == 0 { &[] } else { &PIPELINE } }
+    }
+
+    /// Run every pass once, in order; returns one [`PassStats`] per
+    /// pass.
+    pub fn run(&self, design: &mut VhifDesign) -> Vec<PassStats> {
+        self.passes
+            .iter()
+            .map(|&(name, apply)| {
+                let blocks_before = total_blocks(design);
+                let edges_before = design.edge_count();
+                let started = Instant::now();
+                let rewrites = apply(design);
+                let elapsed_us = started.elapsed().as_micros();
+                PassStats {
+                    name,
+                    blocks_before,
+                    blocks_after: total_blocks(design),
+                    edges_before,
+                    edges_after: design.edge_count(),
+                    rewrites,
+                    elapsed_us,
+                }
+            })
+            .collect()
     }
 }
 
@@ -119,82 +140,14 @@ fn total_blocks(design: &VhifDesign) -> usize {
     design.graphs.iter().map(|g| g.len()).sum()
 }
 
-/// An ordered, deterministic sequence of passes.
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl PassManager {
-    /// An empty manager.
-    pub fn new() -> Self {
-        PassManager { passes: Vec::new() }
-    }
-
-    /// The standard pipeline for an optimization level:
-    ///
-    /// * `0` — no passes,
-    /// * `1` — `const-fold`, `coalesce`, `dce`,
-    /// * `2` (and above) — `const-fold`, `coalesce`, `cse`, `dce`,
-    ///   `prune-solvers`.
-    pub fn for_opt_level(level: u8) -> Self {
-        let names: &[&str] = match level {
-            0 => &[],
-            1 => &["const-fold", "coalesce", "dce"],
-            _ => &PASS_NAMES,
-        };
-        Self::from_names(names).expect("built-in pipelines use known pass names")
-    }
-
-    /// Build a manager from pass names (see [`PASS_NAMES`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first unknown name.
-    pub fn from_names<S: AsRef<str>>(names: &[S]) -> Result<Self, String> {
-        let mut pm = PassManager::new();
-        for n in names {
-            let n = n.as_ref();
-            pm.passes.push(by_name(n).ok_or_else(|| n.to_owned())?);
-        }
-        Ok(pm)
-    }
-
-    /// Append a pass.
-    pub fn push(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// Names of the registered passes, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Run every pass once, in registration order; returns one
-    /// [`PassStats`] per pass.
-    pub fn run(&self, design: &mut VhifDesign) -> Vec<PassStats> {
-        self.passes.iter().map(|p| p.run(design)).collect()
-    }
-}
-
-/// Look a pass up by its stable name.
-pub fn by_name(name: &str) -> Option<Box<dyn Pass>> {
-    match name {
-        "const-fold" => Some(Box::new(ConstFold)),
-        "coalesce" => Some(Box::new(Coalesce)),
-        "cse" => Some(Box::new(Cse)),
-        "dce" => Some(Box::new(Dce)),
-        "prune-solvers" => Some(Box::new(PruneSolvers)),
-        _ => None,
-    }
-}
-
 // ----------------------------------------------------------------- helpers
 
 /// Evaluate a pure arithmetic block on constant inputs, mirroring the
 /// compiled simulation plan's per-step evaluation *exactly* (same
 /// operations, same guards) so a folded constant is bit-identical to
-/// the value the simulator would have computed.
+/// the value the simulator would have computed. `Log` and `Antilog`
+/// are not folded: the simulators compute them with their own `ln` and
+/// `exp`, which this crate cannot call.
 fn fold_value(kind: &BlockKind, u: &[f64]) -> Option<f64> {
     Some(match kind {
         BlockKind::Scale { gain } => gain * u[0],
@@ -205,68 +158,10 @@ fn fold_value(kind: &BlockKind, u: &[f64]) -> Option<f64> {
             let d = u[1];
             u[0] / if d.abs() < 1e-12 { 1e-12_f64.copysign(d + 1e-30) } else { d }
         }
-        BlockKind::Log => (u[0].max(1e-12)).ln(),
-        BlockKind::Antilog => u[0].clamp(-50.0, 50.0).exp(),
         BlockKind::Abs => u[0].abs(),
         BlockKind::Limiter { level } => u[0].clamp(-level, *level),
         _ => return None,
     })
-}
-
-/// Whether `kind` is eligible for common-subexpression elimination:
-/// pure, analog, combinational arithmetic whose output is a function of
-/// its inputs alone. Sampling structures, control-class blocks, state,
-/// and interface markers are all excluded (see module docs).
-fn cse_eligible(kind: &BlockKind) -> bool {
-    matches!(
-        kind,
-        BlockKind::Const { .. }
-            | BlockKind::Scale { .. }
-            | BlockKind::Add { .. }
-            | BlockKind::Sub
-            | BlockKind::Mul
-            | BlockKind::Div
-            | BlockKind::Log
-            | BlockKind::Antilog
-            | BlockKind::Abs
-            | BlockKind::Limiter { .. }
-    )
-}
-
-/// A canonical, parameter-exact key for a block kind. Float parameters
-/// are keyed by their IEEE bit patterns so `0.0` and `-0.0` (which
-/// behave differently under division) stay distinct.
-fn kind_key(kind: &BlockKind) -> String {
-    use BlockKind::*;
-    match kind {
-        Input { name } => format!("in:{name}"),
-        Output { name } => format!("out:{name}"),
-        ControlInput { name } => format!("ctl:{name}"),
-        Const { value } => format!("const:{:016x}", value.to_bits()),
-        Scale { gain } => format!("scale:{:016x}", gain.to_bits()),
-        Add { arity } => format!("add:{arity}"),
-        Mux { arity } => format!("mux:{arity}"),
-        Integrate { gain, initial } => {
-            format!("integ:{:016x}:{:016x}", gain.to_bits(), initial.to_bits())
-        }
-        Differentiate { gain } => format!("diff:{:016x}", gain.to_bits()),
-        Comparator { threshold } => format!("cmp:{:016x}", threshold.to_bits()),
-        SchmittTrigger { low, high } => {
-            format!("schmitt:{:016x}:{:016x}", low.to_bits(), high.to_bits())
-        }
-        Adc { bits } => format!("adc:{bits}"),
-        Limiter { level } => format!("limit:{:016x}", level.to_bits()),
-        OutputStage { load_ohms, peak_volts, limit } => format!(
-            "ostage:{:016x}:{:016x}:{}",
-            load_ohms.to_bits(),
-            peak_volts.to_bits(),
-            limit.map(|l| format!("{:016x}", l.to_bits())).unwrap_or_default()
-        ),
-        Logic { op, arity } => format!("logic:{op}:{arity}"),
-        Sub | Mul | Div | Log | Antilog | Abs | SampleHold | Switch | Memory => {
-            kind.mnemonic().to_owned()
-        }
-    }
 }
 
 /// Every name the design's FSMs read: transition guards, `'above`
@@ -325,40 +220,32 @@ fn is_removal_root(kind: &BlockKind) -> bool {
 /// Fold pure arithmetic blocks whose every input is a literal
 /// ([`BlockKind::Const`]) into a `Const` of the result, computed with
 /// the simulator's own arithmetic.
-pub struct ConstFold;
-
-impl Pass for ConstFold {
-    fn name(&self) -> &'static str {
-        "const-fold"
-    }
-
-    fn apply(&self, design: &mut VhifDesign) -> usize {
-        let mut rewrites = 0;
-        for graph in &mut design.graphs {
-            // Iterate to a fixpoint: folding one block can expose the
-            // next. Graphs are small; depth bounds the loop.
-            loop {
-                let mut folded = Vec::new();
-                for (id, block) in graph.iter() {
-                    if block.kind.control_inputs() > 0 || block.kind.is_stateful() {
-                        continue;
-                    }
-                    let Some(values) = const_inputs(graph, id) else { continue };
-                    if let Some(v) = fold_value(&block.kind, &values) {
-                        folded.push((id, v));
-                    }
+fn const_fold(design: &mut VhifDesign) -> usize {
+    let mut rewrites = 0;
+    for graph in &mut design.graphs {
+        // Iterate to a fixpoint: folding one block can expose the
+        // next. Graphs are small; depth bounds the loop.
+        loop {
+            let mut folded = Vec::new();
+            for (id, block) in graph.iter() {
+                if block.kind.control_inputs() > 0 || block.kind.is_stateful() {
+                    continue;
                 }
-                if folded.is_empty() {
-                    break;
-                }
-                for (id, v) in folded {
-                    graph.replace_kind(id, BlockKind::Const { value: v });
-                    rewrites += 1;
+                let Some(values) = const_inputs(graph, id) else { continue };
+                if let Some(v) = fold_value(&block.kind, &values) {
+                    folded.push((id, v));
                 }
             }
+            if folded.is_empty() {
+                break;
+            }
+            for (id, v) in folded {
+                graph.replace_kind(id, BlockKind::Const { value: v });
+                rewrites += 1;
+            }
         }
-        rewrites
     }
+    rewrites
 }
 
 /// The values of `id`'s inputs if every port is driven by a `Const`.
@@ -377,259 +264,45 @@ fn const_inputs(graph: &SignalFlowGraph, id: BlockId) -> Option<Vec<f64>> {
     Some(values)
 }
 
-// -------------------------------------------------------------- coalesce
-
-/// Splice out gain-1.0 `Scale` blocks (the compiler's copies). IEEE
-/// multiplication by `1.0` returns its operand, so consumers reading
-/// the driver directly see bit-identical values. Labelled copies
-/// transfer their label to an unlabelled driver, or stay put when the
-/// driver already carries a different label (both names must remain
-/// observable).
-pub struct Coalesce;
-
-impl Pass for Coalesce {
-    fn name(&self) -> &'static str {
-        "coalesce"
-    }
-
-    fn apply(&self, design: &mut VhifDesign) -> usize {
-        let mut rewrites = 0;
-        for graph in &mut design.graphs {
-            for i in 0..graph.len() {
-                let id = BlockId::from_index(i);
-                if !matches!(graph.kind(id), BlockKind::Scale { gain } if *gain == 1.0) {
-                    continue;
-                }
-                let Some(driver) = graph.block_inputs(id).first().copied().flatten() else {
-                    continue;
-                };
-                match (graph.block(id).label.clone(), graph.block(driver).label.clone()) {
-                    (Some(label), None) => {
-                        graph.set_label(driver, label);
-                    }
-                    (Some(_), Some(_)) => continue, // keep the alias block
-                    (None, _) => {}
-                }
-                if graph.splice_out(id).is_some() {
-                    rewrites += 1;
-                }
-            }
-        }
-        rewrites
-    }
-}
-
-// ------------------------------------------------------------------- cse
-
-/// Merge identical pure blocks: same operation (parameters compared by
-/// bit pattern) fed by the same drivers. Later duplicates redirect
-/// their fanout to the first occurrence; `dce` collects the husks.
-pub struct Cse;
-
-impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-
-    fn apply(&self, design: &mut VhifDesign) -> usize {
-        let mut rewrites = 0;
-        for graph in &mut design.graphs {
-            // Fixpoint: merging two drivers can make their consumers
-            // identical in the next round. Already-merged husks are
-            // excluded from later rounds (they would otherwise keep
-            // re-merging forever).
-            let mut merged = vec![false; graph.len()];
-            loop {
-                let mut seen: HashMap<String, BlockId> = HashMap::new();
-                let mut merges: Vec<(BlockId, BlockId)> = Vec::new();
-                for (id, block) in graph.iter() {
-                    if merged[id.index()] || !cse_eligible(&block.kind) {
-                        continue;
-                    }
-                    let ports = graph.block_inputs(id);
-                    if ports.iter().any(|p| p.is_none()) {
-                        continue;
-                    }
-                    let key = format!(
-                        "{}|{}",
-                        kind_key(&block.kind),
-                        ports
-                            .iter()
-                            .map(|p| p.expect("checked driven").index().to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    );
-                    match seen.get(&key) {
-                        None => {
-                            seen.insert(key, id);
-                        }
-                        Some(&rep) => merges.push((id, rep)),
-                    }
-                }
-                let mut changed = false;
-                for (dup, rep) in merges {
-                    // Label discipline: transfer to an unlabelled
-                    // representative; back off when both are named.
-                    match (graph.block(dup).label.clone(), graph.block(rep).label.clone()) {
-                        (Some(_), Some(_)) => continue,
-                        (Some(label), None) => graph.set_label(rep, label),
-                        (None, _) => {}
-                    }
-                    graph.replace_uses(dup, rep);
-                    merged[dup.index()] = true;
-                    rewrites += 1;
-                    changed = true;
-                }
-                if !changed {
-                    break;
-                }
-            }
-        }
-        rewrites
-    }
-}
-
 // ------------------------------------------------------------------- dce
 
 /// Remove blocks with no path to any root: interface blocks, memory
 /// and sampling structures, or blocks labelled with a name some FSM
 /// reads. Survivors are renumbered densely.
-pub struct Dce;
-
-impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    fn apply(&self, design: &mut VhifDesign) -> usize {
-        let reads = fsm_read_set(design);
-        let mut rewrites = 0;
-        for graph in &mut design.graphs {
-            let n = graph.len();
-            let mut keep = vec![false; n];
-            let mut stack: Vec<BlockId> = Vec::new();
-            for (id, block) in graph.iter() {
-                let observed = block.label.as_ref().is_some_and(|l| reads.contains(l));
-                if is_removal_root(&block.kind) || observed {
-                    keep[id.index()] = true;
-                    stack.push(id);
+fn dce(design: &mut VhifDesign) -> usize {
+    let reads = fsm_read_set(design);
+    let mut rewrites = 0;
+    for graph in &mut design.graphs {
+        let n = graph.len();
+        let mut keep = vec![false; n];
+        let mut stack: Vec<BlockId> = Vec::new();
+        for (id, block) in graph.iter() {
+            let observed = block.label.as_ref().is_some_and(|l| reads.contains(l));
+            if is_removal_root(&block.kind) || observed {
+                keep[id.index()] = true;
+                stack.push(id);
+            }
+        }
+        while let Some(id) = stack.pop() {
+            for &input in graph.block_inputs(id).iter().flatten() {
+                if !keep[input.index()] {
+                    keep[input.index()] = true;
+                    stack.push(input);
                 }
             }
-            while let Some(id) = stack.pop() {
-                for driver in graph.block_inputs(id).iter().flatten() {
-                    if !keep[driver.index()] {
-                        keep[driver.index()] = true;
-                        stack.push(*driver);
-                    }
-                }
-            }
-            let removed = keep.iter().filter(|k| !**k).count();
-            if removed > 0 {
-                graph.compact(&keep);
-                rewrites += removed;
-            }
         }
-        rewrites
-    }
-}
-
-// --------------------------------------------------------- prune-solvers
-
-/// Drop solver candidates ([`VhifDesign::candidates`]) that are invalid
-/// or strictly dominated: same external interface as another lowering
-/// of the same graph but a strict block-multiset superset of it — the
-/// dominated variant can never map to a cheaper architecture.
-pub struct PruneSolvers;
-
-impl Pass for PruneSolvers {
-    fn name(&self) -> &'static str {
-        "prune-solvers"
-    }
-
-    fn apply(&self, design: &mut VhifDesign) -> usize {
-        if design.candidates.is_empty() {
-            return 0;
-        }
-        let signature = |g: &SignalFlowGraph| -> (Vec<String>, Vec<String>) {
-            let mut interface = Vec::new();
-            let mut blocks = Vec::new();
-            for (_, b) in g.iter() {
-                let key = kind_key(&b.kind);
-                if b.kind.is_interface() {
-                    interface.push(key);
-                } else {
-                    blocks.push(key);
-                }
-            }
-            interface.sort();
-            blocks.sort();
-            (interface, blocks)
-        };
-        // Reference lowerings: the primary graphs plus every candidate.
-        let primaries: Vec<(Vec<String>, Vec<String>)> =
-            design.graphs.iter().map(&signature).collect();
-        let candidate_sigs: Vec<(Vec<String>, Vec<String>)> =
-            design.candidates.iter().map(|c| signature(&c.graph)).collect();
-
-        let dominated = |a: &(Vec<String>, Vec<String>), b: &(Vec<String>, Vec<String>)| {
-            a.0 == b.0 && a.1.len() > b.1.len() && multiset_superset(&a.1, &b.1)
-        };
-
-        let mut drop = vec![false; design.candidates.len()];
-        for (i, c) in design.candidates.iter().enumerate() {
-            if c.graph.validate().is_err() {
-                drop[i] = true;
-                continue;
-            }
-            let sig = &candidate_sigs[i];
-            let beaten = primaries.iter().any(|p| dominated(sig, p))
-                || candidate_sigs
-                    .iter()
-                    .enumerate()
-                    .any(|(j, other)| j != i && dominated(sig, other));
-            if beaten {
-                drop[i] = true;
-            }
-        }
-        let mut removed = 0;
-        let mut idx = 0;
-        design.candidates.retain(|_| {
-            let d = drop[idx];
-            idx += 1;
-            if d {
-                removed += 1;
-            }
-            !d
-        });
-        removed
-    }
-}
-
-/// Whether sorted multiset `a` contains every element of sorted
-/// multiset `b` (with multiplicity).
-fn multiset_superset(a: &[String], b: &[String]) -> bool {
-    let mut counts: HashMap<&str, isize> = HashMap::new();
-    for k in a {
-        *counts.entry(k.as_str()).or_default() += 1;
-    }
-    for k in b {
-        let c = counts.entry(k.as_str()).or_default();
-        *c -= 1;
-        if *c < 0 {
-            return false;
+        let removed = keep.iter().filter(|k| !**k).count();
+        if removed > 0 {
+            graph.compact(&keep);
+            rewrites += removed;
         }
     }
-    true
+    rewrites
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::SolverCandidate;
-
-    fn run_pass(name: &str, design: &mut VhifDesign) -> PassStats {
-        by_name(name).expect("known pass").run(design)
-    }
 
     fn wrap(graph: SignalFlowGraph) -> VhifDesign {
         let mut d = VhifDesign::new("t");
@@ -651,8 +324,7 @@ mod tests {
         g.connect(c4, add, 1).unwrap();
         g.connect(add, out, 0).unwrap();
         let mut d = wrap(g);
-        let stats = run_pass("const-fold", &mut d);
-        assert_eq!(stats.rewrites, 2); // scale, then add
+        assert_eq!(const_fold(&mut d), 2); // scale, then add
         assert_eq!(d.graphs[0].kind(add), &BlockKind::Const { value: 10.0 });
         // Folding disconnects the folded blocks' inputs.
         assert!(d.graphs[0].block_inputs(add).is_empty());
@@ -669,7 +341,7 @@ mod tests {
         g.connect(den, div, 1).unwrap();
         g.connect(div, out, 0).unwrap();
         let mut d = wrap(g);
-        run_pass("const-fold", &mut d);
+        const_fold(&mut d);
         // Not inf: the simulator's guard divides by 1e-12 instead.
         assert_eq!(d.graphs[0].kind(div), &BlockKind::Const { value: 1.0 / 1e-12 });
     }
@@ -683,78 +355,22 @@ mod tests {
         g.connect(c, integ, 0).unwrap();
         g.connect(integ, out, 0).unwrap();
         let mut d = wrap(g);
-        let stats = run_pass("const-fold", &mut d);
-        assert_eq!(stats.rewrites, 0);
+        assert_eq!(const_fold(&mut d), 0);
     }
 
     #[test]
-    fn coalesce_splices_unit_gains_and_transfers_labels() {
-        let mut g = SignalFlowGraph::new("g");
-        let x = g.add(BlockKind::Input { name: "x".into() });
-        let copy = g.add_labelled(BlockKind::Scale { gain: 1.0 }, "v");
-        let sc = g.add(BlockKind::Scale { gain: 2.0 });
-        let out = g.add(BlockKind::Output { name: "y".into() });
-        g.connect(x, copy, 0).unwrap();
-        g.connect(copy, sc, 0).unwrap();
-        g.connect(sc, out, 0).unwrap();
-        let mut d = wrap(g);
-        let stats = run_pass("coalesce", &mut d);
-        assert_eq!(stats.rewrites, 1);
-        // Fanout moved to the input; label transferred.
-        assert_eq!(d.graphs[0].block_inputs(sc)[0], Some(x));
-        assert_eq!(d.graphs[0].block(x).label.as_deref(), Some("v"));
-    }
-
-    #[test]
-    fn coalesce_keeps_doubly_named_aliases() {
-        let mut g = SignalFlowGraph::new("g");
-        let x = g.add_labelled(BlockKind::Scale { gain: 2.0 }, "a");
-        let src = g.add(BlockKind::Input { name: "x".into() });
-        let alias = g.add_labelled(BlockKind::Scale { gain: 1.0 }, "b");
-        let out = g.add(BlockKind::Output { name: "y".into() });
-        g.connect(src, x, 0).unwrap();
-        g.connect(x, alias, 0).unwrap();
-        g.connect(alias, out, 0).unwrap();
-        let mut d = wrap(g);
-        let stats = run_pass("coalesce", &mut d);
-        assert_eq!(stats.rewrites, 0);
-        assert_eq!(d.graphs[0].block_inputs(out)[0], Some(alias));
-    }
-
-    #[test]
-    fn cse_merges_identical_pure_blocks() {
-        let mut g = SignalFlowGraph::new("g");
-        let x = g.add(BlockKind::Input { name: "x".into() });
-        let a = g.add(BlockKind::Scale { gain: 2.0 });
-        let b = g.add(BlockKind::Scale { gain: 2.0 });
-        let sum = g.add(BlockKind::Add { arity: 2 });
-        let out = g.add(BlockKind::Output { name: "y".into() });
-        g.connect(x, a, 0).unwrap();
-        g.connect(x, b, 0).unwrap();
-        g.connect(a, sum, 0).unwrap();
-        g.connect(b, sum, 1).unwrap();
-        g.connect(sum, out, 0).unwrap();
-        let mut d = wrap(g);
-        let stats = run_pass("cse", &mut d);
-        assert_eq!(stats.rewrites, 1);
-        assert_eq!(d.graphs[0].block_inputs(sum), &[Some(a), Some(a)]);
-    }
-
-    #[test]
-    fn cse_distinguishes_gains_by_bit_pattern() {
-        let mut g = SignalFlowGraph::new("g");
-        let x = g.add(BlockKind::Input { name: "x".into() });
-        let a = g.add(BlockKind::Scale { gain: 0.0 });
-        let b = g.add(BlockKind::Scale { gain: -0.0 });
-        let sum = g.add(BlockKind::Add { arity: 2 });
-        let out = g.add(BlockKind::Output { name: "y".into() });
-        g.connect(x, a, 0).unwrap();
-        g.connect(x, b, 0).unwrap();
-        g.connect(a, sum, 0).unwrap();
-        g.connect(b, sum, 1).unwrap();
-        g.connect(sum, out, 0).unwrap();
-        let mut d = wrap(g);
-        assert_eq!(run_pass("cse", &mut d).rewrites, 0);
+    fn const_fold_leaves_log_and_antilog_to_the_simulator() {
+        for kind in [BlockKind::Log, BlockKind::Antilog] {
+            let mut g = SignalFlowGraph::new("g");
+            let c = g.add(BlockKind::Const { value: 1.5 });
+            let f = g.add(kind.clone());
+            let out = g.add(BlockKind::Output { name: "y".into() });
+            g.connect(c, f, 0).unwrap();
+            g.connect(f, out, 0).unwrap();
+            let mut d = wrap(g);
+            assert_eq!(const_fold(&mut d), 0, "{kind:?} folded");
+            assert_eq!(d.graphs[0].kind(f), &kind);
+        }
     }
 
     #[test]
@@ -768,8 +384,7 @@ mod tests {
         g.connect(x, dead, 0).unwrap();
         g.connect(live, out, 0).unwrap();
         let mut d = wrap(g);
-        let stats = run_pass("dce", &mut d);
-        assert_eq!(stats.rewrites, 1);
+        assert_eq!(dce(&mut d), 1);
         assert_eq!(d.graphs[0].len(), 3);
         d.graphs[0].validate().expect("still valid after gc");
     }
@@ -793,45 +408,7 @@ mod tests {
         fsm.add_transition(start, s, Trigger::Always);
         fsm.add_transition(s, start, Trigger::Always);
         d.fsms.push(fsm);
-        let stats = run_pass("dce", &mut d);
-        assert_eq!(stats.rewrites, 0, "observed + memory blocks all stay");
-    }
-
-    #[test]
-    fn prune_drops_dominated_candidates() {
-        let mut base = SignalFlowGraph::new("main");
-        let x = base.add(BlockKind::Input { name: "x".into() });
-        let sc = base.add(BlockKind::Scale { gain: 2.0 });
-        let out = base.add(BlockKind::Output { name: "y".into() });
-        base.connect(x, sc, 0).unwrap();
-        base.connect(sc, out, 0).unwrap();
-
-        // Same interface, strictly more blocks: dominated.
-        let mut fat = SignalFlowGraph::new("main");
-        let x2 = fat.add(BlockKind::Input { name: "x".into() });
-        let s1 = fat.add(BlockKind::Scale { gain: 2.0 });
-        let s2 = fat.add(BlockKind::Scale { gain: 1.0 });
-        let out2 = fat.add(BlockKind::Output { name: "y".into() });
-        fat.connect(x2, s1, 0).unwrap();
-        fat.connect(s1, s2, 0).unwrap();
-        fat.connect(s2, out2, 0).unwrap();
-
-        // Same size but a *different* operation mix: kept.
-        let mut alt = SignalFlowGraph::new("main");
-        let x3 = alt.add(BlockKind::Input { name: "x".into() });
-        let d1 = alt.add(BlockKind::Add { arity: 2 });
-        let out3 = alt.add(BlockKind::Output { name: "y".into() });
-        alt.connect(x3, d1, 0).unwrap();
-        alt.connect(x3, d1, 1).unwrap();
-        alt.connect(d1, out3, 0).unwrap();
-
-        let mut d = wrap(base);
-        d.candidates.push(SolverCandidate { name: "main#1".into(), graph: fat });
-        d.candidates.push(SolverCandidate { name: "main#2".into(), graph: alt });
-        let stats = run_pass("prune-solvers", &mut d);
-        assert_eq!(stats.rewrites, 1);
-        assert_eq!(d.candidates.len(), 1);
-        assert_eq!(d.candidates[0].name, "main#2");
+        assert_eq!(dce(&mut d), 0, "observed + memory blocks all stay");
     }
 
     #[test]
@@ -847,12 +424,11 @@ mod tests {
         g.connect(mul, copy, 0).unwrap();
         g.connect(copy, out, 0).unwrap();
         let mut d = wrap(g);
-        let pm = PassManager::for_opt_level(2);
-        assert_eq!(pm.pass_names(), PASS_NAMES.to_vec());
-        let stats = pm.run(&mut d);
-        assert_eq!(stats.len(), 5);
-        assert!(stats.iter().any(|s| s.changed()));
-        // mul folded to const(6); copy spliced; feeders + husks GC'd.
+        let stats = PassManager::for_opt_level(2).run(&mut d);
+        let names: Vec<&str> = stats.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["const-fold", "dce"]);
+        assert!(stats.iter().all(|s| s.changed()));
+        // mul and its copy folded to const(6); feeders GC'd.
         let g = &d.graphs[0];
         g.validate().expect("valid after full pipeline");
         assert_eq!(g.len(), 2);
@@ -862,13 +438,18 @@ mod tests {
     }
 
     #[test]
-    fn unknown_pass_is_reported() {
-        assert!(by_name("inline-everything").is_none());
-        assert_eq!(PassManager::from_names(&["dce", "nope"]).err(), Some("nope".into()));
+    fn opt_level_zero_is_empty() {
+        let mut d = wrap(SignalFlowGraph::new("g"));
+        assert!(PassManager::for_opt_level(0).run(&mut d).is_empty());
     }
 
     #[test]
-    fn opt_level_zero_is_empty() {
-        assert!(PassManager::for_opt_level(0).pass_names().is_empty());
+    fn every_level_above_zero_runs_one_pipeline() {
+        let mut d = wrap(SignalFlowGraph::new("g"));
+        for level in [1, 2, 3] {
+            let names: Vec<&str> =
+                PassManager::for_opt_level(level).run(&mut d).iter().map(|s| s.name).collect();
+            assert_eq!(names, ["const-fold", "dce"], "-O{level}");
+        }
     }
 }

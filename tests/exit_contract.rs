@@ -94,6 +94,8 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
         (vec!["synth", &funcgen, "--jobs", "2"], "--jobs"),
         // A value flag needs its operand.
         (vec!["synth", &funcgen, "--strategy"], "--strategy"),
+        // `opt` runs one fixed pipeline: there is no pass list.
+        (vec!["opt", &funcgen, "--passes", "a"], "--passes"),
     ] {
         let output = Command::new(VASE).args(&args).output().expect("vase runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -336,5 +338,66 @@ fn serve_skips_an_overlong_line_in_bounded_memory() {
     assert_eq!(statuses, ["malformed", "ok"]);
     assert_eq!(code, Some(0));
     assert!(peak_kib < 16 * 1024, "daemon peaked at {peak_kib} KiB for a 32 MiB line");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that resets its connection ends only that connection: the
+/// daemon logs the error, answers the next client, and still exits 0
+/// on `shutdown`.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_socket_outlives_a_client_reset() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    let dir = scratch_dir("reset");
+    let socket = dir.join("vase.sock");
+    let child = Command::new(VASE)
+        .args(["serve", "--workers", "2", "--socket"])
+        .arg(&socket)
+        .arg("--cache-file")
+        .arg(dir.join("covers.bin"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("vase serve spawns");
+    let connect = || {
+        for _ in 0..500 {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
+                return stream;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("daemon never listened on {}", socket.display());
+    };
+
+    // Client A reads one byte of its reply and closes with the rest
+    // unread, so the kernel resets the daemon's end of the connection.
+    let mut a = connect();
+    a.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").expect("ping written");
+    a.read_exact(&mut [0u8; 1]).expect("reply readable");
+    drop(a);
+
+    let b = connect();
+    let mut reader = BufReader::new(b.try_clone().expect("stream clones"));
+    let mut writer = b;
+    let mut statuses = Vec::new();
+    for request in [r#"{"id":2,"op":"ping"}"#, r#"{"id":3,"op":"shutdown"}"#] {
+        writeln!(writer, "{request}").expect("request written");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response read");
+        let r = Json::parse(&line).expect("response parses");
+        statuses.push((
+            r.get("id").and_then(Json::as_int),
+            r.get("status").and_then(Json::as_str).expect("status").to_owned(),
+        ));
+    }
+    let output = child.wait_with_output().expect("daemon exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(statuses, [(Some(2), "ok".to_owned()), (Some(3), "ok".to_owned())]);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("connection dropped"), "the reset was not exercised: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
