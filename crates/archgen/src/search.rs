@@ -7,12 +7,13 @@
 //! filter, **share** before **allocate**, and the spec, range-prune and
 //! driver-bound filters on allocations. Each child it hands a driver is
 //! one [`Step`], which [`Plan::child`] appends to a copy of the plan's
-//! step list. Next to it live the one dominance memo ([`Memo`]) and the
-//! one leaf evaluation ([`SearchCtx::evaluate`]), which builds the
-//! plan's components from its steps, resolves and estimates them. The
-//! exact DFS ([`crate::bnb`]), guided search ([`crate::guide`]) and
-//! greedy heuristic ([`crate::greedy`], own choice rule) keep only
-//! their frontier order, bound, memo record and leaf tie-break.
+//! step list. Next to it live the one dominance memo ([`Memo`]), the
+//! one admissible area completion bound ([`Bound`]) and the one leaf
+//! evaluation ([`SearchCtx::evaluate`]), which builds the plan's
+//! components from its steps, resolves and estimates them. The exact
+//! DFS ([`crate::bnb`]), guided search ([`crate::guide`]) and greedy
+//! heuristic ([`crate::greedy`], own choice rule) keep only their
+//! frontier order, memo record and leaf tie-break.
 
 use std::collections::HashMap;
 
@@ -62,8 +63,8 @@ pub(crate) struct SearchCtx<'a> {
     /// op-amp spec is achievable at all (computed once, not per node).
     pub(crate) spec_ok: Vec<Vec<bool>>,
     /// `alt_area[block][alternative]`: the matched component's
-    /// estimated area. The guided search accumulates these as its
-    /// placed area and derives its completion bound from them
+    /// estimated area. The exact and the guided search accumulate these
+    /// as their placed area and derive their completion bound from them
     /// ([`SearchCtx::completion_bounds`]); computed alongside `spec_ok`
     /// from the same (memoized) estimates, so the search itself never
     /// calls the estimator per node.
@@ -237,8 +238,8 @@ impl<'a> SearchCtx<'a> {
         })
     }
 
-    /// The guided search's completion bound per block, `lb[b]`: the
-    /// least area per covered block, `alt_area / |covered|`, over every
+    /// The completion bound per block, `lb[b]`, that [`Bound`] holds:
+    /// the least area per covered block, `alt_area / |covered|`, over every
     /// match-table alternative that covers `b`. When sharing is on, an
     /// alternative with a twin elsewhere in the table counts zero: the
     /// same kind and inputs with a disjoint cover is the only kind of
@@ -314,10 +315,56 @@ pub(crate) fn fits(plan: &Plan, m: &PatternMatch) -> bool {
     !m.covered.iter().any(|&b| plan.is_covered(b))
 }
 
+/// The admissible completion bound both searches prune on, and its
+/// prune test. A node's `f = g + h` is its placed area `g` plus `h`,
+/// the completion bound of the blocks it leaves uncovered; a child
+/// subtracts [`Bound::covered`] of its alternative from `h`.
+pub(crate) struct Bound {
+    /// Per-block completion bound ([`SearchCtx::completion_bounds`]).
+    lb: Vec<f64>,
+    /// `1 − δ`, the conservative rounding of the prune test.
+    slack: f64,
+    /// `config.bounding`: off, nothing is pruned.
+    on: bool,
+}
+
+impl Bound {
+    pub(crate) fn new(ctx: &SearchCtx) -> Self {
+        // The quotients and the running sums of `g` and `h` each drift
+        // by at most a few ulps per block of the graph.
+        let delta = (4.0 * ctx.graph.len() as f64 * f64::EPSILON).max(1e-12);
+        Bound {
+            lb: ctx.completion_bounds(),
+            slack: 1.0 - delta,
+            on: ctx.config.bounding,
+        }
+    }
+
+    /// The completion bound of the blocks `m` covers.
+    pub(crate) fn covered(&self, m: &PatternMatch) -> f64 {
+        m.covered.iter().map(|b| self.lb[b.index()]).sum()
+    }
+
+    /// The completion bound of the blocks `plan` leaves uncovered.
+    pub(crate) fn uncovered(&self, plan: &Plan) -> f64 {
+        (0..self.lb.len())
+            .filter(|&b| !plan.covered.get(b))
+            .map(|b| self.lb[b])
+            .sum()
+    }
+
+    /// Whether a node whose completions all cost at least `f` cannot
+    /// reach the incumbent's area: strictly above it, after rounding
+    /// `f` down by `δ`, so equal-area leaves survive.
+    pub(crate) fn prunes(&self, f: f64, incumbent: f64) -> bool {
+        self.on && f * self.slack > incumbent
+    }
+}
+
 /// The dominance memo, off unless `config.memoize`: one record per
 /// cover set reached, kept by the visit that dominates later ones. The
-/// exact DFS records the fewest op amps; the guided search adds the
-/// visit's branch path for its tie rule.
+/// exact DFS records the least placed area; the guided search records
+/// op amps and the visit's branch path for its tie rule.
 pub(crate) struct Memo<R>(Option<HashMap<CoverSet, R>>);
 
 impl<R> Memo<R> {

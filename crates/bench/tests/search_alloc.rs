@@ -7,11 +7,11 @@
 //! here; a plan held as a flat list of small `Copy` decisions makes a
 //! few.
 //!
-//! The guided search's completion bound proves this graph's optimum in
-//! a few dozen nodes, so set-up would dominate its per-node count; its
-//! frontier is measured with `bounding: false`, which visits about ten
-//! thousand nodes. The bounded guided run is held to fewer allocations
-//! in total than the exact search.
+//! Both searches' area completion bound proves this graph's optimum in
+//! a few dozen nodes, so set-up would dominate the per-node count; each
+//! search is measured with `bounding: false`, which visits about ten
+//! thousand nodes. Each bounded run is held to fewer allocations in
+//! total than its unbounded run.
 //!
 //! The count covers the whole `map_graph` call, set-up included (match
 //! table, estimates, leaf netlists), and is kept per thread as in
@@ -78,18 +78,24 @@ fn count(name: &str, graph: &vase_vhif::SignalFlowGraph, config: &MapperConfig) 
     (made, result.stats.visited_nodes)
 }
 
+/// Each strategy's default configuration and its `bounding: false`
+/// twin.
+fn strategies() -> [(&'static str, MapperConfig, MapperConfig); 2] {
+    let open = |config| MapperConfig {
+        bounding: false,
+        ..config
+    };
+    [
+        ("exact", MapperConfig::default(), open(MapperConfig::default())),
+        ("guided", MapperConfig::guided(), open(MapperConfig::guided())),
+    ]
+}
+
 #[test]
 fn search_allocates_a_few_times_per_visited_node() {
     let graph = control_loop(50, SEED);
-    let frontier = MapperConfig {
-        bounding: false,
-        ..MapperConfig::guided()
-    };
-    for (name, config) in [
-        ("exact", MapperConfig::default()),
-        ("guided frontier", frontier),
-    ] {
-        let (made, visited) = count(name, &graph, &config);
+    for (name, _, unbounded) in strategies() {
+        let (made, visited) = count(name, &graph, &unbounded);
         assert!(
             made <= PER_NODE * visited,
             "{name}: {made} allocations for {visited} visited nodes ({:.1} per node, at most \
@@ -100,12 +106,14 @@ fn search_allocates_a_few_times_per_visited_node() {
 }
 
 #[test]
-fn bounded_guided_search_allocates_less_than_exact() {
+fn bounded_search_allocates_less_than_unbounded() {
     let graph = control_loop(50, SEED);
-    let (exact, _) = count("exact", &graph, &MapperConfig::default());
-    let (guided, _) = count("guided", &graph, &MapperConfig::guided());
-    assert!(
-        guided < exact,
-        "guided made {guided} allocations, exact {exact}"
-    );
+    for (name, bounded, unbounded) in strategies() {
+        let (with, _) = count(name, &graph, &bounded);
+        let (without, _) = count(name, &graph, &unbounded);
+        assert!(
+            with < without,
+            "{name}: the bounded run made {with} allocations, the unbounded {without}"
+        );
+    }
 }
