@@ -12,18 +12,19 @@ use vase_library::MatchOptions;
 pub enum SearchStrategy {
     /// The paper's depth-first branch-and-bound (Fig. 5): exact, with
     /// the largest-cover-first sequencing rule and the
-    /// `opamps · MinArea` bounding rule.
+    /// `opamps · MinArea` bounding rule, followed by the admissible area
+    /// bound the guided search orders its frontier by.
     #[default]
     Exact,
     /// Model-guided best-first search: candidates are expanded in order
     /// of an estimator-derived lower bound on their final area (placed
     /// component area plus an admissible completion bound over the
     /// uncovered blocks) and pruned when that bound exceeds the
-    /// incumbent — a much tighter bound than `opamps · MinArea`. Run to
+    /// incumbent, the bound the exact search prunes on too. Run to
     /// completion it returns the netlist of [`SearchStrategy::Exact`]
-    /// bit for bit wherever the two find the same area (tested on the
-    /// corpus and on generated graphs); under a limited [`Budget`] it
-    /// is anytime exactly like the exact search.
+    /// bit for bit (tested on the corpus and on generated graphs);
+    /// under a limited [`Budget`] it is anytime exactly like the exact
+    /// search.
     Guided,
 }
 
@@ -34,8 +35,12 @@ pub enum SearchStrategy {
 pub struct MapperConfig {
     /// Pattern families available to the branching rule.
     pub match_options: MatchOptions,
-    /// Enable the bounding rule (`(opamps + comp) · MinArea <
-    /// current_best`).
+    /// Enable the bounding rules: the paper's `(opamps + comp) ·
+    /// MinArea ≥ current_best`, and the admissible area bound `g + h >
+    /// current_best` (placed area plus a lower bound on the area of the
+    /// uncovered blocks). Off, nothing is pruned on a bound, and the
+    /// exact search builds no completion bound; the guided search still
+    /// orders its frontier by it.
     pub bounding: bool,
     /// Enable the sequencing rule (visit larger-cover alternatives
     /// first; sharing before allocation). Disabled, alternatives are
@@ -51,11 +56,13 @@ pub struct MapperConfig {
     pub node_limit: u64,
     /// Dominance memoization (an extension beyond the paper): prune a
     /// partial mapping whose covered-block set was already reached with
-    /// no more op amps. Collapses the exponential revisiting the paper
-    /// identifies as the algorithm's scaling limit. It compares op
-    /// amps, not area, so it can drop the area optimum among mappings
-    /// of equal op-amp count (seen on generated control loops, where
-    /// the loss is below 0.1% of the area).
+    /// no more placed area (the exact search) or no more op amps (the
+    /// guided search, which reaches a cover set in order of its area
+    /// bound). Collapses the exponential revisiting the paper
+    /// identifies as the algorithm's scaling limit. Two plans of one
+    /// cover set can differ in what later blocks may share, so it is a
+    /// heuristic; the generated-corpus oracles check that it loses no
+    /// area against `memoize: false`.
     pub memoize: bool,
     /// Caller-facing compute budget (wall-clock deadline and/or node
     /// cap) on top of the `node_limit` safety cap. When any limit here
