@@ -1,6 +1,8 @@
-//! The seeded VASS design generator shared by the pins over generated
-//! input (`tests/compile_pins.rs` and `crates/bench/tests/opt_oracle.rs`,
-//! which include this file as a module). `generate(seed)` is a pure
+//! The seeded VASS design generator shared by the pins and oracles over
+//! generated input (`tests/compile_pins.rs`,
+//! `crates/bench/tests/opt_oracle.rs` and
+//! `crates/bench/tests/guided_oracle.rs`, which include this file as a
+//! module). `generate(seed)` is a pure
 //! function of its seed, so a seed names one design everywhere.
 //!
 //! No shipped design records a solver candidate, so the generator
