@@ -653,7 +653,8 @@ fn cmd_serve(args: &[String]) -> Result<u8, String> {
 /// Serve over a Unix socket: one connection at a time (the warm cache
 /// is shared across connections), until a client sends `shutdown`. An
 /// I/O error on a connection, such as a client's reset, ends only that
-/// connection: it is logged to stderr and the next one is accepted.
+/// connection: it is logged to stderr, what the connection did up to
+/// the error joins the summary, and the next one is accepted.
 fn serve_socket(
     path: &str,
     handler: &vase::service::FlowJobHandler,
@@ -665,25 +666,27 @@ fn serve_socket(
     let mut total = vase::serve::ServeStats::default();
     loop {
         let (stream, _) = listener.accept().map_err(|e| format!("accept failed: {e}"))?;
-        let served = stream.try_clone().and_then(|reader| {
-            vase::serve::serve(std::io::BufReader::new(reader), stream, handler, config.clone())
-        });
-        let stats = match served {
-            Ok(stats) => stats,
+        let reader = match stream.try_clone() {
+            Ok(reader) => reader,
             Err(e) => {
                 eprintln!("serve: connection dropped: {e}");
                 continue;
             }
         };
-        total.requests += stats.requests;
-        total.responses += stats.responses;
-        total.completed += stats.completed;
-        total.shed += stats.shed;
-        total.panicked += stats.panicked;
-        total.deadline_hits += stats.deadline_hits;
-        total.malformed += stats.malformed;
+        let stats = match vase::serve::serve(
+            std::io::BufReader::new(reader),
+            stream,
+            handler,
+            config.clone(),
+        ) {
+            Ok(stats) => stats,
+            Err(dropped) => {
+                eprintln!("serve: connection dropped: {dropped}");
+                dropped.stats
+            }
+        };
+        total.merge(&stats);
         if stats.shutdown {
-            total.shutdown = true;
             break;
         }
     }

@@ -55,7 +55,9 @@ pub mod server;
 
 pub use inject::{Fault, FaultPlan};
 pub use proto::{exit_for_status, Op, Request, RequestError, Response};
-pub use server::{serve, JobHandler, JobOutput, ServeStats, ServerConfig, MAX_LINE_BYTES};
+pub use server::{
+    serve, JobHandler, JobOutput, ServeError, ServeStats, ServerConfig, MAX_LINE_BYTES,
+};
 
 #[cfg(test)]
 mod tests {
@@ -262,6 +264,33 @@ mod tests {
             .map(|r| (r.get("id").and_then(Json::as_int), status_of(r)))
             .collect();
         assert_eq!(answers, [(Some(1), "ok"), (None, "malformed"), (Some(2), "ok")]);
+    }
+
+    #[test]
+    fn a_reader_error_keeps_the_counts_up_to_it() {
+        /// A stream that breaks after its first line, like a reset.
+        struct Reset(&'static [u8]);
+        impl std::io::Read for Reset {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::ConnectionReset.into());
+                }
+                let n = self.0.len().min(buf.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let reader = std::io::BufReader::new(Reset(b"{\"id\": 1, \"op\": \"ping\"}\n"));
+        let mut out = Vec::new();
+        let err = serve(reader, &mut out, &Scripted::default(), ServerConfig::default())
+            .expect_err("the reset ends the session");
+        assert_eq!(err.error.kind(), std::io::ErrorKind::ConnectionReset);
+        assert_eq!((err.stats.requests, err.stats.responses), (1, 1));
+        let mut total = ServeStats { shutdown: true, ..ServeStats::default() };
+        total.merge(&err.stats);
+        total.merge(&err.stats);
+        assert_eq!((total.requests, total.responses, total.shutdown), (2, 2, true));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,6 +126,43 @@ pub struct ServeStats {
     pub malformed: u64,
     /// Whether a `shutdown` op (rather than EOF) ended the session.
     pub shutdown: bool,
+}
+
+impl ServeStats {
+    /// Accumulate `other` into `self`: every count is summed, and a
+    /// shutdown in either session counts.
+    pub fn merge(&mut self, other: &ServeStats) {
+        self.requests += other.requests;
+        self.responses += other.responses;
+        self.completed += other.completed;
+        self.shed += other.shed;
+        self.panicked += other.panicked;
+        self.deadline_hits += other.deadline_hits;
+        self.malformed += other.malformed;
+        self.shutdown |= other.shutdown;
+    }
+}
+
+/// A [`serve`] session that a reader I/O error ended, with what it had
+/// done by then.
+#[derive(Debug)]
+pub struct ServeError {
+    /// The session's counts up to the error.
+    pub stats: ServeStats,
+    /// The reader's error.
+    pub error: io::Error,
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
 }
 
 /// How often the watchdog rescans active jobs for expired deadlines.
@@ -383,7 +421,8 @@ fn watchdog<W: Write>(shared: &Shared<'_, W>) {
 ///
 /// # Errors
 ///
-/// Only reader I/O errors propagate; handler panics, deadline hits,
+/// Only reader I/O errors propagate, as a [`ServeError`] that keeps
+/// the session's counts up to the error; handler panics, deadline hits,
 /// malformed lines (bytes that are not UTF-8 and lines longer than
 /// [`MAX_LINE_BYTES`] included), and client write failures each
 /// degrade exactly one response.
@@ -392,7 +431,7 @@ pub fn serve<R, W, H>(
     writer: W,
     handler: &H,
     config: ServerConfig,
-) -> io::Result<ServeStats>
+) -> Result<ServeStats, ServeError>
 where
     R: BufRead,
     W: Write + Send,
@@ -526,6 +565,8 @@ where
     stats.shed = shared.counters.shed.load(Ordering::Relaxed);
     stats.panicked = shared.counters.panicked.load(Ordering::Relaxed);
     stats.deadline_hits = shared.counters.deadline_hits.load(Ordering::Relaxed);
-    read_result?;
-    Ok(stats)
+    match read_result {
+        Ok(()) => Ok(stats),
+        Err(error) => Err(ServeError { stats, error }),
+    }
 }

@@ -342,8 +342,8 @@ fn serve_skips_an_overlong_line_in_bounded_memory() {
 }
 
 /// A client that resets its connection ends only that connection: the
-/// daemon logs the error, answers the next client, and still exits 0
-/// on `shutdown`.
+/// daemon logs the error, answers the next client, counts both clients'
+/// requests in its summary, and still exits 0 on `shutdown`.
 #[cfg(target_os = "linux")]
 #[test]
 fn serve_socket_outlives_a_client_reset() {
@@ -399,5 +399,7 @@ fn serve_socket_outlives_a_client_reset() {
     assert_eq!(statuses, [(Some(2), "ok".to_owned()), (Some(3), "ok".to_owned())]);
     assert_eq!(output.status.code(), Some(0), "{stderr}");
     assert!(stderr.contains("connection dropped"), "the reset was not exercised: {stderr}");
+    // The dropped connection's ping counts in the summary.
+    assert!(stderr.contains("serve: 3 request(s), 3 response(s)"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
