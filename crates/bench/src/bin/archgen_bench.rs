@@ -39,12 +39,11 @@ use vase_bench::synthetic::{FAMILIES, SIZES};
 use vase_bench::SEED;
 
 const REPS: usize = 3;
-/// Per-search wall-clock deadline for the synthetic sweep: a backstop,
-/// not the limit that binds. The mapper's stock 2M-node cap
-/// (`MapperConfig::node_limit`) stops the exact search first on
-/// `control_loop` at 100 and 200 blocks (~10.5M nodes needed at 100),
-/// while the guided search's completion bound proves the optimum there
-/// in about a hundred visits.
+/// Per-search wall-clock deadline for the synthetic sweep: a backstop
+/// no search reaches. Both strategies prune on the area completion
+/// bound and prove every synthetic optimum in a few hundred visits at
+/// most, far below the mapper's stock 2M-node cap
+/// (`MapperConfig::node_limit`).
 const DEADLINE_MS: u64 = 60_000;
 const SMOKE_DEADLINE_MS: u64 = 250;
 
@@ -215,8 +214,8 @@ fn bench_corpus(reps: usize) -> Result<Vec<AppRecord>, Box<dyn std::error::Error
 
 /// The synthetic scaling sweep: exact vs guided vs cold/warm cache at
 /// each size, one run apiece under the node cap and `deadline_ms`
-/// (an exhausted run already costs the whole budget, so repetitions
-/// would only multiply that).
+/// (a run that exhausted either would cost the whole budget, so
+/// repetitions would only multiply that).
 fn bench_synthetic(
     sizes: &[usize],
     deadline_ms: u64,
