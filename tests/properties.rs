@@ -369,11 +369,7 @@ fn bounding_is_admissible_on_random_graphs() {
         let exhaustive = map_graph(&g, &estimator, &MapperConfig::exhaustive_memoized());
         match (bounded, exhaustive) {
             (Ok(b), Ok(e)) => {
-                assert_eq!(
-                    b.netlist.opamp_count(),
-                    e.netlist.opamp_count(),
-                    "seed={seed:#x}: bounding changed the optimum"
-                );
+                assert_eq!(b.netlist, e.netlist, "seed={seed:#x}: bounding changed the optimum");
                 assert!(
                     b.stats.visited_nodes <= e.stats.visited_nodes,
                     "seed={seed:#x}"
