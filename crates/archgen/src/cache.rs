@@ -155,7 +155,9 @@ impl CoverCache {
 
     /// Record the winning cover for `key`. Last writer wins; since all
     /// writers for one key found covers for the same graph under the
-    /// same context with the same (deterministic) search, they agree.
+    /// same context, by deterministic searches that return the same
+    /// cover whichever strategy ran (the key leaves the strategy out),
+    /// they agree.
     pub fn insert(&self, key: (u64, u64), opamps: usize, components: Vec<PlannedComponent>) {
         let cover = CachedCover::new(key, opamps, components);
         let mut table = self.table.lock().expect("cover-cache poisoned");
