@@ -1,9 +1,10 @@
 //! Emit `BENCH_sim.json`: transient-simulation throughput of the
-//! compiled-plan engines and frequency-sweep wall clock, sequential vs
-//! parallel, on the five Table 1 applications.
+//! compiled-plan engines and frequency-sweep wall clock on the five
+//! Table 1 applications. Everything runs on one thread, as the
+//! simulator does.
 //!
 //! ```sh
-//! cargo run --release -p vase-bench --bin sim_bench [-- --smoke] [-- --jobs <n>]
+//! cargo run --release -p vase-bench --bin sim_bench [-- --smoke] [-- --only <name>]
 //! ```
 //!
 //! Per application:
@@ -12,17 +13,15 @@
 //!   ([`vase::sim::CompiledSim`]), best of `reps` runs;
 //! * **netlist** — steps/second of the compiled macromodel plan
 //!   ([`vase::sim::CompiledNetlist`]);
-//! * **sweep** — wall clock of a log-spaced frequency sweep between the
-//!   design's first input and first output, `--jobs 1` vs `--jobs <n>`
-//!   (default 4), with the two point lists checked bit-identical
-//!   (designs without an input port skip the sweep and report `null`);
+//! * **sweep** — wall clock of one log-spaced frequency sweep between
+//!   the design's first input and first output, its points run in
+//!   8-lane batches (designs without an input port skip the sweep and
+//!   report `null`);
 //! * **wide** — aggregate steps/second of a many-point stimulus sweep,
 //!   a loop of one-lane sessions vs lane-batched SoA execution at
 //!   widths 4 and 8, result sets checked bit-identical, with per-run
 //!   allocation counts and peak heap growth from a counting global
-//!   allocator;
-//! * **adaptive** — accepted/rejected step counts of the batched RKF45
-//!   integrator against the fixed-step count of the same window.
+//!   allocator.
 //!
 //! `--smoke` shrinks the step counts and the sweep so the binary
 //! finishes in well under a second — the tier-1 CI gate runs that mode
@@ -36,8 +35,8 @@ use std::time::Instant;
 
 use vase::flow::{synthesize_source, FlowOptions, SynthesizedDesign};
 use vase::sim::{
-    frequency_response_with, log_sweep, AdaptiveConfig, BatchLane, CompiledNetlist, CompiledSim,
-    SimConfig, SimError, SimResult, Stimulus, SweepConfig,
+    frequency_response, log_sweep, BatchLane, CompiledNetlist, CompiledSim, SimConfig, SimError,
+    SimResult, Stimulus,
 };
 use vase::vhif::BlockKind;
 use vase_bench::json::Json;
@@ -142,10 +141,7 @@ struct SweepRecord {
     input: String,
     output: String,
     points: usize,
-    sequential_wall_us: u64,
-    parallel_wall_us: u64,
-    speedup: f64,
-    bit_identical: bool,
+    wall_us: u64,
 }
 
 impl SweepRecord {
@@ -154,10 +150,7 @@ impl SweepRecord {
             ("input", Json::str(self.input.clone())),
             ("output", Json::str(self.output.clone())),
             ("points", Json::Int(self.points as i128)),
-            ("sequential_wall_us", Json::Int(self.sequential_wall_us as i128)),
-            ("parallel_wall_us", Json::Int(self.parallel_wall_us as i128)),
-            ("speedup", Json::Num(self.speedup)),
-            ("bit_identical", Json::Bool(self.bit_identical)),
+            ("wall_us", Json::Int(self.wall_us as i128)),
         ])
     }
 }
@@ -307,22 +300,6 @@ fn bench_wide(plan: &CompiledSim<'_>, sizing: &Sizing) -> WideRecord {
     }
 }
 
-/// One batched RKF45 run over the behavioral plan's window: how many
-/// adaptive steps the batch-min controller takes (accepted/rejected)
-/// vs the fixed-step count for the same span.
-fn bench_adaptive(plan: &CompiledSim<'_>) -> Json {
-    let mut session = plan.batch_replicated(8);
-    let stats = session.run_adaptive(&AdaptiveConfig::default());
-    Json::obj([
-        ("lanes", Json::Int(8)),
-        ("fixed_steps", Json::Int(plan.steps() as i128)),
-        ("accepted", Json::Int(stats.accepted as i128)),
-        ("rejected", Json::Int(stats.rejected as i128)),
-        ("min_h", Json::Num(stats.min_h)),
-        ("max_h", Json::Num(stats.max_h)),
-    ])
-}
-
 /// First `Input` and first `Output` interface names of the design.
 fn interface_names(d: &SynthesizedDesign) -> (Option<String>, Option<String>) {
     let mut input = None;
@@ -339,11 +316,7 @@ fn interface_names(d: &SynthesizedDesign) -> (Option<String>, Option<String>) {
     (input, output)
 }
 
-fn bench_app(
-    b: &vase::benchmarks::Benchmark,
-    sizing: &Sizing,
-    jobs: usize,
-) -> Result<Json, String> {
+fn bench_app(b: &vase::benchmarks::Benchmark, sizing: &Sizing) -> Result<Json, String> {
     let designs =
         synthesize_source(b.source, &FlowOptions::default()).map_err(|e| e.to_string())?;
     let d = &designs[0];
@@ -358,9 +331,8 @@ fn bench_app(
     });
 
     // Wide simulation: the same plan over a many-point stimulus sweep,
-    // one-lane loop vs lane batches, plus one adaptive RKF45 run.
+    // one-lane loop vs lane batches.
     let wide = bench_wide(&plan, sizing);
-    let adaptive = bench_adaptive(&plan);
 
     // Netlist compiled plan (control bindings close the FSM loop).
     let config = SimConfig::new(1e-6, sizing.netlist_steps as f64 * 1e-6);
@@ -375,46 +347,27 @@ fn bench_app(
         std::hint::black_box(net_plan.run());
     });
 
-    // Frequency sweep, sequential vs parallel.
+    // Frequency sweep.
     let sweep = match interface_names(d) {
         (Some(input), Some(output)) => {
             let freqs = log_sweep(200.0, 5_000.0, sizing.sweep_points);
             let mut extra = stimuli.clone();
             extra.remove(&input);
-            let run = |jobs: usize| {
-                let t0 = Instant::now();
-                let points = frequency_response_with(
-                    &d.vhif,
-                    &input,
-                    &output,
-                    0.1,
-                    &freqs,
-                    &extra,
-                    &SweepConfig::with_jobs(jobs),
-                )
+            let t0 = Instant::now();
+            frequency_response(&d.vhif, &input, &output, 0.1, &freqs, &extra)
                 .map_err(|e| e.to_string())?;
-                Ok::<_, String>((t0.elapsed().as_micros() as u64, points))
-            };
-            let (seq_us, seq_points) = run(1)?;
-            let (par_us, par_points) = run(jobs)?;
             Some(SweepRecord {
                 input,
                 output,
                 points: freqs.len(),
-                sequential_wall_us: seq_us,
-                parallel_wall_us: par_us,
-                speedup: seq_us as f64 / par_us.max(1) as f64,
-                bit_identical: seq_points == par_points,
+                wall_us: t0.elapsed().as_micros() as u64,
             })
         }
         _ => None,
     };
 
     let sweep_note = match &sweep {
-        Some(s) => format!(
-            "sweep {} pts seq {} µs / par {} µs ({:.2}x, identical: {})",
-            s.points, s.sequential_wall_us, s.parallel_wall_us, s.speedup, s.bit_identical
-        ),
+        Some(s) => format!("sweep {} pts {} µs", s.points, s.wall_us),
         None => "no input port, sweep skipped".to_owned(),
     };
     println!(
@@ -433,7 +386,6 @@ fn bench_app(
         ("behavioral", behavioral.to_json()),
         ("netlist", netlist.to_json()),
         ("wide", wide.to_json()),
-        ("adaptive", adaptive),
         ("sweep", sweep.map_or(Json::Null, |s| s.to_json())),
     ]))
 }
@@ -449,14 +401,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let sizing = if smoke { SMOKE } else { FULL };
-    let jobs = match args.iter().position(|a| a == "--jobs").and_then(|i| args.get(i + 1)) {
-        Some(v) => match v.parse::<usize>().map_err(|e| format!("bad --jobs `{v}`: {e}"))? {
-            0 => SweepConfig::parallel().effective_jobs(),
-            n => n,
-        },
-        None => 4,
-    };
-
     let only = args
         .iter()
         .position(|a| a == "--only")
@@ -470,16 +414,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
         }
-        apps.push(bench_app(b, &sizing, jobs)?);
+        apps.push(bench_app(b, &sizing)?);
     }
     let report = Json::obj([
         ("benchmark", Json::str("sim")),
         ("smoke", Json::Bool(smoke)),
-        ("jobs", Json::Int(jobs as i128)),
         ("repetitions", Json::Int(sizing.reps as i128)),
         ("apps", Json::Arr(apps)),
     ]);
     let path = vase_bench::write_report("sim", smoke, &report)?;
-    println!("\nwritten to {} ({jobs} sweep worker(s))", path.display());
+    println!("\nwritten to {}", path.display());
     Ok(())
 }

@@ -47,9 +47,6 @@
 //!     --tend <seconds>      simulation length   (default 5e-3)
 //!     --dt <seconds>        time step           (default 1e-6)
 //!     --csv <out.csv>       write raw traces
-//!     --jobs <n>            simulate multiple architectures
-//!                           concurrently (0 = auto: one per core, derated
-//!                           to the lane-batched task count; default 1)
 //!     --monte-carlo <n>     instead of one transient, run <n>
 //!                           tolerance-perturbed samples per design through
 //!                           lane batches and report yield against the
@@ -66,10 +63,9 @@
 //!                           (default 8; 0 = only at shutdown); a snapshot
 //!                           point with no new cover since the last save
 //!                           writes nothing
-//! vase table1 [--jobs <n>]             regenerate the paper's Table 1
-//!     --jobs <n>        synthesize up to <n> of the five applications
-//!                       concurrently (0 = one per core, default 1)
-//!     --deadline-ms/--max-nodes  mapping budget, as in `synth`
+//! vase table1 [options]              regenerate the paper's Table 1
+//!     --deadline-ms/--max-nodes/--strategy  mapping budget and search, as
+//!                       in `synth`
 //!
 //! `sim`, `serve` and `table1` also accept the `-O` levels of `synth`.
 //! Each subcommand accepts only the flags listed for it; any other
@@ -94,7 +90,7 @@ use vase::flow::{
 };
 use vase::serve::{FaultPlan, ServerConfig};
 use vase::service::timings_to_json;
-use vase::sim::{render_ascii, MonteCarloConfig, SimConfig, Stimulus, SweepConfig};
+use vase::sim::{render_ascii, MonteCarloConfig, SimConfig, Stimulus};
 
 /// Exit code for degraded-but-usable results (budget-exhausted
 /// incumbent plans, partial simulation traces).
@@ -167,7 +163,7 @@ const SYNTH: FlagSet = flags(
 );
 const SIM: FlagSet = flags(
     "sim",
-    "--input --tend --dt --csv --jobs --monte-carlo --tolerance --seed --inject-lane",
+    "--input --tend --dt --csv --monte-carlo --tolerance --seed --inject-lane",
     "",
     true,
 );
@@ -178,7 +174,7 @@ const SERVE: FlagSet = flags(
     "",
     true,
 );
-const TABLE1: FlagSet = flags("table1", "--deadline-ms --max-nodes --strategy --jobs", "", true);
+const TABLE1: FlagSet = flags("table1", "--deadline-ms --max-nodes --strategy", "", true);
 
 impl FlagSet {
     /// Every non-flag argument, in order: the input file paths. Fails
@@ -282,17 +278,6 @@ fn strategy_flag(args: &[String]) -> Result<Option<SearchStrategy>, String> {
         Some("exact") => Ok(Some(SearchStrategy::Exact)),
         Some("guided") => Ok(Some(SearchStrategy::Guided)),
         Some(other) => Err(format!("unknown --strategy `{other}` (exact, guided)")),
-    }
-}
-
-/// Parse `--jobs <n>` (`0` = one per core).
-fn jobs_flag(args: &[String]) -> Result<Option<usize>, String> {
-    match flag_value(args, "--jobs") {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|e| format!("bad --jobs `{v}`: {e}")),
     }
 }
 
@@ -786,16 +771,11 @@ fn cmd_sim(args: &[String]) -> Result<u8, String> {
             i += 1;
         }
     }
-    let sweep = match jobs_flag(args)? {
-        Some(0) => SweepConfig::auto(),
-        Some(jobs) => SweepConfig::with_jobs(jobs),
-        None => SweepConfig::default(),
-    };
     let config = SimConfig::new(dt, t_end);
     if flag_value(args, "--monte-carlo").is_some() {
-        return cmd_sim_monte_carlo(args, &designs, &stimuli, &config, &sweep);
+        return cmd_sim_monte_carlo(args, &designs, &stimuli, &config);
     }
-    let results = simulate_designs_reported(&designs, &stimuli, &config, &sweep);
+    let results = simulate_designs_reported(&designs, &stimuli, &config, None);
     let mut failed = false;
     let mut partial = false;
     for (d, result) in designs.iter().zip(&results) {
@@ -838,7 +818,6 @@ fn cmd_sim_monte_carlo(
     designs: &[vase::flow::SynthesizedDesign],
     stimuli: &BTreeMap<String, Stimulus>,
     config: &SimConfig,
-    sweep: &SweepConfig,
 ) -> Result<u8, String> {
     let samples: usize = flag_value(args, "--monte-carlo")
         .expect("checked by caller")
@@ -871,8 +850,8 @@ fn cmd_sim_monte_carlo(
         samples,
         tolerance: pct / 100.0,
         seed,
-        lanes: sweep.effective_lanes(),
         inject,
+        ..MonteCarloConfig::default()
     };
     let reports = monte_carlo_designs(designs, stimuli, config, &mc);
     let mut failed = false;
@@ -943,40 +922,9 @@ fn cmd_table1(args: &[String]) -> Result<u8, String> {
         opt_level,
         ..FlowOptions::default()
     };
-    let jobs = match jobs_flag(args)?.unwrap_or(1) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
-    // With several jobs, synthesize up to that many applications at
-    // once (each app's mapper stays sequential).
-    let results: Vec<Result<vase::Table1Row, String>> = if jobs > 1 {
-        std::thread::scope(|scope| {
-            let options = &options;
-            BENCHMARKS
-                .chunks(jobs)
-                .flat_map(|chunk| {
-                    chunk
-                        .iter()
-                        .map(|b| {
-                            scope.spawn(move || {
-                                vase::table1_row(b, options).map_err(|e| e.to_string())
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .map(|h| h.join().expect("table1 worker panicked"))
-                })
-                .collect()
-        })
-    } else {
-        BENCHMARKS
-            .iter()
-            .map(|b| vase::table1_row(b, &options).map_err(|e| e.to_string()))
-            .collect()
-    };
     let mut rows = Vec::new();
-    for (b, result) in BENCHMARKS.iter().zip(results) {
-        rows.push((result?, Some(b)));
+    for b in &BENCHMARKS {
+        rows.push((vase::table1_row(b, &options).map_err(|e| e.to_string())?, Some(b)));
     }
     println!("{}", vase::format_table1(&rows));
     for (row, _) in &rows {

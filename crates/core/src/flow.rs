@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use vase_archgen::{
@@ -622,11 +621,10 @@ pub fn compile_source(source: &str) -> Result<Vec<(String, VhifDesign, VassStats
 /// Transient-simulate every synthesized design's netlist against the
 /// same stimuli, one [`SimResult`] per design, in design order.
 ///
-/// With `sweep.jobs > 1` the designs are claimed from a shared counter
-/// by scoped worker threads; each simulation is deterministic, and the
-/// merge is by design index, so the output — including which error is
-/// reported on failure (the one at the lowest index) — does not depend
-/// on the worker count.
+/// The designs run one after another on the calling thread. `_sweep`
+/// changes nothing ([`SweepConfig`] has no field); it stays only
+/// because the benchmark (`vase-bench/src/sim.rs`) passes
+/// `&SweepConfig::default()`, and goes with the benchmark's next change.
 ///
 /// # Errors
 ///
@@ -635,75 +633,43 @@ pub fn simulate_designs(
     designs: &[SynthesizedDesign],
     stimuli: &BTreeMap<String, Stimulus>,
     config: &SimConfig,
-    sweep: &SweepConfig,
+    _sweep: &SweepConfig,
 ) -> Result<Vec<SimResult>, SimError> {
-    simulate_designs_reported(designs, stimuli, config, sweep).into_iter().collect()
+    simulate_designs_reported(designs, stimuli, config, None).into_iter().collect()
 }
 
 /// Panic-isolated batch variant of [`simulate_designs`]: one outcome
 /// per design, in design order, continuing past failures. Each
 /// per-design simulation runs under `catch_unwind`, so a panicking
-/// design yields [`SimError::Panicked`] for its slot — it neither
-/// kills a worker thread nor aborts the rest of the batch.
+/// design yields [`SimError::Panicked`] for its slot and the rest of
+/// the batch still runs.
+///
+/// A cooperative cancellation `token` is threaded into every
+/// per-design stepping loop: a tripped token stops each simulation
+/// within one [`vase_budget::CHECK_STRIDE`] of steps and its partial
+/// [`SimResult`] comes back flagged `cancelled`. `vase sim` passes
+/// `None`; `vase serve` passes its job's token.
 pub fn simulate_designs_reported(
     designs: &[SynthesizedDesign],
     stimuli: &BTreeMap<String, Stimulus>,
     config: &SimConfig,
-    sweep: &SweepConfig,
-) -> Vec<Result<SimResult, SimError>> {
-    simulate_designs_reported_with_cancel(designs, stimuli, config, sweep, None)
-}
-
-/// [`simulate_designs_reported`] with a cooperative cancellation token
-/// threaded into every per-design stepping loop. A tripped token stops
-/// each simulation within one [`vase_budget::CHECK_STRIDE`] of steps
-/// and its partial [`SimResult`] comes back flagged `cancelled`. A
-/// `None` token is bit-identical to [`simulate_designs_reported`].
-pub fn simulate_designs_reported_with_cancel(
-    designs: &[SynthesizedDesign],
-    stimuli: &BTreeMap<String, Stimulus>,
-    config: &SimConfig,
-    sweep: &SweepConfig,
     token: Option<&CancelToken>,
 ) -> Vec<Result<SimResult, SimError>> {
-    let simulate = |d: &SynthesizedDesign| {
-        catch_unwind(AssertUnwindSafe(|| {
-            simulate_netlist_with_cancel(
-                &d.synthesis.netlist,
-                stimuli,
-                &d.synthesis.control_bindings,
-                config,
-                token,
-            )
-        }))
-        .unwrap_or_else(|payload| Err(SimError::Panicked { message: panic_message(payload) }))
-    };
-    let jobs = sweep.effective_jobs().min(designs.len().max(1));
-    if jobs <= 1 {
-        return designs.iter().map(simulate).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut simulated = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(d) = designs.get(i) else { break };
-                        out.push((i, simulate(d)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("simulation worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    simulated.sort_unstable_by_key(|(i, _)| *i);
-    simulated.into_iter().map(|(_, r)| r).collect()
+    designs
+        .iter()
+        .map(|d| {
+            catch_unwind(AssertUnwindSafe(|| {
+                simulate_netlist_with_cancel(
+                    &d.synthesis.netlist,
+                    stimuli,
+                    &d.synthesis.control_bindings,
+                    config,
+                    token,
+                )
+            }))
+            .unwrap_or_else(|payload| Err(SimError::Panicked { message: panic_message(payload) }))
+        })
+        .collect()
 }
 
 /// Monte Carlo tolerance/yield analysis of every synthesized design:
@@ -871,34 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_designs_parallel_matches_sequential() {
-        // Two designs (receiver + function generator) simulated as one
-        // batch: jobs=1 and jobs=4 must agree bit-for-bit.
-        let mut designs = synthesize_source(
-            benchmarks::RECEIVER.source,
-            &FlowOptions::default(),
-        )
-        .expect("receiver synthesizes");
-        designs.extend(
-            synthesize_source(benchmarks::FUNCTION_GENERATOR.source, &FlowOptions::default())
-                .expect("funcgen synthesizes"),
-        );
-        let mut stimuli = BTreeMap::new();
-        stimuli.insert("line".to_string(), Stimulus::sine(1.0, 1_000.0));
-        stimuli.insert("local".to_string(), Stimulus::sine(0.2, 1_000.0));
-        // The function generator's FSM control net is external at the
-        // netlist level; drive it so the batch simulates.
-        stimuli.insert("ramp".to_string(), Stimulus::Constant { level: 0.0 });
-        let config = SimConfig::new(1e-5, 1e-3);
-        let seq = simulate_designs(&designs, &stimuli, &config, &SweepConfig::default())
-            .expect("sequential batch");
-        let par = simulate_designs(&designs, &stimuli, &config, &SweepConfig::with_jobs(4))
-            .expect("parallel batch");
-        assert_eq!(seq.len(), designs.len());
-        assert_eq!(seq, par, "worker count must not change any trace bit");
-    }
-
-    #[test]
     fn monte_carlo_designs_score_against_annotated_ranges() {
         let designs = synthesize_source(benchmarks::RECEIVER.source, &FlowOptions::default())
             .expect("receiver synthesizes");
@@ -1040,12 +978,8 @@ mod tests {
         // No stimuli: every design fails with MissingStimulus, but the
         // reported variant returns one slot per design instead of one
         // collapsed error.
-        let outcomes = simulate_designs_reported(
-            &designs,
-            &BTreeMap::new(),
-            &SimConfig::new(1e-5, 1e-4),
-            &SweepConfig::default(),
-        );
+        let outcomes =
+            simulate_designs_reported(&designs, &BTreeMap::new(), &SimConfig::new(1e-5, 1e-4), None);
         assert_eq!(outcomes.len(), designs.len());
         assert!(outcomes.iter().all(|o| matches!(o, Err(SimError::MissingStimulus { .. }))));
     }

@@ -21,11 +21,11 @@ use vase_archgen::CoverCache;
 use vase_budget::CancelToken;
 use vase_diag::json::Json;
 use vase_serve::{JobHandler, JobOutput, Op, Request};
-use vase_sim::{SimConfig, Stimulus, SweepConfig};
+use vase_sim::{SimConfig, Stimulus};
 
 use crate::flow::{
-    sim_diagnostics, simulate_designs_reported_with_cancel, synthesize_unit, FlowOptions,
-    PhaseTimings, SynthesizedDesign,
+    sim_diagnostics, simulate_designs_reported, synthesize_unit, FlowOptions, PhaseTimings,
+    SynthesizedDesign,
 };
 
 /// Per-phase wall-clock timings as a JSON object — the `timings` field
@@ -194,13 +194,7 @@ impl FlowJobHandler {
             SimConfig::new(request.dt.unwrap_or(1e-6), request.tend.unwrap_or(5e-3));
         let stimuli: BTreeMap<String, Stimulus> = BTreeMap::new();
         let t0 = Instant::now();
-        let results = simulate_designs_reported_with_cancel(
-            &report.designs,
-            &stimuli,
-            &config,
-            &SweepConfig::default(),
-            Some(token),
-        );
+        let results = simulate_designs_reported(&report.designs, &stimuli, &config, Some(token));
         timings.sim_ms += t0.elapsed().as_secs_f64() * 1e3;
         timings.total_ms += timings.sim_ms;
         let mut failed = false;

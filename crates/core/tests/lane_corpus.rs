@@ -8,9 +8,7 @@
 use std::collections::BTreeMap;
 
 use vase::flow::{monte_carlo_designs, synthesize_source, FlowOptions, SynthesizedDesign};
-use vase::sim::{
-    CompiledNetlist, CompiledSim, MonteCarloConfig, SimConfig, SimError, Stimulus, SweepConfig,
-};
+use vase::sim::{CompiledNetlist, CompiledSim, MonteCarloConfig, SimConfig, SimError, Stimulus};
 
 /// Build a stimulus map by retrying: every [`SimError::MissingStimulus`]
 /// gets a small sine until the design compiles (the same bootstrap the
@@ -124,13 +122,4 @@ fn every_spec_completes_monte_carlo_yield_analysis() {
             }
         }
     }
-}
-
-#[test]
-fn corpus_sweep_jobs_derate_to_lane_task_count() {
-    // The corpus has 11 specs; an auto sweep over them with 8-wide
-    // lanes needs at most ceil(11 / 8) = 2 worker threads.
-    let sweep = SweepConfig::auto();
-    let points = vase::benchmarks::corpus().len();
-    assert!(sweep.effective_jobs_for(points) <= points.div_ceil(sweep.effective_lanes()));
 }

@@ -1,5 +1,9 @@
-//! The behavioral (VHIF) simulation engine: lane-batched RK4 stepping
-//! with FSM co-simulation, fault recovery and cancellation.
+//! The behavioral (VHIF) simulation engine: lane-batched, fixed-step
+//! RK4 stepping with FSM co-simulation, fault recovery and cancellation.
+//! It is the one behavioral integrator: `tests/simulation.rs`,
+//! `tests/behavioral_traces.rs` and `crates/bench/tests/opt_oracle.rs`
+//! compare against its fixed grid, as the paper checks its netlists
+//! with fixed-step SPICE transients (Fig. 8).
 //!
 //! A [`BatchSession`] advances up to [`MAX_LANES`] *lanes* — independent
 //! parameter variants of one compiled plan — in lockstep through the
@@ -16,7 +20,7 @@
 //! Contracts, asserted by `crates/sim/tests/lane_equivalence.rs` and
 //! pinned by `tests/behavioral_traces.rs`:
 //!
-//! * **Bit identity** — with fixed-step RK4, every lane executes the
+//! * **Bit identity** — every lane executes the
 //!   floating-point operation sequence of a one-lane run of its own
 //!   stimuli and step size, so lane results are bit-identical regardless
 //!   of batch width or packing.
@@ -31,12 +35,6 @@
 //!   trace while the rest of the batch keeps stepping. Dead lanes have
 //!   their state zeroed so the lockstep kernel never branches per lane
 //!   on the hot path.
-//!
-//! [`BatchSession::run_adaptive`] swaps the fixed-grid RK4 loop for an
-//! embedded RKF4(5) pair with *batch-min* step control: all lanes share
-//! one step size, any rejecting lane shrinks it for everyone, and a lane
-//! that still rejects at the floor is deactivated so it cannot pin the
-//! batch at `h_min` forever.
 
 use std::collections::BTreeMap;
 
@@ -68,51 +66,6 @@ pub struct BatchLane {
     /// cover different time windows — exactly what a frequency sweep
     /// needs.
     pub dt: f64,
-}
-
-/// Step-size control for [`BatchSession::run_adaptive`] (embedded
-/// RKF4(5) pair). `None` bounds resolve against the plan's fixed step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Relative tolerance on each integrator state.
-    pub rtol: f64,
-    /// Absolute tolerance floor.
-    pub atol: f64,
-    /// Initial step size (default: the plan's `dt`).
-    pub h_init: Option<f64>,
-    /// Smallest allowed step (default: `dt / 4096`). A lane that still
-    /// rejects here is deactivated as divergent.
-    pub h_min: Option<f64>,
-    /// Largest allowed step (default: `64 * dt`, capped at the window).
-    pub h_max: Option<f64>,
-    /// Cap on per-step growth of the step size.
-    pub max_growth: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            rtol: 1e-6,
-            atol: 1e-9,
-            h_init: None,
-            h_min: None,
-            h_max: None,
-            max_growth: 4.0,
-        }
-    }
-}
-
-/// Step statistics from one [`BatchSession::run_adaptive`] run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveStats {
-    /// Accepted (recorded) steps.
-    pub accepted: usize,
-    /// Rejected attempts (batch-wide: any lane rejecting rejects all).
-    pub rejected: usize,
-    /// Smallest accepted step size.
-    pub min_h: f64,
-    /// Largest accepted step size.
-    pub max_h: f64,
 }
 
 impl<'d> CompiledSim<'d> {
@@ -198,17 +151,14 @@ pub struct BatchSession<'p, 'd> {
     signals: Vec<f64>,
     /// Previous event levels per machine, `[event * lanes + lane]`.
     prev_levels: Vec<Vec<bool>>,
-    // RK4/RKF45 scratch, lane-strided.
+    // RK4 scratch, lane-strided.
     stage_values: Vec<f64>,
     stage_state: Vec<f64>,
     k1: Vec<f64>,
     k2: Vec<f64>,
     k3: Vec<f64>,
     k4: Vec<f64>,
-    k5: Vec<f64>,
-    k6: Vec<f64>,
-    /// Pre-step snapshots for per-lane rollback (fixed-step) and the
-    /// pending-state buffer of the adaptive integrator.
+    /// Pre-step snapshots for per-lane rollback.
     saved_integ: Vec<f64>,
     saved_discrete: Vec<f64>,
     saved_prev_in: Vec<f64>,
@@ -236,8 +186,6 @@ pub struct BatchSession<'p, 'd> {
     /// Per-lane injection streams; lane 0 keeps the configured seed, so
     /// a one-lane batch draws the schedule `FaultInjection` documents.
     rngs: Vec<Option<SplitMix64>>,
-    /// Per-lane RKF45 error norms (adaptive mode scratch).
-    lane_err: Vec<f64>,
     /// Per-lane unrecoverable faults.
     faults: Vec<Option<SimFault>>,
     /// Per-lane steps rescued by step-halving.
@@ -246,12 +194,8 @@ pub struct BatchSession<'p, 'd> {
     recorded: Vec<usize>,
     /// Recorded traces, `[trace * lanes + lane]`.
     trace_values: Vec<Vec<f64>>,
-    /// Shared time axis of an adaptive run (fixed-step lanes derive
-    /// their axes from `dt` instead).
-    adaptive_time: Option<Vec<f64>>,
     /// Cooperative cancellation, checked every
-    /// [`vase_budget::CHECK_STRIDE`] steps by [`run`](Self::run) and
-    /// [`run_adaptive`](Self::run_adaptive).
+    /// [`vase_budget::CHECK_STRIDE`] steps by [`run`](Self::run).
     cancel: Option<vase_budget::CancelToken>,
     /// Whether cancellation ended the run early (all lanes).
     cancelled: bool,
@@ -348,8 +292,6 @@ impl<'p, 'd> BatchSession<'p, 'd> {
             k2: vec![0.0; max_integ * stride],
             k3: vec![0.0; max_integ * stride],
             k4: vec![0.0; max_integ * stride],
-            k5: vec![0.0; max_integ * stride],
-            k6: vec![0.0; max_integ * stride],
             saved_integ: vec![0.0; total * stride],
             saved_discrete: vec![0.0; total * stride],
             saved_prev_in: vec![0.0; total * stride],
@@ -369,7 +311,6 @@ impl<'p, 'd> BatchSession<'p, 'd> {
                     })
                 })
                 .collect(),
-            lane_err: vec![0.0; stride],
             faults: vec![None; stride],
             recovered: vec![0; stride],
             cancel: None,
@@ -378,7 +319,6 @@ impl<'p, 'd> BatchSession<'p, 'd> {
             trace_values: (0..plan.traces.len() * stride)
                 .map(|_| Vec::with_capacity(samples))
                 .collect(),
-            adaptive_time: None,
         }
     }
 
@@ -504,8 +444,8 @@ impl<'p, 'd> BatchSession<'p, 'd> {
         }
     }
 
-    /// Attach a cooperative cancellation token. The run loops check it
-    /// every [`vase_budget::CHECK_STRIDE`] steps (including the first),
+    /// Attach a cooperative cancellation token. [`run`](Self::run)
+    /// checks it every [`vase_budget::CHECK_STRIDE`] steps (including the first),
     /// so a tripped token stops the batch within one stride and every
     /// lane's [`SimResult`] carries its best-so-far partial trace
     /// flagged `cancelled`.
@@ -513,151 +453,16 @@ impl<'p, 'd> BatchSession<'p, 'd> {
         self.cancel = Some(token);
     }
 
-    /// Whether a stride check observed a tripped token.
-    fn cancel_tripped(&mut self, iteration: u64) -> bool {
-        if let Some(token) = &self.cancel {
-            if iteration.is_multiple_of(vase_budget::CHECK_STRIDE) && token.is_cancelled() {
-                self.cancelled = true;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Run every remaining fixed step.
     pub fn run(&mut self) {
         while !self.done() {
-            if self.cancel_tripped(self.step as u64) {
+            let check = (self.step as u64).is_multiple_of(vase_budget::CHECK_STRIDE);
+            if check && self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+                self.cancelled = true;
                 return;
             }
             self.step();
         }
-    }
-
-    /// Integrate the whole window with an embedded RKF4(5) pair under
-    /// batch-min step control: every lane shares one step size, the
-    /// worst active lane's error decides acceptance and growth, and a
-    /// lane that still rejects at `h_min` is deactivated (divergent,
-    /// partial trace) instead of pinning the batch.
-    ///
-    /// Samples land on the adaptive grid (accepted-step start times plus
-    /// the window end), shared by all lanes. The explicit-differentiator
-    /// dt is the previous accepted step's size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has already stepped or if the lanes do not
-    /// share one `dt` (the adaptive grid is a single time axis).
-    pub fn run_adaptive(&mut self, cfg: &AdaptiveConfig) -> AdaptiveStats {
-        assert_eq!(self.step, 0, "run_adaptive needs a fresh session");
-        let dt0 = self.dt[0];
-        assert!(
-            self.dt.iter().all(|&d| d == dt0),
-            "adaptive lanes share one time axis: all lane dt values must match"
-        );
-        let plan = self.plan;
-        let stride = self.lanes;
-        let t_end = plan.steps as f64 * dt0;
-        let h_min = cfg.h_min.unwrap_or(dt0 / 4096.0).max(f64::MIN_POSITIVE);
-        let h_max = cfg.h_max.unwrap_or(64.0 * dt0).min(t_end).max(h_min);
-        let mut h = cfg.h_init.unwrap_or(dt0).clamp(h_min, h_max);
-        let mut h_prev = h;
-        let mut stats = AdaptiveStats {
-            accepted: 0,
-            rejected: 0,
-            min_h: f64::INFINITY,
-            max_h: 0.0,
-        };
-        let mut axis: Vec<f64> = Vec::with_capacity(plan.steps + 1);
-        let eps = 1e-12 * t_end.max(1.0);
-        let mut t = 0.0_f64;
-        let mut iteration = 0u64;
-
-        while self.alive > 0 {
-            if self.cancel_tripped(iteration) {
-                break;
-            }
-            iteration += 1;
-            // Start-of-step evaluation at t (doubles as RKF45 stage 1).
-            self.ts.fill(t);
-            self.sub_dt.fill(h_prev);
-            self.eval_all_values();
-
-            if t >= t_end - eps {
-                // Final sample at the window end, as the fixed-step
-                // loop's last grid step: discretes, machines, record.
-                self.apply_discretes_all();
-                self.step_machines_all();
-                axis.push(t);
-                self.record_samples::<0>();
-                break;
-            }
-
-            let mut h_try = h.min(t_end - t).max(h_min);
-            let mut rejections = 0u32;
-            let h_used;
-            loop {
-                let worst = self.rkf45_stages(t, h_try, cfg);
-                if worst <= 1.0 {
-                    self.integ.copy_from_slice(&self.saved_integ);
-                    h_used = h_try;
-                    break;
-                }
-                if h_try <= h_min * (1.0 + 1e-12) {
-                    // Floor reached: accept for the lanes that pass and
-                    // deactivate the ones that still reject, so one
-                    // diverging lane cannot poison its batch.
-                    self.integ.copy_from_slice(&self.saved_integ);
-                    for l in 0..stride {
-                        if self.active[l] && self.lane_err[l] > 1.0 {
-                            let kind = if self.lane_err[l].is_finite() {
-                                FaultKind::Divergence
-                            } else {
-                                FaultKind::NonFinite
-                            };
-                            self.deactivate_lane(l, kind, rejections, t);
-                        }
-                    }
-                    h_used = h_try;
-                    break;
-                }
-                stats.rejected += 1;
-                rejections += 1;
-                let shrink = (0.9 * worst.powf(-0.25)).clamp(0.1, 0.7);
-                h_try = (h_try * shrink).max(h_min);
-            }
-
-            // Accepted: end-of-step bookkeeping from start-of-step
-            // values, then record the sample at t (fixed-step order).
-            self.apply_discretes_all();
-            self.step_machines_all();
-            axis.push(t);
-            self.record_samples::<0>();
-            stats.accepted += 1;
-            stats.min_h = stats.min_h.min(h_used);
-            stats.max_h = stats.max_h.max(h_used);
-            t += h_used;
-            h_prev = h_used;
-
-            // Batch-min growth: the worst surviving lane sets the pace.
-            let worst = (0..stride)
-                .filter(|&l| self.active[l])
-                .map(|l| self.lane_err[l])
-                .fold(0.0_f64, f64::max);
-            let grow = if worst > 0.0 {
-                (0.9 * worst.powf(-0.2)).clamp(0.2, cfg.max_growth)
-            } else {
-                cfg.max_growth
-            };
-            h = (h_used * grow).clamp(h_min, h_max);
-        }
-
-        self.step = plan.steps + 1;
-        self.adaptive_time = Some(axis);
-        if stats.accepted == 0 {
-            stats.min_h = 0.0;
-        }
-        stats
     }
 
     /// Finish into one [`SimResult`] per lane (lane order preserved).
@@ -666,14 +471,10 @@ impl<'p, 'd> BatchSession<'p, 'd> {
         let plan = self.plan;
         (0..stride)
             .map(|l| {
-                let time: Vec<f64> = match &self.adaptive_time {
-                    Some(axis) => axis[..self.recorded[l]].to_vec(),
-                    None => (0..self.recorded[l])
+                let mut result = SimResult {
+                    time: (0..self.recorded[l])
                         .map(|k| k as f64 * self.dt[l])
                         .collect(),
-                };
-                let mut result = SimResult {
-                    time,
                     traces: BTreeMap::new(),
                     fault: self.faults[l],
                     recovered_steps: self.recovered[l],
@@ -691,36 +492,6 @@ impl<'p, 'd> BatchSession<'p, 'd> {
     }
 
     // ------------------------------------------------------ internals
-
-    /// Evaluate every graph at `ts` from the current state into
-    /// `values` (all lanes).
-    fn eval_all_values(&mut self) {
-        let plan = self.plan;
-        let stride = self.lanes;
-        let stims = &self.stims;
-        stims.fill(
-            &stims.varying,
-            stride,
-            0,
-            stride,
-            &self.ts,
-            &mut self.stim_rows_s,
-        );
-        for g in &plan.graphs {
-            let base = g.base * stride;
-            let nb = g.graph.len() * stride;
-            let inputs = EvalInputs {
-                stim_rows: &self.stim_rows_s,
-                state: &self.integ[base..base + nb],
-                discrete: &self.discrete[base..base + nb],
-                prev_in: &self.prev_in[base..base + nb],
-                signals: &self.signals,
-                dt: &self.sub_dt,
-            };
-            let out = &mut self.values[base..base + nb];
-            eval_graph_span::<0>(g, &g.tape, (stride, 0, stride), &inputs, out);
-        }
-    }
 
     /// Evaluate graph `gi` for lanes `[l0, l1)` and advance their
     /// integrators one RK4 step of `sub_dt` (times from `ts`/`th`/`tf`,
@@ -848,159 +619,6 @@ impl<'p, 'd> BatchSession<'p, 'd> {
                 }
             }
         }
-    }
-
-    /// Discrete updates of every graph, all lanes (adaptive path).
-    fn apply_discretes_all(&mut self) {
-        let stride = self.lanes;
-        for gi in 0..self.plan.graphs.len() {
-            self.apply_discretes_span(gi, 0, stride);
-        }
-    }
-
-    /// Fire every machine for every live lane (adaptive path).
-    fn step_machines_all(&mut self) {
-        let stride = self.lanes;
-        for mi in 0..self.plan.machines.len() {
-            for l in 0..stride {
-                if self.active[l] {
-                    self.step_machine_lane(mi, l);
-                }
-            }
-        }
-    }
-
-    /// One RKF4(5) attempt of size `h` from the already-evaluated
-    /// start-of-step `values`: fills `saved_integ` with the pending
-    /// (4th-order) end state and `lane_err` with per-lane error norms
-    /// (∞ on non-finite stages). Returns the worst active-lane norm.
-    fn rkf45_stages(&mut self, t: f64, h: f64, cfg: &AdaptiveConfig) -> f64 {
-        let plan = self.plan;
-        let stride = self.lanes;
-        self.saved_integ.copy_from_slice(&self.integ);
-        self.lane_err.fill(0.0);
-
-        for gi in 0..plan.graphs.len() {
-            let g = &plan.graphs[gi];
-            if g.integrators.is_empty() {
-                continue;
-            }
-            let base = g.base * stride;
-            let n = g.graph.len();
-            let nb = n * stride;
-            let span = (stride, 0, stride);
-            let values = &self.values[base..base + nb];
-            copy_rows(&g.stage_copies, values, span, &mut self.stage_values[..nb]);
-            // k1 from the start-of-step values.
-            slopes(&g.integrators, values, span, &mut self.k1);
-            // Stages 2..6: shift the state, evaluate, take the slope.
-            for stage in 1..6 {
-                let (c, a): (f64, [f64; 5]) = match stage {
-                    1 => (1.0 / 4.0, [1.0 / 4.0, 0.0, 0.0, 0.0, 0.0]),
-                    2 => (3.0 / 8.0, [3.0 / 32.0, 9.0 / 32.0, 0.0, 0.0, 0.0]),
-                    3 => (
-                        12.0 / 13.0,
-                        [1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0, 0.0, 0.0],
-                    ),
-                    4 => (
-                        1.0,
-                        [439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0, 0.0],
-                    ),
-                    _ => (
-                        1.0 / 2.0,
-                        [
-                            -8.0 / 27.0,
-                            2.0,
-                            -3544.0 / 2565.0,
-                            1859.0 / 4104.0,
-                            -11.0 / 40.0,
-                        ],
-                    ),
-                };
-                self.stage_state[..nb].copy_from_slice(&self.integ[base..base + nb]);
-                for (j, &(i, _, _)) in g.integrators.iter().enumerate() {
-                    let kb = j * stride;
-                    let ib = i as usize * stride;
-                    for l in 0..stride {
-                        let incr = a[0] * self.k1[kb + l]
-                            + a[1] * self.k2[kb + l]
-                            + a[2] * self.k3[kb + l]
-                            + a[3] * self.k4[kb + l]
-                            + a[4] * self.k5[kb + l];
-                        self.stage_state[ib + l] += h * incr;
-                    }
-                }
-                self.th.fill(t + c * h);
-                let stims = &self.stims;
-                stims.fill(
-                    &stims.graph_varying,
-                    stride,
-                    0,
-                    stride,
-                    &self.th,
-                    &mut self.stim_rows_h,
-                );
-                let inputs = EvalInputs {
-                    stim_rows: &self.stim_rows_h,
-                    state: &self.stage_state[..nb],
-                    discrete: &self.discrete[base..base + nb],
-                    prev_in: &self.prev_in[base..base + nb],
-                    signals: &self.signals,
-                    dt: &self.sub_dt,
-                };
-                let out = &mut self.stage_values[..nb];
-                eval_graph_span::<0>(g, &g.stage_tape, (stride, 0, stride), &inputs, out);
-                for (j, &(_, driver, gain)) in g.integrators.iter().enumerate() {
-                    let kb = j * stride;
-                    let db = driver as usize * stride;
-                    for l in 0..stride {
-                        let slope = gain * self.stage_values[db + l];
-                        match stage {
-                            1 => self.k2[kb + l] = slope,
-                            2 => self.k3[kb + l] = slope,
-                            3 => self.k4[kb + l] = slope,
-                            4 => self.k5[kb + l] = slope,
-                            _ => self.k6[kb + l] = slope,
-                        }
-                    }
-                }
-            }
-            // 4th-order update into the pending buffer; embedded error
-            // from the 5th-order difference.
-            for (j, &(i, _, _)) in g.integrators.iter().enumerate() {
-                let kb = j * stride;
-                let ib = base + i as usize * stride;
-                for l in 0..stride {
-                    let y = self.integ[ib + l];
-                    let y4 = y + h
-                        * (25.0 / 216.0 * self.k1[kb + l]
-                            + 1408.0 / 2565.0 * self.k3[kb + l]
-                            + 2197.0 / 4104.0 * self.k4[kb + l]
-                            - 1.0 / 5.0 * self.k5[kb + l]);
-                    let e = h
-                        * (1.0 / 360.0 * self.k1[kb + l]
-                            - 128.0 / 4275.0 * self.k3[kb + l]
-                            - 2197.0 / 75240.0 * self.k4[kb + l]
-                            + 1.0 / 50.0 * self.k5[kb + l]
-                            + 2.0 / 55.0 * self.k6[kb + l]);
-                    self.saved_integ[ib + l] = y4;
-                    let tol = cfg.atol + cfg.rtol * y.abs().max(y4.abs());
-                    let norm = if y4.is_finite() && e.is_finite() {
-                        e.abs() / tol
-                    } else {
-                        f64::INFINITY
-                    };
-                    if norm > self.lane_err[l] {
-                        self.lane_err[l] = norm;
-                    }
-                }
-            }
-        }
-
-        (0..stride)
-            .filter(|&l| self.active[l])
-            .map(|l| self.lane_err[l])
-            .fold(0.0_f64, f64::max)
     }
 
     /// Whether any lane's `values` or `integ` holds a fault: a NaN, an

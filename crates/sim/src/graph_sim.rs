@@ -37,14 +37,21 @@ pub struct SimConfig {
     /// back and retried at a halved step, and an unrecoverable step
     /// ends the run with a partial trace and a
     /// [`SimFault`](crate::SimFault) record.
+    ///
+    /// Only [`CompiledSim`] reads this field and the next two. A
+    /// [`CompiledNetlist`](crate::CompiledNetlist), which `vase sim`,
+    /// `vase serve` and the `sim_transient` benchmark run, retires a
+    /// lane at its first non-finite value and never halves a step.
     pub divergence_limit: f64,
     /// Maximum step-halving retries for a faulty step (`k` retries
     /// re-integrate the step with `2^k` substeps of `dt / 2^k`). `0`
-    /// disables recovery: the first fault aborts the run.
+    /// disables recovery: the first fault aborts the run. Read only by
+    /// [`CompiledSim`].
     pub max_step_halvings: u32,
     /// Opt-in deterministic fault injection (see
     /// [`FaultInjection`](crate::FaultInjection)); `None` — the
-    /// default — costs nothing in the step loop.
+    /// default — costs nothing in the step loop. Read only by
+    /// [`CompiledSim`].
     pub fault_injection: Option<FaultInjection>,
 }
 

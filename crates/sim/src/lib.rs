@@ -7,13 +7,18 @@
 //!
 //! * **behavioral** ([`simulate_design`]) — simulates a
 //!   [`vase_vhif::VhifDesign`] directly: signal-flow blocks evaluated
-//!   in topological order with RK4 integration, FSMs co-simulated on
-//!   event edges. One engine, [`BatchSession`], runs every behavioral
-//!   simulation; a single run is its one-lane batch;
+//!   in topological order with fixed-step RK4 integration, FSMs
+//!   co-simulated on event edges. One engine, [`BatchSession`], runs
+//!   every behavioral simulation; a single run is its one-lane batch;
 //! * **macromodel** ([`simulate_netlist`]) — simulates a synthesized
 //!   [`vase_library::Netlist`] with first-order op-amp macromodels
 //!   (ideal transfer + rail saturation, output-stage limiting,
 //!   hysteretic detectors).
+//!
+//! Both engines step a fixed grid, and nothing in this crate starts a
+//! thread: a frequency sweep ([`frequency_response`]) or a Monte Carlo
+//! run ([`monte_carlo_netlist`]) packs its points into lane batches and
+//! runs them in order.
 //!
 //! # Examples
 //!
@@ -63,7 +68,7 @@ pub mod response;
 pub mod stimulus;
 pub mod trace;
 
-pub use batch::{AdaptiveConfig, AdaptiveStats, BatchLane, BatchSession, MAX_LANES};
+pub use batch::{BatchLane, BatchSession, MAX_LANES};
 pub use error::SimError;
 pub use fault::{FaultInjection, FaultKind, SimFault};
 pub use graph_sim::{simulate_design, SimConfig};
@@ -74,8 +79,6 @@ pub use netlist_sim::{
 };
 pub use plan::CompiledSim;
 pub use plot::render_ascii;
-pub use response::{
-    frequency_response, frequency_response_with, log_sweep, ResponsePoint, SweepConfig,
-};
+pub use response::{frequency_response, log_sweep, ResponsePoint, SweepConfig};
 pub use stimulus::Stimulus;
 pub use trace::SimResult;

@@ -8,12 +8,13 @@
 //! what fraction of produced circuits still keeps every annotated
 //! quantity inside its declared range?
 //!
-//! Sampling is deterministic and lane-packing independent: all
-//! perturbation factors are drawn up front, in sample order, from one
-//! [`SplitMix64`](crate::fault) stream seeded by
-//! [`MonteCarloConfig::seed`] — changing the batch width reorders only
-//! the *execution*, never the factors, so yields are reproducible
-//! across lane configurations.
+//! Sampling is deterministic and lane-packing independent: the
+//! perturbation factors come from one [`SplitMix64`](crate::fault)
+//! stream seeded by [`MonteCarloConfig::seed`], drawn in sample order
+//! as each batch starts — changing the batch width regroups only the
+//! *execution*, never the factors, so yields are reproducible across
+//! lane configurations, and a run holds one batch of factors however
+//! many samples it takes.
 
 use std::collections::BTreeMap;
 
@@ -117,18 +118,6 @@ pub fn monte_carlo_netlist(
         "tolerance must be a fraction in [0, 1), got {}",
         cfg.tolerance
     );
-    let np = plan.param_count();
-    // All factors up front, in sample order: lane packing cannot change
-    // which perturbation a sample receives.
-    let mut rng = SplitMix64::new(cfg.seed);
-    let factors: Vec<Vec<f64>> = (0..cfg.samples)
-        .map(|_| {
-            (0..np)
-                .map(|_| 1.0 + cfg.tolerance * (2.0 * rng.next_f64() - 1.0))
-                .collect()
-        })
-        .collect();
-
     // Every declared range that names a recorded trace, with its
     // slackened bounds.
     let mut scored = Vec::new();
@@ -152,10 +141,21 @@ pub fn monte_carlo_netlist(
         samples: cfg.samples,
         ..YieldReport::default()
     };
+    // Each batch draws its samples' factors from the one stream, in
+    // sample order: lane packing cannot change which perturbation a
+    // sample receives.
+    let mut rng = SplitMix64::new(cfg.seed);
     let mut base = 0;
     while base < cfg.samples {
         let chunk = (cfg.samples - base).min(lanes);
-        let mut session = plan.scoring_session(&factors[base..base + chunk], checks.clone());
+        let factors: Vec<Vec<f64>> = (0..chunk)
+            .map(|_| {
+                (0..plan.param_count())
+                    .map(|_| 1.0 + cfg.tolerance * (2.0 * rng.next_f64() - 1.0))
+                    .collect()
+            })
+            .collect();
+        let mut session = plan.scoring_session(&factors, checks.clone());
         if let Some((sample, step)) = cfg.inject {
             if (base..base + chunk).contains(&sample) {
                 session.inject_lane_fault(sample - base, step);

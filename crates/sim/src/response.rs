@@ -6,15 +6,13 @@
 //! steady-state output against quadrature references to extract
 //! magnitude and phase.
 //!
-//! Every frequency point is an independent transient run, so the sweep
-//! parallelizes embarrassingly: [`frequency_response_with`] claims
-//! points from a shared counter across scoped worker threads and merges
-//! them back in frequency order, making the result (and any reported
-//! error) bit-identical to the sequential sweep regardless of
-//! [`SweepConfig::jobs`].
+//! Every point runs the same *number* of steps, so the sweep packs its
+//! points into lane batches of [`MAX_LANES`] and runs the batches in
+//! order on the calling thread. A lane computes the bits of a one-lane
+//! run of its own point (`crates/sim/tests/lane_equivalence.rs`), so the
+//! packing changes no result.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use vase_vhif::VhifDesign;
@@ -26,89 +24,12 @@ use crate::plan::CompiledSim;
 use crate::stimulus::Stimulus;
 use crate::trace::SimResult;
 
-fn default_lanes() -> usize {
-    MAX_LANES
-}
-
-/// Worker-thread and lane-batch configuration for sweep-style workloads
-/// (frequency sweeps, multi-design simulation).
-///
-/// Sweep points are packed into SIMD-friendly lane batches of
-/// [`lanes`](SweepConfig::lanes) points first; threads (if any) then
-/// claim whole *batches*, so the unit of parallel work is
-/// `ceil(points / lanes)` tasks and `jobs × lanes` never oversubscribes
-/// the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SweepConfig {
-    /// Worker threads; `0` means one per available hardware thread.
-    /// The default is `1` (sequential), which skips thread setup
-    /// entirely.
-    pub jobs: usize,
-    /// Lane-batch width: how many sweep points one [`crate::BatchSession`]
-    /// advances in lockstep (clamped to `1..=`[`MAX_LANES`]).
-    #[serde(default = "default_lanes")]
-    pub lanes: usize,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            jobs: 1,
-            lanes: default_lanes(),
-        }
-    }
-}
-
-impl SweepConfig {
-    /// Exactly `jobs` workers (`0` = auto), full-width lane batches.
-    pub fn with_jobs(jobs: usize) -> Self {
-        SweepConfig {
-            jobs,
-            ..SweepConfig::default()
-        }
-    }
-
-    /// One worker per available hardware thread.
-    pub fn parallel() -> Self {
-        SweepConfig {
-            jobs: 0,
-            ..SweepConfig::default()
-        }
-    }
-
-    /// Machine-sized configuration: auto worker count *and* full-width
-    /// lane batches, with the worker count derated per workload by
-    /// [`effective_jobs_for`](SweepConfig::effective_jobs_for).
-    pub fn auto() -> Self {
-        SweepConfig {
-            jobs: 0,
-            lanes: MAX_LANES,
-        }
-    }
-
-    /// The worker count after resolving `0` to the machine's hardware
-    /// threads.
-    pub fn effective_jobs(&self) -> usize {
-        match self.jobs {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            jobs => jobs,
-        }
-    }
-
-    /// The lane-batch width after clamping to `1..=`[`MAX_LANES`].
-    pub fn effective_lanes(&self) -> usize {
-        self.lanes.clamp(1, MAX_LANES)
-    }
-
-    /// The worker count for a sweep of `points` points: lane batching
-    /// reduces the work to `ceil(points / lanes)` tasks, and spawning
-    /// more workers than tasks would only oversubscribe, so the
-    /// resolved job count is capped there.
-    pub fn effective_jobs_for(&self, points: usize) -> usize {
-        let tasks = points.div_ceil(self.effective_lanes()).max(1);
-        self.effective_jobs().min(tasks)
-    }
-}
+/// The sweep parameter of `vase::flow::simulate_designs`. It has no
+/// field and changes nothing: it is kept only because the benchmark
+/// (`vase-bench/src/sim.rs`) passes `&SweepConfig::default()`, and goes
+/// with the benchmark's next change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepConfig;
 
 /// One measured frequency point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -126,34 +47,6 @@ impl ResponsePoint {
     pub fn gain_db(&self) -> f64 {
         20.0 * self.gain.max(1e-12).log10()
     }
-}
-
-/// Measure the response `output(f)/input(f)` of a VHIF design at the
-/// given frequencies by transient sweeps (amplitude
-/// `amplitude` volts on `input`; all other inputs held at 0).
-///
-/// # Errors
-///
-/// Propagates simulation errors; fails with
-/// [`SimError::UnknownQuantity`] if `output` is not a trace of the
-/// design.
-pub fn frequency_response(
-    design: &VhifDesign,
-    input: &str,
-    output: &str,
-    amplitude: f64,
-    frequencies: &[f64],
-    extra_inputs: &BTreeMap<String, Stimulus>,
-) -> Result<Vec<ResponsePoint>, SimError> {
-    frequency_response_with(
-        design,
-        input,
-        output,
-        amplitude,
-        frequencies,
-        extra_inputs,
-        &SweepConfig::default(),
-    )
 }
 
 /// Settle/measure windows of the sweep, in stimulus periods. Every
@@ -176,33 +69,34 @@ fn bad_frequency(frequency: f64) -> SimError {
     }
 }
 
-/// [`frequency_response`] with an explicit worker/lane configuration.
+/// Measure the response `output(f)/input(f)` of a VHIF design at the
+/// given frequencies by transient sweeps (amplitude
+/// `amplitude` volts on `input`; all other inputs held at 0).
 ///
-/// The sweep compiles the design once, packs points into lane batches
-/// of [`SweepConfig::lanes`] (each lane carrying its own sine stimulus
-/// and step size), and advances each batch in lockstep; worker threads,
-/// if any, claim whole batches from a shared counter. Lane execution is
-/// bit-identical to the scalar per-point loop, so the returned vector —
-/// and, on failure, the reported error (the one at the lowest frequency
-/// index) — is bit-identical for every `jobs`/`lanes` combination.
+/// The sweep compiles the design once and measures the points in lane
+/// batches of [`MAX_LANES`], each lane carrying its own sine stimulus
+/// and step size. On failure it reports the error of the lowest
+/// frequency index.
 ///
 /// # Errors
 ///
-/// Same as [`frequency_response`].
-pub fn frequency_response_with(
+/// Propagates simulation errors; fails with
+/// [`SimError::BadConfig`] at a frequency that is not positive and with
+/// [`SimError::UnknownQuantity`] if `output` is not a trace of the
+/// design.
+pub fn frequency_response(
     design: &VhifDesign,
     input: &str,
     output: &str,
     amplitude: f64,
     frequencies: &[f64],
     extra_inputs: &BTreeMap<String, Stimulus>,
-    sweep: &SweepConfig,
 ) -> Result<Vec<ResponsePoint>, SimError> {
     if frequencies.is_empty() {
         return Ok(Vec::new());
     }
-    // The sequential sweep's first action is validating point 0, so the
-    // plan compile below never masks that error.
+    // Point 0 sets the plan's window, so it is validated first: the
+    // plan compile below never masks its error.
     if frequencies[0] <= 0.0 {
         return Err(bad_frequency(frequencies[0]));
     }
@@ -214,58 +108,10 @@ pub fn frequency_response_with(
     let input_slot = plan
         .stimulus_index(input)
         .expect("the swept input was inserted before compiling");
-
-    let width = sweep.effective_lanes();
-    let jobs = sweep.effective_jobs_for(frequencies.len());
-    if jobs <= 1 {
-        let mut points = Vec::with_capacity(frequencies.len());
-        for chunk in frequencies.chunks(width) {
-            points.extend(measure_chunk(&plan, input_slot, output, amplitude, chunk)?);
-        }
-        return Ok(points);
-    }
-    let chunk_count = frequencies.len().div_ceil(width);
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let mut measured = std::thread::scope(|scope| {
-        let plan = &plan;
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    while !failed.load(Ordering::Relaxed) {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= chunk_count {
-                            break;
-                        }
-                        let chunk =
-                            &frequencies[ci * width..frequencies.len().min((ci + 1) * width)];
-                        let points = measure_chunk(plan, input_slot, output, amplitude, chunk);
-                        if points.is_err() {
-                            // Other workers stop claiming new batches;
-                            // the merge below still reports the error
-                            // at the lowest index deterministically.
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        out.push((ci, points));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    measured.sort_unstable_by_key(|(i, _)| *i);
     let mut points = Vec::with_capacity(frequencies.len());
-    for (_, chunk_points) in measured {
-        points.extend(chunk_points?);
+    for chunk in frequencies.chunks(MAX_LANES) {
+        points.extend(measure_chunk(&plan, input_slot, output, amplitude, chunk)?);
     }
-    // A worker that saw the stop flag may have skipped batches after an
-    // error; if no error survived the merge, everything was measured.
-    debug_assert_eq!(points.len(), frequencies.len());
     Ok(points)
 }
 
@@ -468,103 +314,12 @@ mod tests {
         let d = gain_stage(1.0);
         let err = frequency_response(&d, "x", "y", 0.1, &[-5.0], &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, SimError::BadConfig { .. }));
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        let d = rc_lowpass(2.0 * std::f64::consts::PI * 1_000.0);
-        let freqs = log_sweep(100.0, 10_000.0, 16);
-        let seq = frequency_response(&d, "x", "y", 0.1, &freqs, &BTreeMap::new())
-            .expect("sequential sweep");
-        for jobs in [2, 3, 4, 8] {
-            let par = frequency_response_with(
-                &d,
-                "x",
-                "y",
-                0.1,
-                &freqs,
-                &BTreeMap::new(),
-                &SweepConfig::with_jobs(jobs),
-            )
-            .expect("parallel sweep");
-            assert_eq!(seq, par, "jobs = {jobs} must not change any bit");
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_reports_lowest_index_error() {
-        // Index 2 holds the bad frequency; parallel and sequential
-        // sweeps must report the same failure.
-        let d = gain_stage(1.0);
+        // Several bad points: the one at the lowest index is reported.
         let freqs = [500.0, 700.0, -1.0, 900.0, 1_100.0, -2.0];
-        let seq = frequency_response(&d, "x", "y", 0.1, &freqs, &BTreeMap::new()).unwrap_err();
-        let par = frequency_response_with(
-            &d,
-            "x",
-            "y",
-            0.1,
-            &freqs,
-            &BTreeMap::new(),
-            &SweepConfig::with_jobs(3),
-        )
-        .unwrap_err();
-        assert_eq!(format!("{seq}"), format!("{par}"));
-    }
-
-    #[test]
-    fn sweep_config_resolves_jobs() {
-        assert_eq!(SweepConfig::default().effective_jobs(), 1);
-        assert_eq!(SweepConfig::with_jobs(3).effective_jobs(), 3);
-        assert!(SweepConfig::parallel().effective_jobs() >= 1);
-    }
-
-    #[test]
-    fn lane_batching_derates_effective_jobs() {
-        // 16 points in 8-wide batches are 2 tasks, so even a 64-worker
-        // request resolves to 2 — jobs × lanes never oversubscribes.
-        let cfg = SweepConfig::with_jobs(64);
-        assert_eq!(cfg.effective_lanes(), 8);
-        assert_eq!(cfg.effective_jobs_for(16), 2);
-        assert_eq!(cfg.effective_jobs_for(17), 3);
-        assert_eq!(cfg.effective_jobs_for(0), 1);
-        let narrow = SweepConfig { jobs: 64, lanes: 1 };
-        assert_eq!(narrow.effective_jobs_for(16), 16);
-        // auto() resolves both dimensions machine-side.
-        let auto = SweepConfig::auto();
-        assert_eq!(auto.jobs, 0);
-        assert!(auto.effective_jobs() >= 1);
-        assert_eq!(auto.effective_lanes(), 8);
-        // Out-of-range widths clamp instead of panicking.
-        assert_eq!(SweepConfig { jobs: 1, lanes: 0 }.effective_lanes(), 1);
-        assert_eq!(SweepConfig { jobs: 1, lanes: 99 }.effective_lanes(), 8);
-    }
-
-    #[test]
-    fn lane_width_does_not_change_sweep_bits() {
-        let d = rc_lowpass(2.0 * std::f64::consts::PI * 1_000.0);
-        let freqs = log_sweep(200.0, 5_000.0, 10);
-        let reference = frequency_response_with(
-            &d,
-            "x",
-            "y",
-            0.1,
-            &freqs,
-            &BTreeMap::new(),
-            &SweepConfig { jobs: 1, lanes: 1 },
-        )
-        .expect("lanes = 1 sweep");
-        for lanes in [2, 3, 8] {
-            let wide = frequency_response_with(
-                &d,
-                "x",
-                "y",
-                0.1,
-                &freqs,
-                &BTreeMap::new(),
-                &SweepConfig { jobs: 1, lanes },
-            )
-            .expect("wide sweep");
-            assert_eq!(reference, wide, "lanes = {lanes} must not change any bit");
-        }
+        let err = frequency_response(&d, "x", "y", 0.1, &freqs, &BTreeMap::new()).unwrap_err();
+        assert!(
+            matches!(&err, SimError::BadConfig { what } if what == "frequency -1 <= 0"),
+            "{err}"
+        );
     }
 }

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use vase_budget::{CancelToken, CHECK_STRIDE};
 use vase_library::{ComponentKind, Netlist, PlacedComponent, SourceRef};
-use vase_sim::{AdaptiveConfig, CompiledNetlist, CompiledSim, SimConfig, Stimulus};
+use vase_sim::{CompiledNetlist, CompiledSim, SimConfig, Stimulus};
 use vase_vhif::{BlockKind, SignalFlowGraph, VhifDesign};
 
 fn stim(entries: &[(&str, Stimulus)]) -> BTreeMap<String, Stimulus> {
@@ -114,25 +114,6 @@ fn pre_cancelled_batch_session_stops_within_one_stride() {
     let mut batch = plan.batch_replicated(4);
     batch.set_cancel_token(token);
     batch.run();
-    for (l, result) in batch.into_results().into_iter().enumerate() {
-        assert!(result.cancelled, "lane {l} must be flagged cancelled");
-        assert!(result.time.len() <= STRIDE, "lane {l}: {} samples", result.time.len());
-    }
-}
-
-#[test]
-fn pre_cancelled_adaptive_batch_stops_within_one_stride() {
-    let design = rc_lowpass(1_000.0);
-    let inputs = stim(&[("x", Stimulus::sine(0.5, 300.0))]);
-    let config = SimConfig::new(1e-6, 5e-3);
-    let plan = CompiledSim::new(&design, &inputs, &config).expect("compiles");
-
-    let token = CancelToken::new();
-    token.cancel();
-    let mut batch = plan.batch_replicated(2);
-    batch.set_cancel_token(token);
-    let stats = batch.run_adaptive(&AdaptiveConfig::default());
-    assert_eq!(stats.accepted, 0, "pre-cancelled adaptive run must accept no steps");
     for (l, result) in batch.into_results().into_iter().enumerate() {
         assert!(result.cancelled, "lane {l} must be flagged cancelled");
         assert!(result.time.len() <= STRIDE, "lane {l}: {} samples", result.time.len());

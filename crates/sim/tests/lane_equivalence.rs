@@ -4,8 +4,8 @@
 //! lane packing — the SoA layout changes the indexing, never the
 //! per-lane floating-point operation sequence. The one-lane run's bits
 //! are pinned by `tests/behavioral_traces.rs`. Plus: per-lane fault
-//! isolation, adaptive RKF45 sanity, and the netlist-level batch
-//! (factor 1.0 lanes reproduce the scalar run).
+//! isolation and the netlist-level batch (factor 1.0 lanes reproduce
+//! the scalar run).
 //!
 //! [`BatchSession`]: vase_sim::BatchSession
 //! [`CompiledSim::run`]: vase_sim::CompiledSim::run
@@ -14,8 +14,7 @@ use std::collections::BTreeMap;
 
 use vase_library::{ComponentKind, Netlist, PlacedComponent, SourceRef};
 use vase_sim::{
-    AdaptiveConfig, BatchLane, CompiledNetlist, CompiledSim, FaultInjection, FaultKind, SimConfig,
-    Stimulus,
+    BatchLane, CompiledNetlist, CompiledSim, FaultInjection, FaultKind, SimConfig, Stimulus,
 };
 use vase_vhif::{BlockKind, DataOp, DpExpr, Event, Fsm, SignalFlowGraph, Trigger, VhifDesign};
 
@@ -230,69 +229,6 @@ fn diverging_lane_degrades_to_partial_trace_without_poisoning_batch() {
         results[2], scalar,
         "lane 2 unaffected by its dead neighbour"
     );
-}
-
-#[test]
-fn adaptive_rkf45_tracks_the_analytic_solution_with_fewer_steps() {
-    // The RC step response is smooth, so RKF45 should hit a 1e-6
-    // relative tolerance in far fewer accepted steps than the 500-step
-    // fixed grid while staying accurate at its recorded samples.
-    let tau = 1e-3;
-    let design = rc_lowpass(1.0 / tau);
-    let inputs = stim(&[("x", Stimulus::Constant { level: 1.0 })]);
-    let config = SimConfig::new(tau / 100.0, 5.0 * tau);
-    let plan = CompiledSim::new(&design, &inputs, &config).expect("compiles");
-
-    let mut batch = plan.batch_replicated(4);
-    let stats = batch.run_adaptive(&AdaptiveConfig::default());
-    assert!(stats.accepted > 0);
-    assert!(
-        stats.accepted < plan.steps(),
-        "adaptive must take fewer steps than the fixed grid ({} vs {})",
-        stats.accepted,
-        plan.steps()
-    );
-    assert!(
-        stats.max_h > stats.min_h,
-        "the controller must actually adapt the step"
-    );
-
-    for result in batch.into_results() {
-        assert!(result.fault.is_none());
-        let y = result.trace("y").expect("trace");
-        assert_eq!(result.time.len(), y.len());
-        let t_last = *result.time.last().expect("samples");
-        assert!(
-            (t_last - 5.0 * tau).abs() < 1e-12,
-            "the run must reach t_end"
-        );
-        for (&t, &v) in result.time.iter().zip(y) {
-            let exact = 1.0 - (-t / tau).exp();
-            assert!(
-                (v - exact).abs() < 1e-4,
-                "t = {t}: adaptive sample {v} vs analytic {exact}"
-            );
-        }
-    }
-}
-
-#[test]
-fn adaptive_rkf45_shrinks_the_step_for_a_stiff_pole() {
-    // A fast pole forces the controller to reject and shrink: the
-    // accepted minimum step must end up well below the initial one.
-    let design = rc_lowpass(200_000.0);
-    let inputs = stim(&[("x", Stimulus::Constant { level: 1.0 })]);
-    let config = SimConfig::new(1e-4, 2e-3);
-    let plan = CompiledSim::new(&design, &inputs, &config).expect("compiles");
-    let mut batch = plan.batch_replicated(2);
-    let stats = batch.run_adaptive(&AdaptiveConfig::default());
-    assert!(stats.rejected > 0, "the stiff pole must cause rejections");
-    assert!(stats.min_h < 1e-4 / 2.0, "min_h = {}", stats.min_h);
-    for result in batch.into_results() {
-        assert!(result.fault.is_none());
-        let y = result.trace("y").expect("trace");
-        assert!((y.last().expect("samples") - 1.0).abs() < 1e-3);
-    }
 }
 
 #[test]

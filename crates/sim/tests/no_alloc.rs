@@ -3,7 +3,8 @@
 //! allocation** — every buffer (block values or slots, RK4 stages, FSM
 //! event levels, trace storage) is sized at session creation — and a
 //! Monte Carlo yield run requests the same bytes however many steps it
-//! takes. Asserted with a counting global allocator.
+//! takes and holds the same peak heap however many samples it draws.
+//! Asserted with a counting global allocator.
 //!
 //! [`BatchSession`]: vase_sim::BatchSession
 //! [`BatchNetlistSession`]: vase_sim::BatchNetlistSession
@@ -19,8 +20,9 @@ use vase_sim::{
 use vase_vhif::{BlockKind, DataOp, DpExpr, Event, Fsm, SignalFlowGraph, Trigger, VhifDesign};
 
 /// Counts every allocation and reallocation made **by the current
-/// thread**, and sums the bytes each requests; frees are not counted
-/// (a steady-state step must do neither). The count must be per-thread: the libtest harness runs
+/// thread** and sums the bytes each requests (a steady-state step must
+/// do neither), and tracks the thread's live and peak heap bytes, which
+/// frees lower. The count must be per-thread: the libtest harness runs
 /// tests on parallel threads and itself allocates (spawning the next
 /// test's thread, buffering output) — a process-global counter races
 /// with that activity and flakes, while the stepping loop under test
@@ -30,28 +32,43 @@ struct CountingAlloc;
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static BYTES: Cell<usize> = const { Cell::new(0) };
+    // Signed: a thread may free what another thread allocated.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-/// Bump the current thread's count and byte sum. `try_with` instead of
-/// `with`: the allocator is also called during thread teardown after
-/// the thread-locals have been dropped, where `with` would panic.
-fn count_one(bytes: usize) {
+/// Bump the current thread's count and byte sum, and move its live
+/// bytes by `grow`. `try_with` instead of `with`: the allocator is also
+/// called during thread teardown after the thread-locals have been
+/// dropped, where `with` would panic.
+fn count_one(bytes: usize, grow: isize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes));
+    move_live(grow);
+}
+
+fn move_live(by: isize) {
+    if let Ok(live) = LIVE.try_with(|c| {
+        c.set(c.get() + by);
+        c.get()
+    }) {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
+        count_one(layout.size(), layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        move_live(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one(new_size);
+        count_one(new_size, new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -65,6 +82,15 @@ fn allocations() -> usize {
 
 fn bytes() -> usize {
     BYTES.with(Cell::get)
+}
+
+/// How far the thread's live heap rises above its level at entry while
+/// `run` runs.
+fn peak_growth<T>(run: impl FnOnce() -> T) -> (T, isize) {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
+    let out = run();
+    (out, PEAK.with(Cell::get) - live)
 }
 
 /// RC lowpass (integrator feedback) — exercises the continuous path:
@@ -289,5 +315,22 @@ fn monte_carlo_memory_does_not_grow_with_the_step_count() {
     assert_eq!(
         short, long,
         "Monte Carlo requested {short} bytes at 1,000 steps and {long} at 10,000"
+    );
+
+    // Nor does its peak heap grow with the sample count: a batch draws
+    // its own samples' factors when it starts.
+    let config = SimConfig::new(1e-5, 1e-3);
+    let plan = CompiledNetlist::new(&netlist, &sine_input(), &[], &config).expect("compiles");
+    let peak = |samples: usize| {
+        let (report, grown) = peak_growth(|| {
+            monte_carlo_netlist(&plan, &ranges, &MonteCarloConfig { samples, ..mc })
+        });
+        assert_eq!(report.samples, samples);
+        grown
+    };
+    let (few, many) = (peak(16), peak(1_600));
+    assert_eq!(
+        few, many,
+        "Monte Carlo's heap peaked {few} bytes above its start at 16 samples and {many} at 1,600"
     );
 }

@@ -3,10 +3,10 @@
 //! traces (name, sample count and an FNV-1a hash of the raw `f64` bits);
 //! the six Table 1 runs over their `tests/simulation.rs` windows and
 //! stimuli; one injected run that recovers by step halving and one that
-//! aborts with a partial trace; one two-lane adaptive RKF45 run; and one
-//! frequency sweep of the biquad. Any change to a block's arithmetic,
-//! the RK4 or RKF45 stepping, the FSM walk, the stimulus evaluation or
-//! the fault handling shows up as a diff against the committed table.
+//! aborts with a partial trace; and one frequency sweep of the biquad.
+//! Any change to a block's arithmetic, the RK4 stepping, the FSM walk,
+//! the stimulus evaluation or the fault handling shows up as a diff
+//! against the committed table.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 
 use vase::flow::{synthesize_source, FlowOptions, SynthesizedDesign};
 use vase::sim::{
-    frequency_response, log_sweep, simulate_design, AdaptiveConfig, CompiledSim, FaultInjection,
-    SimConfig, SimError, SimResult, Stimulus,
+    frequency_response, log_sweep, simulate_design, CompiledSim, FaultInjection, SimConfig,
+    SimError, SimResult, Stimulus,
 };
 
 fn repo_root() -> PathBuf {
@@ -188,31 +188,6 @@ fn fault_table() -> String {
     out
 }
 
-/// One adaptive RKF45 run of the missile at two lanes that differ in
-/// thrust: the step statistics and each lane's traces.
-fn adaptive_table() -> String {
-    let d = &synthesize("missile", vase::benchmarks::MISSILE.source, 0)[0];
-    let config = SimConfig::new(1e-3, 2.0);
-    let known = [("thrust", Stimulus::Constant { level: 1.0 }), ("dragk", Stimulus::Constant {
-        level: 0.5,
-    })];
-    let stimuli = stimuli_for(d, &config, &known);
-    let plan = CompiledSim::new(&d.vhif, &stimuli, &config).expect("compiles");
-    let thrust = plan.stimulus_index("thrust").expect("thrust is stimulated");
-    let mut weak = plan.stimuli().to_vec();
-    weak[thrust] = Stimulus::Constant { level: 0.5 };
-    let lanes = [plan.batch_lane(plan.stimuli().to_vec()), plan.batch_lane(weak)];
-    let mut session = plan.batch_session(&lanes);
-    let stats = session.run_adaptive(&AdaptiveConfig::default());
-    let mut out = String::new();
-    writeln!(out, "# missile {} adaptive lanes=2 {stats:?}", d.entity).expect("write");
-    for (l, result) in session.into_results().iter().enumerate() {
-        writeln!(out, " lane {l}").expect("write");
-        write_result(&mut out, result);
-    }
-    out
-}
-
 /// One frequency sweep of the biquad's lowpass output: the bits of each
 /// point's gain and phase.
 fn sweep_table() -> String {
@@ -269,7 +244,6 @@ fn behavioral_traces_match_the_committed_table() {
     let mut got = corpus_table();
     got.push_str(&table1_table());
     got.push_str(&fault_table());
-    got.push_str(&adaptive_table());
     got.push_str(&sweep_table());
     check_snapshot(&got);
 }

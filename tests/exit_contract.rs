@@ -85,13 +85,17 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
     for (args, flag) in [
         (vec!["synth", &funcgen, "--bogus"], "--bogus"),
         (vec!["analyze", &funcgen, "--bogus"], "--bogus"),
-        (vec!["table1", "--jobs", "0", "--bogus"], "--bogus"),
+        (vec!["table1", "--bogus"], "--bogus"),
         // A misspelled value flag is named, not read as an input file.
         (vec!["synth", &funcgen, "--strategey", "guided"], "--strategey"),
         // A flag of another subcommand is not accepted either.
+        (vec!["parse", &funcgen, "--dot", "x.dot"], "--dot"),
+        // No subcommand has a worker count: only `serve` starts
+        // threads, and it takes `--workers`.
         (vec!["parse", &funcgen, "--jobs", "2"], "--jobs"),
-        // The mapper is sequential: `synth` has no worker count.
         (vec!["synth", &funcgen, "--jobs", "2"], "--jobs"),
+        (vec!["sim", &funcgen, "--jobs", "2"], "--jobs"),
+        (vec!["table1", "--jobs", "2"], "--jobs"),
         // A value flag needs its operand.
         (vec!["synth", &funcgen, "--strategy"], "--strategy"),
         // `opt` runs one fixed pipeline: there is no pass list.
