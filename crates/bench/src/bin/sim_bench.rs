@@ -354,8 +354,9 @@ fn bench_app(b: &vase::benchmarks::Benchmark, sizing: &Sizing) -> Result<Json, S
             let mut extra = stimuli.clone();
             extra.remove(&input);
             let t0 = Instant::now();
-            frequency_response(&d.vhif, &input, &output, 0.1, &freqs, &extra)
+            let points = frequency_response(&d.vhif, &input, &output, 0.1, &freqs, &extra)
                 .map_err(|e| e.to_string())?;
+            std::hint::black_box(points);
             Some(SweepRecord {
                 input,
                 output,

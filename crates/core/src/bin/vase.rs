@@ -63,9 +63,9 @@
 //!                           (default 8; 0 = only at shutdown); a snapshot
 //!                           point with no new cover since the last save
 //!                           writes nothing
-//! vase table1 [options]              regenerate the paper's Table 1
-//!     --deadline-ms/--max-nodes/--strategy  mapping budget and search, as
-//!                       in `synth`
+//! vase table1 [options]               regenerate the paper's Table 1
+//!     --deadline-ms/--max-nodes/--strategy  mapping budget and search,
+//!                           as in `synth`
 //!
 //! `sim`, `serve` and `table1` also accept the `-O` levels of `synth`.
 //! Each subcommand accepts only the flags listed for it; any other

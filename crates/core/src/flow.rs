@@ -978,8 +978,8 @@ mod tests {
         // No stimuli: every design fails with MissingStimulus, but the
         // reported variant returns one slot per design instead of one
         // collapsed error.
-        let outcomes =
-            simulate_designs_reported(&designs, &BTreeMap::new(), &SimConfig::new(1e-5, 1e-4), None);
+        let config = SimConfig::new(1e-5, 1e-4);
+        let outcomes = simulate_designs_reported(&designs, &BTreeMap::new(), &config, None);
         assert_eq!(outcomes.len(), designs.len());
         assert!(outcomes.iter().all(|o| matches!(o, Err(SimError::MissingStimulus { .. }))));
     }

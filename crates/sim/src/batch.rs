@@ -20,10 +20,10 @@
 //! Contracts, asserted by `crates/sim/tests/lane_equivalence.rs` and
 //! pinned by `tests/behavioral_traces.rs`:
 //!
-//! * **Bit identity** — every lane executes the
-//!   floating-point operation sequence of a one-lane run of its own
-//!   stimuli and step size, so lane results are bit-identical regardless
-//!   of batch width or packing.
+//! * **Bit identity** — every lane executes the floating-point
+//!   operation sequence of a one-lane run of its own stimuli and step
+//!   size, so lane results are bit-identical regardless of batch width
+//!   or packing.
 //! * **Per-lane time axes** — each lane carries its own `dt` (and
 //!   stimulus vector), which is what lets a frequency sweep share one
 //!   batch: every sweep point runs the same *number* of steps, only the
@@ -445,10 +445,10 @@ impl<'p, 'd> BatchSession<'p, 'd> {
     }
 
     /// Attach a cooperative cancellation token. [`run`](Self::run)
-    /// checks it every [`vase_budget::CHECK_STRIDE`] steps (including the first),
-    /// so a tripped token stops the batch within one stride and every
-    /// lane's [`SimResult`] carries its best-so-far partial trace
-    /// flagged `cancelled`.
+    /// checks it every [`vase_budget::CHECK_STRIDE`] steps (including
+    /// the first), so a tripped token stops the batch within one stride
+    /// and every lane's [`SimResult`] carries its best-so-far partial
+    /// trace flagged `cancelled`.
     pub fn set_cancel_token(&mut self, token: vase_budget::CancelToken) {
         self.cancel = Some(token);
     }

@@ -144,13 +144,14 @@ pub fn monte_carlo_netlist(
     // Each batch draws its samples' factors from the one stream, in
     // sample order: lane packing cannot change which perturbation a
     // sample receives.
+    let np = plan.param_count();
     let mut rng = SplitMix64::new(cfg.seed);
     let mut base = 0;
     while base < cfg.samples {
         let chunk = (cfg.samples - base).min(lanes);
         let factors: Vec<Vec<f64>> = (0..chunk)
             .map(|_| {
-                (0..plan.param_count())
+                (0..np)
                     .map(|_| 1.0 + cfg.tolerance * (2.0 * rng.next_f64() - 1.0))
                     .collect()
             })
