@@ -399,14 +399,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vase::benchmarks::ITERATIVE,
         vase::benchmarks::FUNCTION_GENERATOR,
     ];
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    // An unknown argument is an error, so a retired or misspelled flag
+    // cannot run the benchmark with a setting the caller did not ask for.
+    let mut smoke = false;
+    let mut only = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--only" => only = Some(args.next().ok_or("`--only` needs a name")?),
+            other => {
+                return Err(format!("unknown argument `{other}` (--smoke, --only <name>)").into())
+            }
+        }
+    }
+    let only = only.map(|s| s.to_ascii_lowercase());
     let sizing = if smoke { SMOKE } else { FULL };
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.to_ascii_lowercase());
 
     let mut apps = Vec::new();
     for b in &BENCHMARKS {
