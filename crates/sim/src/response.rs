@@ -314,7 +314,14 @@ mod tests {
         let d = gain_stage(1.0);
         let err = frequency_response(&d, "x", "y", 0.1, &[-5.0], &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, SimError::BadConfig { .. }));
-        // Several bad points: the one at the lowest index is reported.
+    }
+
+    #[test]
+    fn parallel_sweep_reports_lowest_index_error() {
+        // Index 2 holds the first bad frequency of a lane batch; the
+        // sweep must report it, as a point-by-point loop would, and not
+        // the later bad point at index 5.
+        let d = gain_stage(1.0);
         let freqs = [500.0, 700.0, -1.0, 900.0, 1_100.0, -2.0];
         let err = frequency_response(&d, "x", "y", 0.1, &freqs, &BTreeMap::new()).unwrap_err();
         assert!(
