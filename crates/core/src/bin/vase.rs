@@ -54,7 +54,8 @@
 //!     --tolerance <pct>     component tolerance in percent (default 5)
 //!     --seed <u64>          perturbation stream seed (default 0x5EED)
 //!     --inject-lane <s>:<t> poison sample <s> at step <t> (fault-isolation
-//!                           demo: that lane degrades, the batch completes)
+//!                           demo: that lane degrades, the batch completes);
+//!                           a sample or step outside the run is an error
 //! vase serve  [options]               long-lived service: NDJSON requests
 //!     --socket <path> | --workers <n> | --queue-depth <n> | --cache-file <p> |
 //!     --snapshot-every <n> | --inject panic:N,timeout:N,malformed:N |
@@ -839,10 +840,26 @@ fn cmd_sim_monte_carlo(
             let (s, t) = spec.split_once(':').ok_or_else(|| {
                 format!("bad --inject-lane `{spec}`, expected <sample>:<step>")
             })?;
-            Some((
-                s.parse().map_err(|e| format!("bad --inject-lane sample `{s}`: {e}"))?,
-                t.parse().map_err(|e| format!("bad --inject-lane step `{t}`: {e}"))?,
-            ))
+            let sample: usize =
+                s.parse().map_err(|e| format!("bad --inject-lane sample `{s}`: {e}"))?;
+            let step: usize =
+                t.parse().map_err(|e| format!("bad --inject-lane step `{t}`: {e}"))?;
+            // A poison outside the run would leave the yield untouched
+            // while the S403 note claims a poisoned sample.
+            if sample >= samples {
+                return Err(format!(
+                    "`--inject-lane {spec}` poisons nothing: sample {sample} is not one \
+                     of the {samples} the run draws"
+                ));
+            }
+            let steps = config.steps().map_err(|e| e.to_string())?;
+            if step > steps {
+                return Err(format!(
+                    "`--inject-lane {spec}` poisons nothing: step {step} is past the \
+                     last step ({steps}) of the window"
+                ));
+            }
+            Some((sample, step))
         }
         None => None,
     };
@@ -851,7 +868,6 @@ fn cmd_sim_monte_carlo(
         tolerance: pct / 100.0,
         seed,
         inject,
-        ..MonteCarloConfig::default()
     };
     let reports = monte_carlo_designs(designs, stimuli, config, &mc);
     let mut failed = false;

@@ -2,13 +2,18 @@
 //! specification (the 5 Table 1 applications plus the 6 extended-corpus
 //! examples), a lane of a batched simulation is bit-identical to the
 //! scalar engine — at the behavioral (VHIF) level and at the netlist
-//! level — and Monte Carlo yield analysis completes with a scored
-//! report.
+//! level, whose batches reach [`MAX_NETLIST_LANES`] lanes — and Monte
+//! Carlo yield analysis completes with a scored report.
+//!
+//! [`MAX_NETLIST_LANES`]: vase::sim::MAX_NETLIST_LANES
 
 use std::collections::BTreeMap;
 
 use vase::flow::{monte_carlo_designs, synthesize_source, FlowOptions, SynthesizedDesign};
-use vase::sim::{CompiledNetlist, CompiledSim, MonteCarloConfig, SimConfig, SimError, Stimulus};
+use vase::sim::{
+    CompiledNetlist, CompiledSim, MonteCarloConfig, SimConfig, SimError, Stimulus,
+    MAX_NETLIST_LANES,
+};
 
 /// Build a stimulus map by retrying: every [`SimError::MissingStimulus`]
 /// gets a small sine until the design compiles (the same bootstrap the
@@ -74,7 +79,8 @@ fn every_spec_netlist_batch_matches_scalar_bitwise() {
             let plan = CompiledNetlist::new(&d.synthesis.netlist, &stimuli, bindings, &config)
                 .expect("compiles");
             let scalar = plan.run();
-            for lanes in [1, 4, 8] {
+            // 12 lanes: an 8-lane span and a 4-lane chunk left over.
+            for lanes in [1, 4, 8, 12, MAX_NETLIST_LANES] {
                 let factors = vec![vec![1.0; plan.param_count()]; lanes];
                 let mut batch = plan.batch_session(&factors);
                 batch.run();

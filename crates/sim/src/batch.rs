@@ -49,9 +49,13 @@ use crate::plan::{
 use crate::stimulus::Stimulus;
 use crate::trace::SimResult;
 
-/// Maximum lanes per batch. Eight f64 lanes fill two AVX2 (or one
-/// AVX-512) vector register per block and keep the strided working set
-/// cache-friendly; wider batches gain little on one core.
+/// Maximum lanes per behavioral batch. Eight f64 lanes fill two AVX2
+/// (or one AVX-512) vector register per block and keep the strided
+/// working set cache-friendly; wider behavioral batches gain little on
+/// one core. The netlist engine has its own cap,
+/// [`MAX_NETLIST_LANES`](crate::MAX_NETLIST_LANES) = 64: it walks a wide
+/// batch op-major, so a Monte Carlo batch pays its tape's dispatch once
+/// per RK4 stage (EXPERIMENTS.md §21).
 pub const MAX_LANES: usize = 8;
 
 /// One lane of a batch: a stimulus vector (same layout as

@@ -80,7 +80,7 @@ impl SimConfig {
     ///
     /// [`SimError::BadConfig`] when `dt` or `t_end` is not finite and
     /// positive, or when `steps + 1` does not fit a `usize`.
-    pub(crate) fn steps(&self) -> Result<usize, SimError> {
+    pub fn steps(&self) -> Result<usize, SimError> {
         let (dt, t_end) = (self.dt, self.t_end);
         if !(dt.is_finite() && dt > 0.0 && t_end.is_finite() && t_end > 0.0) {
             return Err(SimError::BadConfig {

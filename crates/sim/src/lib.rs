@@ -75,7 +75,7 @@ pub use graph_sim::{simulate_design, SimConfig};
 pub use monte::{monte_carlo_netlist, MonteCarloConfig, TraceYield, YieldReport};
 pub use netlist_sim::{
     simulate_netlist, simulate_netlist_with_cancel, BatchNetlistSession, CompiledNetlist,
-    AMP_SATURATION,
+    AMP_SATURATION, MAX_NETLIST_LANES,
 };
 pub use plan::CompiledSim;
 pub use plot::render_ascii;

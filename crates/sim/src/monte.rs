@@ -8,19 +8,20 @@
 //! what fraction of produced circuits still keeps every annotated
 //! quantity inside its declared range?
 //!
-//! Sampling is deterministic and lane-packing independent: the
-//! perturbation factors come from one [`SplitMix64`](crate::fault)
-//! stream seeded by [`MonteCarloConfig::seed`], drawn in sample order
-//! as each batch starts — changing the batch width regroups only the
-//! *execution*, never the factors, so yields are reproducible across
-//! lane configurations, and a run holds one batch of factors however
+//! The samples run in batches of [`MAX_NETLIST_LANES`] lanes, so a run
+//! of up to 64 samples is one batch. Sampling is deterministic and
+//! lane-packing independent: the perturbation factors come from one
+//! [`SplitMix64`](crate::fault) stream seeded by
+//! [`MonteCarloConfig::seed`], drawn in sample order as each batch
+//! starts — the batch width regroups only the *execution*, never the
+//! factors, so yields are the same at every width (the tests drive
+//! widths 1, 3, 8 and 64), and a run holds one batch of factors however
 //! many samples it takes.
 
 use std::collections::BTreeMap;
 
-use crate::batch::MAX_LANES;
 use crate::fault::SplitMix64;
-use crate::netlist_sim::CompiledNetlist;
+use crate::netlist_sim::{CompiledNetlist, MAX_NETLIST_LANES};
 
 /// Configuration of one Monte Carlo yield run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,8 +35,6 @@ pub struct MonteCarloConfig {
     pub tolerance: f64,
     /// Seed of the perturbation stream.
     pub seed: u64,
-    /// Batch width (clamped to `1..=`[`MAX_LANES`]).
-    pub lanes: usize,
     /// Demo/test hook: poison `(sample, step)` with a NaN so that lane
     /// degrades to a partial trace (the batch keeps going).
     pub inject: Option<(usize, usize)>,
@@ -47,7 +46,6 @@ impl Default for MonteCarloConfig {
             samples: 256,
             tolerance: 0.05,
             seed: 0x5EED,
-            lanes: MAX_LANES,
             inject: None,
         }
     }
@@ -95,7 +93,8 @@ impl YieldReport {
 }
 
 /// Run `cfg.samples` tolerance-perturbed transients of `plan` through
-/// lane batches and score each against the declared `ranges`
+/// lane batches of up to [`MAX_NETLIST_LANES`] samples and score each
+/// against the declared `ranges`
 /// (`name -> (lo, hi)`, e.g. from `'range lo to hi` annotations).
 ///
 /// A sample *passes* when it completes without a fault and every
@@ -112,6 +111,17 @@ pub fn monte_carlo_netlist(
     plan: &CompiledNetlist<'_>,
     ranges: &BTreeMap<String, (f64, f64)>,
     cfg: &MonteCarloConfig,
+) -> YieldReport {
+    monte_carlo_packed(plan, ranges, cfg, MAX_NETLIST_LANES)
+}
+
+/// [`monte_carlo_netlist`] in batches of at most `lanes` samples. The
+/// width regroups the execution only: every width reports the same.
+pub(crate) fn monte_carlo_packed(
+    plan: &CompiledNetlist<'_>,
+    ranges: &BTreeMap<String, (f64, f64)>,
+    cfg: &MonteCarloConfig,
+    lanes: usize,
 ) -> YieldReport {
     assert!(
         cfg.tolerance.is_finite() && (0.0..1.0).contains(&cfg.tolerance),
@@ -136,7 +146,6 @@ pub fn monte_carlo_netlist(
         }
     }
 
-    let lanes = cfg.lanes.clamp(1, MAX_LANES);
     let mut report = YieldReport {
         samples: cfg.samples,
         ..YieldReport::default()
@@ -256,21 +265,28 @@ mod tests {
 
     #[test]
     fn yield_is_independent_of_lane_packing() {
+        // 100 samples: at 64 lanes a full batch and a 36-lane one (four
+        // 8-lane chunks and a 4-lane one); at 8 lanes twelve full
+        // batches and a 4-lane one; and so on.
         let n = amp_netlist(-1.5);
         let plan =
             CompiledNetlist::new(&n, &stims(), &[], &SimConfig::new(1e-4, 0.02)).expect("compiles");
         let ranges: BTreeMap<String, (f64, f64)> =
             [("y".to_string(), (-1.5, 1.5))].into_iter().collect();
-        let base = MonteCarloConfig {
-            samples: 33,
+        let cfg = MonteCarloConfig {
+            samples: 100,
             tolerance: 0.1,
             ..MonteCarloConfig::default()
         };
-        let wide = monte_carlo_netlist(&plan, &ranges, &MonteCarloConfig { lanes: 8, ..base });
-        let narrow = monte_carlo_netlist(&plan, &ranges, &MonteCarloConfig { lanes: 1, ..base });
-        let odd = monte_carlo_netlist(&plan, &ranges, &MonteCarloConfig { lanes: 3, ..base });
-        assert_eq!(wide, narrow);
-        assert_eq!(wide, odd);
+        let report = monte_carlo_netlist(&plan, &ranges, &cfg);
+        assert!(report.passed > 0 && report.passed < 100, "{report:?}");
+        for lanes in [1, 3, 8, 64] {
+            assert_eq!(
+                monte_carlo_packed(&plan, &ranges, &cfg, lanes),
+                report,
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]
@@ -298,6 +314,7 @@ mod tests {
         plan: &CompiledNetlist<'_>,
         ranges: &BTreeMap<String, (f64, f64)>,
         cfg: &MonteCarloConfig,
+        lanes: usize,
     ) -> YieldReport {
         let mut rng = SplitMix64::new(cfg.seed);
         let factors: Vec<Vec<f64>> = (0..cfg.samples)
@@ -307,7 +324,6 @@ mod tests {
                     .collect()
             })
             .collect();
-        let lanes = cfg.lanes.clamp(1, MAX_LANES);
         let mut report = YieldReport {
             samples: cfg.samples,
             ..YieldReport::default()
@@ -393,17 +409,13 @@ mod tests {
             tolerance: 0.1,
             ..MonteCarloConfig::default()
         };
-        for lanes in [1, 3, 8] {
+        for lanes in [1, 3, 8, MAX_NETLIST_LANES] {
             for inject in [None, Some((4, 30))] {
-                let cfg = MonteCarloConfig {
-                    lanes,
-                    inject,
-                    ..base
-                };
-                let report = monte_carlo_netlist(&plan, &ranges, &cfg);
+                let cfg = MonteCarloConfig { inject, ..base };
+                let report = monte_carlo_packed(&plan, &ranges, &cfg, lanes);
                 assert_eq!(
                     report,
-                    trace_rule_yield(&plan, &ranges, &cfg),
+                    trace_rule_yield(&plan, &ranges, &cfg, lanes),
                     "{lanes} lanes, {inject:?}"
                 );
                 assert_eq!(report.degraded, usize::from(inject.is_some()));
@@ -423,7 +435,7 @@ mod tests {
             ..base
         };
         let report = monte_carlo_netlist(&plan, &ranges, &cfg);
-        assert_eq!(report, trace_rule_yield(&plan, &ranges, &cfg));
+        assert_eq!(report, trace_rule_yield(&plan, &ranges, &cfg, 1));
         assert_eq!((report.degraded, report.passed), (1, 0));
         assert!(report.traces.is_empty());
     }

@@ -5,16 +5,19 @@
 //! per-lane floating-point operation sequence. The one-lane run's bits
 //! are pinned by `tests/behavioral_traces.rs`. Plus: per-lane fault
 //! isolation and the netlist-level batch (factor 1.0 lanes reproduce
-//! the scalar run).
+//! the scalar run at every width up to [`MAX_NETLIST_LANES`], and a
+//! perturbed lane reproduces the one-lane batch of its own factors).
 //!
 //! [`BatchSession`]: vase_sim::BatchSession
 //! [`CompiledSim::run`]: vase_sim::CompiledSim::run
+//! [`MAX_NETLIST_LANES`]: vase_sim::MAX_NETLIST_LANES
 
 use std::collections::BTreeMap;
 
 use vase_library::{ComponentKind, Netlist, PlacedComponent, SourceRef};
 use vase_sim::{
     BatchLane, CompiledNetlist, CompiledSim, FaultInjection, FaultKind, SimConfig, Stimulus,
+    MAX_NETLIST_LANES,
 };
 use vase_vhif::{BlockKind, DataOp, DpExpr, Event, Fsm, SignalFlowGraph, Trigger, VhifDesign};
 
@@ -231,10 +234,13 @@ fn diverging_lane_degrades_to_partial_trace_without_poisoning_batch() {
     );
 }
 
-#[test]
-fn netlist_batch_with_unit_factors_matches_scalar_bitwise() {
-    // A netlist with every perturbable kind that matters for yield:
-    // summing weights, integrator weights, a reference, a limiter.
+/// Netlist batch widths: one chunk (1, 4, 8), an 8-lane span with a
+/// 4-lane chunk left over (12), and the cap (64).
+const NETLIST_WIDTHS: [usize; 5] = [1, 4, 8, 12, MAX_NETLIST_LANES];
+
+/// A netlist with every perturbable kind that matters for yield:
+/// summing weights, integrator weights, a reference, a limiter.
+fn yield_netlist() -> Netlist {
     let mut n = Netlist::new();
     n.push(PlacedComponent {
         kind: ComponentKind::VoltageRef { level: 0.25 },
@@ -266,17 +272,54 @@ fn netlist_batch_with_unit_factors_matches_scalar_bitwise() {
         label: "lim".into(),
     });
     n.outputs.push(("y".into(), SourceRef::Component(3)));
+    n
+}
 
+#[test]
+fn netlist_batch_with_unit_factors_matches_scalar_bitwise() {
+    let n = yield_netlist();
     let stimuli = stim(&[("x", Stimulus::sine(1.0, 200.0))]);
     let plan =
         CompiledNetlist::new(&n, &stimuli, &[], &SimConfig::new(1e-5, 0.01)).expect("compiles");
     let scalar = plan.run();
-    for lanes in [1, 4, 8] {
+    for lanes in NETLIST_WIDTHS {
         let factors = vec![vec![1.0; plan.param_count()]; lanes];
         let mut batch = plan.batch_session(&factors);
         batch.run();
         for (l, result) in batch.into_results().into_iter().enumerate() {
             assert_eq!(result, scalar, "lane {l} of {lanes}");
         }
+    }
+}
+
+#[test]
+fn perturbed_lanes_of_a_wide_netlist_batch_match_their_one_lane_runs() {
+    // Every lane of a full-width batch carries its own factors; each
+    // must equal, bit for bit, a one-lane batch of the same factors.
+    let n = yield_netlist();
+    let stimuli = stim(&[("x", Stimulus::sine(1.0, 200.0))]);
+    let plan =
+        CompiledNetlist::new(&n, &stimuli, &[], &SimConfig::new(1e-5, 0.01)).expect("compiles");
+    let factors: Vec<Vec<f64>> = (0..MAX_NETLIST_LANES)
+        .map(|l| {
+            (0..plan.param_count())
+                .map(|p| 1.0 + 0.002 * ((l * 7 + p * 3) % 21) as f64 - 0.02)
+                .collect()
+        })
+        .collect();
+    let mut batch = plan.batch_session(&factors);
+    batch.run();
+    let results = batch.into_results();
+    assert_eq!(results.len(), MAX_NETLIST_LANES);
+    let y = |l: usize| results[l].trace("y").expect("trace").to_vec();
+    assert!(
+        (1..MAX_NETLIST_LANES).any(|l| y(l) != y(0)),
+        "the factors must move the lanes apart"
+    );
+    for (l, (result, factors)) in results.iter().zip(&factors).enumerate() {
+        let mut one = plan.batch_session(std::slice::from_ref(factors));
+        one.run();
+        let reference = one.into_results().remove(0);
+        assert_eq!(*result, reference, "lane {l}");
     }
 }

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use vase_library::{ComponentKind, Netlist, PlacedComponent, SourceRef};
 use vase_sim::{
     monte_carlo_netlist, CompiledNetlist, CompiledSim, MonteCarloConfig, SimConfig, Stimulus,
+    MAX_NETLIST_LANES,
 };
 use vase_vhif::{BlockKind, DataOp, DpExpr, Event, Fsm, SignalFlowGraph, Trigger, VhifDesign};
 
@@ -267,7 +268,7 @@ fn netlist_batch_run_is_allocation_free() {
     let netlist = macromodel_netlist();
     let config = SimConfig::new(1e-5, 10e-3); // 1000 steps
     let plan = CompiledNetlist::new(&netlist, &sine_input(), &[], &config).expect("compiles");
-    for lanes in [1, 8] {
+    for lanes in [1, 8, MAX_NETLIST_LANES] {
         let factors = vec![vec![1.0; plan.param_count()]; lanes];
         let mut session = plan.batch_session(&factors);
         let before = allocations();
@@ -318,7 +319,8 @@ fn monte_carlo_memory_does_not_grow_with_the_step_count() {
     );
 
     // Nor does its peak heap grow with the sample count: a batch draws
-    // its own samples' factors when it starts.
+    // its own samples' factors when it starts. 64 and 6,400 samples run
+    // one and a hundred whole batches; 16 samples build a narrower one.
     let config = SimConfig::new(1e-5, 1e-3);
     let plan = CompiledNetlist::new(&netlist, &sine_input(), &[], &config).expect("compiles");
     let peak = |samples: usize| {
@@ -328,9 +330,14 @@ fn monte_carlo_memory_does_not_grow_with_the_step_count() {
         assert_eq!(report.samples, samples);
         grown
     };
-    let (few, many) = (peak(16), peak(1_600));
+    let (one, hundred) = (peak(64), peak(6_400));
     assert_eq!(
-        few, many,
-        "Monte Carlo's heap peaked {few} bytes above its start at 16 samples and {many} at 1,600"
+        one, hundred,
+        "Monte Carlo's heap peaked {one} bytes above its start at 64 samples and {hundred} at 6,400"
+    );
+    let narrow = peak(16);
+    assert!(
+        narrow <= one,
+        "16 samples peaked {narrow} bytes above the start, a full batch {one}"
     );
 }

@@ -82,19 +82,32 @@ cargo test -q -p vase --test netlist_traces
 cargo test -q -p vase --test behavioral_traces
 
 echo "== tier 1: Monte Carlo yield smoke (lane-batched) =="
-# A small sample count exercises the whole batched MC path: netlist
-# perturbation, lane batching, range scoring, and the yield report.
+# 100 samples exercise the whole batched MC path over two batches (64
+# lanes, then 36): netlist perturbation, lane batching, range scoring,
+# and the yield report.
 ./target/release/vase sim crates/core/specs/funcgen.vhd \
-    --input ramp=sine:0.5,1000 --monte-carlo 16 --tolerance 2 >/dev/null
-# A poisoned lane must degrade (exit 3), not fail the batch.
+    --input ramp=sine:0.5,1000 --monte-carlo 100 --tolerance 2 >/dev/null
+# A poisoned lane of the second batch must degrade (exit 3), not fail
+# the batch.
 set +e
 ./target/release/vase sim crates/core/specs/funcgen.vhd \
-    --input ramp=sine:0.5,1000 --monte-carlo 16 --tolerance 2 \
-    --inject-lane 0:50 >/dev/null
+    --input ramp=sine:0.5,1000 --monte-carlo 100 --tolerance 2 \
+    --inject-lane 70:50 >/dev/null
 rc=$?
 set -e
 if [ "$rc" -ne 3 ]; then
     echo "injected-lane Monte Carlo run exited $rc, expected 3 (degraded)" >&2
+    exit 1
+fi
+# A poison outside the run injects nothing and is an error (exit 1).
+set +e
+./target/release/vase sim crates/core/specs/funcgen.vhd \
+    --input ramp=sine:0.5,1000 --monte-carlo 100 --tolerance 2 \
+    --inject-lane 100:50 >/dev/null 2>&1
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "out-of-range --inject-lane exited $rc, expected 1 (error)" >&2
     exit 1
 fi
 

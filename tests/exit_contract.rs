@@ -126,6 +126,30 @@ fn sim_windows_that_cannot_be_recorded_are_errors() {
     }
 }
 
+#[test]
+fn sim_lane_injections_that_poison_nothing_are_errors() {
+    // 8 samples over an 11-step window (1e-5 / 1e-6 rounds up to 11).
+    let follower = format!("{}/../../examples/lint/clean_follower.vhd", env!("CARGO_MANIFEST_DIR"));
+    let base = [
+        "sim", &follower, "--input", "vin=sine:0.5,1000", "--dt", "1e-6", "--tend", "1e-5",
+        "--monte-carlo", "8", "--inject-lane",
+    ];
+    let run = |inject: &str| Command::new(VASE).args(base).arg(inject).output().expect("vase runs");
+    for inject in ["100:5", "8:5", "3:500", "3:12"] {
+        let output = run(inject);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{inject}: {stderr}");
+        assert!(stderr.contains("`--inject-lane"), "{inject} must name the flag: {stderr}");
+    }
+    // The last sample at the last step still poisons a lane: degraded.
+    for inject in ["0:0", "7:11"] {
+        let output = run(inject);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(3), "{inject}: {stdout}");
+        assert!(stdout.contains("1 degraded"), "{inject}: {stdout}");
+    }
+}
+
 /// Spawn `vase serve`, feed it request lines on stdin, and collect the
 /// parsed response lines plus the daemon's exit code.
 fn serve_round_trip(requests: &[String], cache: &std::path::Path) -> (i32, Vec<Json>) {

@@ -1,8 +1,8 @@
 //! Bit-level pin of the macromodel (netlist) engine: for every design of
 //! the corpus specs at `-O0` and `-O2`, the scalar run's traces (name,
 //! sample count and an FNV-1a hash of the raw `f64` bits), and the
-//! Monte Carlo yield report at 8 and at 3 lanes plus one run with an
-//! injected lane fault; then the five Table 1 applications over their
+//! Monte Carlo yield report of 64 samples, clean and with an injected
+//! lane fault; then the five Table 1 applications over their
 //! full `tests/simulation.rs` windows, scalar only. Any change to a
 //! component's transfer function, the RK4 arithmetic, the stimulus
 //! evaluation, the fault scan or the yield scoring shows up as a diff
@@ -116,12 +116,10 @@ fn corpus_table() -> String {
                     samples: 64,
                     tolerance: 0.02,
                     seed: 0x5EED,
-                    lanes: 8,
                     inject: None,
                 };
                 for (label, cfg) in [
-                    ("lanes=8", mc),
-                    ("lanes=3", MonteCarloConfig { lanes: 3, ..mc }),
+                    ("clean", mc),
                     ("inject=(3,10)", MonteCarloConfig { inject: Some((3, 10)), ..mc }),
                 ] {
                     let report = monte_carlo_netlist(&plan, &ranges, &cfg);
