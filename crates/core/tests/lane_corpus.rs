@@ -44,6 +44,14 @@ fn synthesized_corpus() -> Vec<(&'static str, Vec<SynthesizedDesign>)> {
         .collect()
 }
 
+/// Behavioral batch widths: every width up to [`MAX_LANES`] whose lane
+/// split differs. Widths 1, 4 and 8 step with their stride known at
+/// compile time; 2, 3, 5 and 7 walk a runtime stride in 4-, 2- and
+/// 1-lane kernels.
+///
+/// [`MAX_LANES`]: vase::sim::MAX_LANES
+const LANE_WIDTHS: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
+
 #[test]
 fn every_spec_behavioral_batch_matches_scalar_bitwise() {
     let config = SimConfig::new(1e-5, 2e-3);
@@ -53,7 +61,7 @@ fn every_spec_behavioral_batch_matches_scalar_bitwise() {
                 auto_stimuli(|s| CompiledSim::new(&d.vhif, s, &config).map(|_| ()));
             let plan = CompiledSim::new(&d.vhif, &stimuli, &config).expect("compiles");
             let scalar = plan.run();
-            for lanes in [1, 4, 8] {
+            for lanes in LANE_WIDTHS {
                 let mut batch = plan.batch_replicated(lanes);
                 batch.run();
                 for (l, result) in batch.into_results().into_iter().enumerate() {

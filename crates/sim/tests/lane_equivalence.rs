@@ -101,6 +101,14 @@ fn fsm_design() -> VhifDesign {
     d
 }
 
+/// Behavioral batch widths: every width up to [`MAX_LANES`] whose lane
+/// split differs. Widths 1, 4 and 8 step with their stride known at
+/// compile time; 2, 3, 5 and 7 walk a runtime stride in 4-, 2- and
+/// 1-lane kernels.
+///
+/// [`MAX_LANES`]: vase_sim::MAX_LANES
+const LANE_WIDTHS: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
+
 #[test]
 fn replicated_lanes_match_scalar_bitwise() {
     let cases: Vec<(VhifDesign, BTreeMap<String, Stimulus>)> = vec![
@@ -118,7 +126,7 @@ fn replicated_lanes_match_scalar_bitwise() {
     for (design, inputs) in &cases {
         let plan = CompiledSim::new(design, inputs, &config).expect("compiles");
         let scalar = plan.run();
-        for lanes in [1, 4, 8] {
+        for lanes in LANE_WIDTHS {
             let mut batch = plan.batch_replicated(lanes);
             batch.run();
             for (l, result) in batch.into_results().into_iter().enumerate() {
@@ -172,9 +180,11 @@ fn mixed_dt_and_stimulus_lanes_match_their_scalar_runs() {
 
 #[test]
 fn injected_single_lane_batch_matches_scalar_injected_run() {
-    // Lane 0 keeps the raw injection seed, so a one-lane batch replays
-    // the scalar engine's injection schedule — including recoveries —
-    // bit for bit.
+    // Lane 0 keeps the raw injection seed, so lane 0 of any batch
+    // replays the scalar engine's injection schedule — including
+    // recoveries — bit for bit. In the 5-lane batch, whose stride is
+    // known only at run time, each recovery re-integrates one lane of
+    // the wide buffers.
     let design = rc_lowpass(1_000.0);
     let inputs = stim(&[("x", Stimulus::sine(0.5, 300.0))]);
     let mut config = SimConfig::new(1e-5, 5e-3);
@@ -185,10 +195,12 @@ fn injected_single_lane_batch_matches_scalar_injected_run() {
         scalar.recovered_steps > 0,
         "the transient injection must trigger recoveries"
     );
-    let mut batch = plan.batch_replicated(1);
-    batch.run();
-    let result = batch.into_results().remove(0);
-    assert_eq!(result, scalar);
+    for lanes in [1, 5] {
+        let mut batch = plan.batch_replicated(lanes);
+        batch.run();
+        let result = batch.into_results().remove(0);
+        assert_eq!(result, scalar, "lane 0 of {lanes}");
+    }
 }
 
 #[test]

@@ -190,11 +190,14 @@ fn continuous_stepping_is_allocation_free() {
 
 #[test]
 fn batched_continuous_stepping_is_allocation_free() {
-    assert_batched_steady_state_alloc_free(
-        &rc_lowpass_design(),
-        &[("x", Stimulus::sine(1.0, 200.0))],
-        8,
-    );
+    // 3 lanes step with a runtime stride, 8 with a compile-time one.
+    for lanes in [3, 8] {
+        assert_batched_steady_state_alloc_free(
+            &rc_lowpass_design(),
+            &[("x", Stimulus::sine(1.0, 200.0))],
+            lanes,
+        );
+    }
 }
 
 #[test]
