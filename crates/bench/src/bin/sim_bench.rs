@@ -226,7 +226,7 @@ impl WideRecord {
 /// sessions looping point by point vs lane batches of widths 4 and 8,
 /// over the exact same per-point work (same plan, same step count),
 /// with the full result sets compared bitwise.
-fn bench_wide(plan: &CompiledSim<'_>, sizing: &Sizing) -> WideRecord {
+fn bench_wide(plan: &CompiledSim, sizing: &Sizing) -> WideRecord {
     let base = plan.stimuli().to_vec();
     let stim_sets: Vec<Vec<Stimulus>> = (0..sizing.wide_points)
         .map(|i| {

@@ -695,9 +695,10 @@ fn parse_stimulus(spec: &str) -> Result<Stimulus, String> {
     } else {
         params
             .split(',')
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("bad number `{v}`: {e}"))
+            .map(|v| match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(format!("parameter `{v}` is not finite")),
+                Err(e) => Err(format!("bad number `{v}`: {e}")),
             })
             .collect::<Result<_, _>>()?
     };
@@ -766,7 +767,8 @@ fn cmd_sim(args: &[String]) -> Result<u8, String> {
             let (name, stim) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("bad --input `{spec}`, expected name=<stimulus>"))?;
-            stimuli.insert(name.to_owned(), parse_stimulus(stim)?);
+            let stim = parse_stimulus(stim).map_err(|e| format!("bad --input `{spec}`: {e}"))?;
+            stimuli.insert(name.to_owned(), stim);
             i += 2;
         } else {
             i += 1;
@@ -782,7 +784,7 @@ fn cmd_sim(args: &[String]) -> Result<u8, String> {
     for (d, result) in designs.iter().zip(&results) {
         match result {
             Ok(result) => {
-                for diag in sim_diagnostics(&config, result) {
+                for diag in sim_diagnostics(result) {
                     println!("{diag}");
                 }
                 partial |= result.is_partial();

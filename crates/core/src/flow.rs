@@ -530,19 +530,11 @@ pub fn cache_diagnostics(stats: &MapStats) -> Vec<Diagnostic> {
 }
 
 /// Render a simulation outcome's numerical-fault story as `S4xx`
-/// diagnostics: an `S403` note when fault injection was active, an
-/// `S401` warning for steps rescued by step halving, and an
-/// `S400`/`S402` error when an unrecoverable fault cut the run short
-/// (the result then carries the partial trace).
-pub fn sim_diagnostics(config: &SimConfig, result: &SimResult) -> Vec<Diagnostic> {
+/// diagnostics: an `S401` warning for steps rescued by step halving,
+/// and an `S400`/`S402` error when an unrecoverable fault cut the run
+/// short (the result then carries the partial trace).
+pub fn sim_diagnostics(result: &SimResult) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if config.fault_injection.is_some() {
-        diags.push(Diagnostic::new(
-            Code::S403,
-            "deterministic fault injection is active; traces include injected faults"
-                .to_owned(),
-        ));
-    }
     if result.recovered_steps > 0 {
         diags.push(Diagnostic::new(
             Code::S401,
@@ -937,15 +929,12 @@ mod tests {
 
     #[test]
     fn sim_diagnostics_cover_the_s4xx_family() {
-        use vase_sim::{FaultInjection, SimFault};
-        let mut config = SimConfig::new(1e-5, 1e-3);
+        use vase_sim::SimFault;
         let clean = SimResult::default();
-        assert!(sim_diagnostics(&config, &clean).is_empty());
+        assert!(sim_diagnostics(&clean).is_empty());
 
-        config.fault_injection = Some(FaultInjection::transient_nan(1, 0.5));
         let recovered = SimResult { recovered_steps: 3, ..SimResult::default() };
-        let diags = sim_diagnostics(&config, &recovered);
-        assert!(diags.iter().any(|d| d.code == Code::S403));
+        let diags = sim_diagnostics(&recovered);
         assert!(diags.iter().any(|d| d.code == Code::S401));
 
         let aborted = SimResult {
@@ -957,7 +946,7 @@ mod tests {
             }),
             ..SimResult::default()
         };
-        let diags = sim_diagnostics(&config, &aborted);
+        let diags = sim_diagnostics(&aborted);
         assert!(diags.iter().any(|d| d.code == Code::S402 && d.severity == vase_diag::Severity::Error));
         let nonfinite = SimResult {
             fault: Some(SimFault {
@@ -968,7 +957,7 @@ mod tests {
             }),
             ..SimResult::default()
         };
-        assert!(sim_diagnostics(&config, &nonfinite).iter().any(|d| d.code == Code::S400));
+        assert!(sim_diagnostics(&nonfinite).iter().any(|d| d.code == Code::S400));
     }
 
     #[test]

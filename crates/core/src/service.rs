@@ -201,7 +201,7 @@ impl FlowJobHandler {
         for (d, result) in report.designs.iter().zip(&results) {
             match result {
                 Ok(result) => {
-                    out.diagnostics.extend(sim_diagnostics(&config, result));
+                    out.diagnostics.extend(sim_diagnostics(result));
                     let outputs: Vec<(String, Json)> = d
                         .synthesis
                         .netlist

@@ -7,15 +7,15 @@
 //!
 //! A [`BatchSession`] advances up to [`MAX_LANES`] *lanes* — independent
 //! parameter variants of one compiled plan — in lockstep through the
-//! same step schedule. Every per-signal buffer is stored
-//! structure-of-arrays with the lane index innermost
-//! (`buf[block * lanes + lane]`), so the per-block dispatch of the
-//! compiled interpreter is paid once per block per step and the inner
-//! lane loops are flat chunked f64 arithmetic the compiler can
-//! autovectorize. A single run ([`CompiledSim::run`], and through it
+//! same step schedule, on the lane machine it shares with the netlist
+//! engine ([`crate::lanes`]): one tape over a lane-strided slot array
+//! (`slots[slot * lanes + lane]`), walked in fixed-width kernels, and
+//! one end-of-step held-state update. This engine adds its own op set,
+//! its stimulus rows, the FSM walk, per-lane `dt` and step-halving
+//! recovery. A single run ([`CompiledSim::run`], and through it
 //! [`simulate_design`](crate::simulate_design)) is a one-lane batch;
 //! batches of 1, 4 and 8 lanes step with their width known at compile
-//! time.
+//! time, and other widths with a runtime stride.
 //!
 //! Contracts, asserted by `crates/sim/tests/lane_equivalence.rs` and
 //! pinned by `tests/behavioral_traces.rs`:
@@ -37,22 +37,21 @@
 //!   on the hot path.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use vase_vhif::block::LogicOp;
-use vase_vhif::BlockKind;
 
 use crate::fault::{FaultKind, SimFault, SplitMix64};
+use crate::lanes::{self, chunks, each, lane_row, Slot};
 use crate::plan::{
-    CompiledDp, CompiledEvent, CompiledOp, CompiledSim, CompiledTrigger, CtlSrc, DiscreteUpdate,
-    GraphPlan, Instr, TraceSrc, ValueSrc, NO_DRIVER,
+    CompiledDp, CompiledEvent, CompiledOp, CompiledSim, CompiledTrigger, CtlSrc, TraceSrc, ValueSrc,
 };
 use crate::stimulus::Stimulus;
 use crate::trace::SimResult;
 
-/// Maximum lanes per behavioral batch. Eight f64 lanes fill two AVX2
-/// (or one AVX-512) vector register per block and keep the strided
-/// working set cache-friendly; wider behavioral batches gain little on
-/// one core. The netlist engine has its own cap,
+/// Maximum lanes per behavioral batch: one kernel chunk, so every batch
+/// width up to it steps chunk-major, and widths 1, 4 and 8 with their
+/// stride known at compile time. The netlist engine has its own cap,
 /// [`MAX_NETLIST_LANES`](crate::MAX_NETLIST_LANES) = 64: it walks a wide
 /// batch op-major, so a Monte Carlo batch pays its tape's dispatch once
 /// per RK4 stage (EXPERIMENTS.md §21).
@@ -72,7 +71,7 @@ pub struct BatchLane {
     pub dt: f64,
 }
 
-impl<'d> CompiledSim<'d> {
+impl CompiledSim {
     /// A [`BatchLane`] carrying `stims` at the plan's own step size.
     ///
     /// # Panics
@@ -94,14 +93,14 @@ impl<'d> CompiledSim<'d> {
     /// Panics when `lanes` is empty or longer than [`MAX_LANES`], when a
     /// lane's stimulus vector does not match the compiled layout, or
     /// when a lane's `dt` is not positive and finite.
-    pub fn batch_session<'p>(&'p self, lanes: &[BatchLane]) -> BatchSession<'p, 'd> {
+    pub fn batch_session(&self, lanes: &[BatchLane]) -> BatchSession<'_> {
         BatchSession::new(self, lanes)
     }
 
     /// A batch of `lanes` identical copies of the plan's own stimuli —
     /// the benchmarking/self-test configuration where every lane must
     /// reproduce [`CompiledSim::run`] bit for bit.
-    pub fn batch_replicated(&self, lanes: usize) -> BatchSession<'_, 'd> {
+    pub fn batch_replicated(&self, lanes: usize) -> BatchSession<'_> {
         let lane = BatchLane {
             stims: self.stims.clone(),
             dt: self.dt,
@@ -113,26 +112,13 @@ impl<'d> CompiledSim<'d> {
     }
 }
 
-/// Reads the driver `$d` (an `i32` port entry) of lane `$l` from a
-/// lane-strided value buffer; `NO_DRIVER` (an unconnected port) reads as
-/// 0.0.
-macro_rules! lane_port {
-    ($out:expr, $d:expr, $stride:expr, $l:expr) => {
-        if $d == NO_DRIVER {
-            0.0
-        } else {
-            $out[$d as usize * $stride + $l]
-        }
-    };
-}
-
 /// Mutable state of one lane-batched run over a [`CompiledSim`] plan.
 ///
 /// All buffers are allocated at construction;
 /// [`step`](BatchSession::step) is allocation-free (asserted by
 /// `crates/sim/tests/no_alloc.rs`).
-pub struct BatchSession<'p, 'd> {
-    plan: &'p CompiledSim<'d>,
+pub struct BatchSession<'p> {
+    plan: &'p CompiledSim,
     /// Batch width (1 ..= [`MAX_LANES`]); also the buffer stride.
     lanes: usize,
     /// Per-lane step size.
@@ -146,31 +132,25 @@ pub struct BatchSession<'p, 'd> {
     /// Per-lane liveness; dead lanes are skipped by faults/record only —
     /// the lockstep kernel still computes them (on zeroed state).
     active: Vec<bool>,
-    // Lane-strided state: `buf[block * lanes + lane]`.
+    /// Start-of-step slot values (every block row, then the zero row),
+    /// and the RK4 stage scratch with the same layout.
     values: Vec<f64>,
+    stage_values: Vec<f64>,
+    /// Integrator states, RK4 stage states and the four stage slopes,
+    /// lane-strided per integrator.
     integ: Vec<f64>,
-    discrete: Vec<f64>,
-    prev_in: Vec<f64>,
+    stage_integ: Vec<f64>,
+    slopes: [Vec<f64>; 4],
+    /// Held states (latch and Schmitt outputs, differentiator previous
+    /// inputs), lane-strided.
+    held: Vec<f64>,
+    /// Pre-step snapshot of `integ`, then of `held`, for per-lane
+    /// rollback.
+    saved: Vec<f64>,
     /// FSM signals, lane-major.
     signals: Vec<f64>,
     /// Previous event levels per machine, `[event * lanes + lane]`.
     prev_levels: Vec<Vec<bool>>,
-    // RK4 scratch, lane-strided.
-    stage_values: Vec<f64>,
-    stage_state: Vec<f64>,
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
-    /// Pre-step snapshots for per-lane rollback.
-    saved_integ: Vec<f64>,
-    saved_discrete: Vec<f64>,
-    saved_prev_in: Vec<f64>,
-    /// The block rows a step can change in `integ`, `discrete` or
-    /// `prev_in`: integrators and discrete updates. Every other row of
-    /// those buffers, and of their snapshots, stays 0.0, so a snapshot
-    /// copies these rows alone.
-    state_rows: Vec<usize>,
     // Per-lane time scratch, filled by the caller of the span kernels:
     // step start, RK mid-stage, RK end-stage, and effective dt.
     ts: Vec<f64>,
@@ -179,8 +159,8 @@ pub struct BatchSession<'p, 'd> {
     sub_dt: Vec<f64>,
     // Stimulus rows at those times (`[slot * lanes + lane]`), filled by
     // the same caller. Hoisting the transcendental stimulus evaluations
-    // out of the kernels lets one fill serve every reader of a slot:
-    // all graphs, and both RK4 mid-stages, which share one midpoint.
+    // out of the kernels lets one fill serve every reader of a slot,
+    // and both RK4 mid-stages, which share one midpoint.
     // Constant rows are written once, when the session starts.
     stim_rows_s: Vec<f64>,
     stim_rows_h: Vec<f64>,
@@ -205,8 +185,8 @@ pub struct BatchSession<'p, 'd> {
     cancelled: bool,
 }
 
-impl<'p, 'd> BatchSession<'p, 'd> {
-    fn new(plan: &'p CompiledSim<'d>, lane_specs: &[BatchLane]) -> Self {
+impl<'p> BatchSession<'p> {
+    fn new(plan: &'p CompiledSim, lane_specs: &[BatchLane]) -> Self {
         let stride = lane_specs.len();
         assert!(
             (1..=MAX_LANES).contains(&stride),
@@ -223,16 +203,14 @@ impl<'p, 'd> BatchSession<'p, 'd> {
                 "lane dt must be positive and finite"
             );
         }
-        let total = plan.total_blocks();
-        let mut integ = vec![0.0; total * stride];
-        for g in &plan.graphs {
-            for (id, block) in g.graph.iter() {
-                if let BlockKind::Integrate { initial, .. } = block.kind {
-                    let b = (g.base + id.index()) * stride;
-                    integ[b..b + stride].fill(initial);
-                }
-            }
-        }
+        let integ: Vec<f64> = plan
+            .integ_init
+            .iter()
+            .flat_map(|&init| std::iter::repeat_n(init, stride))
+            .collect();
+        let k = vec![0.0; integ.len()];
+        let held = vec![0.0; plan.held.len() * stride];
+        let values = vec![0.0; (plan.blocks + 1) * stride];
         let nstims = plan.stims.len();
         let stims = StimTable::new(plan, lane_specs);
         // Constant rows hold at every time, so they are filled once
@@ -249,28 +227,6 @@ impl<'p, 'd> BatchSession<'p, 'd> {
             &vec![0.0; stride],
             &mut stim_rows_s,
         );
-        let mut state_rows: Vec<usize> = plan
-            .graphs
-            .iter()
-            .flat_map(|g| {
-                let discretes = g.discretes.iter().map(|d| match *d {
-                    DiscreteUpdate::Latch { block, .. }
-                    | DiscreteUpdate::Schmitt { block, .. }
-                    | DiscreteUpdate::PrevIn { block, .. } => block,
-                });
-                let integrators = g.integrators.iter().map(|&(block, _, _)| block);
-                integrators.chain(discretes).map(|b| g.base + b as usize)
-            })
-            .collect();
-        state_rows.sort_unstable();
-        state_rows.dedup();
-        let max_blocks = plan.graphs.iter().map(|g| g.graph.len()).max().unwrap_or(0);
-        let max_integ = plan
-            .graphs
-            .iter()
-            .map(|g| g.integrators.len())
-            .max()
-            .unwrap_or(0);
         let samples = plan.steps + 1;
         BatchSession {
             plan,
@@ -280,26 +236,19 @@ impl<'p, 'd> BatchSession<'p, 'd> {
             step: 0,
             alive: stride,
             active: vec![true; stride],
-            values: vec![0.0; total * stride],
+            stage_values: values.clone(),
+            values,
+            stage_integ: k.clone(),
+            slopes: [k.clone(), k.clone(), k.clone(), k],
+            saved: vec![0.0; integ.len() + held.len()],
             integ,
-            discrete: vec![0.0; total * stride],
-            prev_in: vec![0.0; total * stride],
+            held,
             signals: vec![0.0; plan.signal_names.len() * stride],
             prev_levels: plan
                 .machines
                 .iter()
                 .map(|m| vec![false; m.events.len() * stride])
                 .collect(),
-            stage_values: vec![0.0; max_blocks * stride],
-            stage_state: vec![0.0; max_blocks * stride],
-            k1: vec![0.0; max_integ * stride],
-            k2: vec![0.0; max_integ * stride],
-            k3: vec![0.0; max_integ * stride],
-            k4: vec![0.0; max_integ * stride],
-            saved_integ: vec![0.0; total * stride],
-            saved_discrete: vec![0.0; total * stride],
-            saved_prev_in: vec![0.0; total * stride],
-            state_rows,
             ts: vec![0.0; stride],
             th: vec![0.0; stride],
             tf: vec![0.0; stride],
@@ -342,7 +291,7 @@ impl<'p, 'd> BatchSession<'p, 'd> {
     }
 
     /// Advance every active lane one fixed time step in lockstep:
-    /// evaluate every graph (RK4 over the integrator states), check each
+    /// evaluate the tape (RK4 over the integrator states), check each
     /// lane's state for numerical faults, fire the FSMs on event edges,
     /// record the traces. Allocation-free.
     ///
@@ -388,11 +337,9 @@ impl<'p, 'd> BatchSession<'p, 'd> {
 
         // Snapshot for per-lane rollback; draw each live lane's injected
         // fault up front so retries replay the same schedule.
-        for &row in &self.state_rows {
-            let lanes = row * stride..(row + 1) * stride;
-            self.saved_integ[lanes.clone()].copy_from_slice(&self.integ[lanes.clone()]);
-            self.saved_discrete[lanes.clone()].copy_from_slice(&self.discrete[lanes.clone()]);
-            self.saved_prev_in[lanes.clone()].copy_from_slice(&self.prev_in[lanes]);
+        let state = self.integ.iter().chain(&self.held);
+        for (saved, &v) in self.saved.iter_mut().zip(state) {
+            *saved = v;
         }
         let injecting = self.plan.injection.is_some();
         if injecting {
@@ -407,9 +354,7 @@ impl<'p, 'd> BatchSession<'p, 'd> {
 
         // 1. Lockstep advance of every lane (dead lanes compute on
         //    zeroed state — cheaper than branching in the kernel).
-        for gi in 0..self.plan.graphs.len() {
-            self.step_graph_span::<S>(gi, 0, stride);
-        }
+        self.advance::<S>(0..stride);
         if injecting {
             for l in 0..stride {
                 if let Some((slot, v)) = self.poison[l] {
@@ -497,132 +442,56 @@ impl<'p, 'd> BatchSession<'p, 'd> {
 
     // ------------------------------------------------------ internals
 
-    /// Evaluate graph `gi` for lanes `[l0, l1)` and advance their
-    /// integrators one RK4 step of `sub_dt` (times from `ts`/`th`/`tf`,
-    /// all caller-filled). A nonzero `S` is the batch width, known at
-    /// compile time; the span is then the whole batch.
-    fn step_graph_span<const S: usize>(&mut self, gi: usize, l0: usize, l1: usize) {
+    /// Evaluate the tape for `lanes` and advance their integrators one
+    /// RK4 step of `sub_dt` (stimulus rows at `ts`/`th`/`tf`, all
+    /// caller-filled), then update their held states from the
+    /// start-of-step values. A nonzero `S` is the batch width, known at
+    /// compile time; the lanes are then the whole batch.
+    fn advance<const S: usize>(&mut self, lanes: Range<usize>) {
         let plan = self.plan;
-        let g = &plan.graphs[gi];
-        let (stride, l0, l1) = if S == 0 {
-            (self.lanes, l0, l1)
+        let (stride, lanes) = if S == 0 {
+            (self.lanes, lanes)
         } else {
-            (S, 0, S)
+            (S, 0..S)
         };
-        let span = (stride, l0, l1);
-        let base = g.base * stride;
-        let nb = g.graph.len() * stride;
-        let integ = &self.integ[base..base + nb];
-        let discrete = &self.discrete[base..base + nb];
-        let prev_in = &self.prev_in[base..base + nb];
-        let (signals, dt) = (&self.signals, &self.sub_dt);
-        macro_rules! inputs {
-            ($stim_rows:expr, $state:expr) => {
-                &EvalInputs {
-                    stim_rows: $stim_rows,
-                    state: $state,
-                    discrete,
-                    prev_in,
-                    signals,
-                    dt,
-                }
-            };
-        }
-        let values = &mut self.values[base..base + nb];
-        eval_graph_span::<S>(g, &g.tape, span, inputs!(&self.stim_rows_s, integ), values);
-        if !g.integrators.is_empty() {
-            // Each stage state is written only at the integrator rows:
-            // those are the only rows of `state` the kernel reads.
-            let ints = &g.integrators;
-            let (stage, out) = (&mut self.stage_state, &mut self.stage_values[..nb]);
-            let (rows_h, rows_f) = (&self.stim_rows_h, &self.stim_rows_f);
-            copy_rows(&g.stage_copies, values, span, out);
-            slopes(ints, values, span, &mut self.k1);
-            shift(ints, integ, &self.k1, dt, 0.5, span, stage);
-            eval_graph_span::<S>(g, &g.stage_tape, span, inputs!(rows_h, &stage[..nb]), out);
-            slopes(ints, out, span, &mut self.k2);
-            shift(ints, integ, &self.k2, dt, 0.5, span, stage);
-            eval_graph_span::<S>(g, &g.stage_tape, span, inputs!(rows_h, &stage[..nb]), out);
-            slopes(ints, out, span, &mut self.k3);
-            shift(ints, integ, &self.k3, dt, 1.0, span, stage);
-            eval_graph_span::<S>(g, &g.stage_tape, span, inputs!(rows_f, &stage[..nb]), out);
-            slopes(ints, out, span, &mut self.k4);
-            for (j, &(i, _, _)) in ints.iter().enumerate() {
+        let [k1, k2, k3, k4] = &mut self.slopes;
+        let dt = &self.sub_dt;
+        let tape = |tape, stim_rows| Kernel::<S> {
+            plan,
+            tape,
+            stride,
+            stim_rows,
+            held: &self.held,
+            signals: &self.signals,
+            dt,
+        };
+        let step = tape(&plan.tape, &self.stim_rows_s);
+        eval(&step, lanes.clone(), &self.integ, &mut self.values, k1);
+        if !plan.integrators.is_empty() {
+            let (stage, out) = (&mut self.stage_integ, &mut self.stage_values);
+            for &b in &plan.stage_copies {
+                let row = b as usize * stride..;
+                let src = &self.values[row.clone()][lanes.clone()];
+                out[row][lanes.clone()].copy_from_slice(src);
+            }
+            let mid = tape(&plan.stage_tape, &self.stim_rows_h);
+            let end = tape(&plan.stage_tape, &self.stim_rows_f);
+            let span = (stride, lanes.clone());
+            shift(&self.integ, k1, dt, 0.5, span.clone(), stage);
+            eval(&mid, lanes.clone(), stage, out, k2);
+            shift(&self.integ, k2, dt, 0.5, span.clone(), stage);
+            eval(&mid, lanes.clone(), stage, out, k3);
+            shift(&self.integ, k3, dt, 1.0, span, stage);
+            eval(&end, lanes.clone(), stage, out, k4);
+            for (j, y) in self.integ.chunks_exact_mut(stride).enumerate() {
                 let kb = j * stride;
-                let ks = (
-                    &self.k1[kb..],
-                    &self.k2[kb..],
-                    &self.k3[kb..],
-                    &self.k4[kb..],
-                );
-                let y = &mut self.integ[base + i as usize * stride..][l0..l1];
-                for (l, y) in (l0..l1).zip(y) {
-                    *y += dt[l] / 6.0 * (ks.0[l] + 2.0 * ks.1[l] + 2.0 * ks.2[l] + ks.3[l]);
+                for l in lanes.clone() {
+                    let k = (k1[kb + l], k2[kb + l], k3[kb + l], k4[kb + l]);
+                    y[l] += dt[l] / 6.0 * (k.0 + 2.0 * k.1 + 2.0 * k.2 + k.3);
                 }
             }
         }
-
-        self.apply_discretes_span(gi, l0, l1);
-    }
-
-    /// End-of-step discrete updates of graph `gi` from the
-    /// start-of-step values, lanes `[l0, l1)`.
-    fn apply_discretes_span(&mut self, gi: usize, l0: usize, l1: usize) {
-        let plan = self.plan;
-        let g = &plan.graphs[gi];
-        let stride = self.lanes;
-        let base = g.base * stride;
-        for update in &g.discretes {
-            match *update {
-                DiscreteUpdate::Latch { block, data, clock } => {
-                    let bb = base + block as usize * stride;
-                    for l in l0..l1 {
-                        let c = if clock == NO_DRIVER {
-                            0.0
-                        } else {
-                            self.values[base + clock as usize * stride + l]
-                        };
-                        if c > 0.5 {
-                            self.discrete[bb + l] = if data == NO_DRIVER {
-                                0.0
-                            } else {
-                                self.values[base + data as usize * stride + l]
-                            };
-                        }
-                    }
-                }
-                DiscreteUpdate::Schmitt {
-                    block,
-                    input,
-                    low,
-                    high,
-                } => {
-                    let bb = base + block as usize * stride;
-                    for l in l0..l1 {
-                        let u = if input == NO_DRIVER {
-                            0.0
-                        } else {
-                            self.values[base + input as usize * stride + l]
-                        };
-                        if u > high {
-                            self.discrete[bb + l] = 1.0;
-                        } else if u < low {
-                            self.discrete[bb + l] = 0.0;
-                        }
-                    }
-                }
-                DiscreteUpdate::PrevIn { block, input } => {
-                    let bb = base + block as usize * stride;
-                    for l in l0..l1 {
-                        self.prev_in[bb + l] = if input == NO_DRIVER {
-                            0.0
-                        } else {
-                            self.values[base + input as usize * stride + l]
-                        };
-                    }
-                }
-            }
-        }
+        lanes::update_held(&plan.held, &self.values, stride, lanes, &mut self.held);
     }
 
     /// Whether any lane's `values` or `integ` holds a fault: a NaN, an
@@ -644,22 +513,14 @@ impl<'p, 'd> BatchSession<'p, 'd> {
     /// faults; non-finite dominates divergence.
     fn fault_kind_lane(&self, l: usize) -> Option<FaultKind> {
         let limit = self.plan.divergence_limit;
-        let stride = self.lanes;
-        let total = self.plan.total_blocks();
         let mut diverged = false;
-        for b in 0..total {
-            let v = self.values[b * stride + l];
-            if !v.is_finite() {
-                return Some(FaultKind::NonFinite);
+        for buf in [&self.values, &self.integ] {
+            for v in buf.iter().skip(l).step_by(self.lanes) {
+                if !v.is_finite() {
+                    return Some(FaultKind::NonFinite);
+                }
+                diverged |= v.abs() > limit;
             }
-            diverged |= v.abs() > limit;
-        }
-        for b in 0..total {
-            let v = self.integ[b * stride + l];
-            if !v.is_finite() {
-                return Some(FaultKind::NonFinite);
-            }
-            diverged |= v.abs() > limit;
         }
         diverged.then_some(FaultKind::Divergence)
     }
@@ -720,24 +581,19 @@ impl<'p, 'd> BatchSession<'p, 'd> {
             let slots = &stims.stage_varying;
             stims.fill(slots, stride, l, l + 1, &self.th, &mut self.stim_rows_h);
             stims.fill(slots, stride, l, l + 1, &self.tf, &mut self.stim_rows_f);
-            for gi in 0..self.plan.graphs.len() {
-                self.step_graph_span::<0>(gi, l, l + 1);
-            }
+            self.advance::<0>(l..l + 1);
         }
         if let Some((slot, v)) = poison {
             self.values[slot * self.lanes + l] = v;
         }
     }
 
-    /// Restore lane `l`'s continuous/discrete state from the pre-step
+    /// Restore lane `l`'s integrator and held states from the pre-step
     /// snapshot.
     fn rollback_lane(&mut self, l: usize) {
-        let stride = self.lanes;
-        for b in 0..self.plan.total_blocks() {
-            let i = b * stride + l;
-            self.integ[i] = self.saved_integ[i];
-            self.discrete[i] = self.saved_discrete[i];
-            self.prev_in[i] = self.saved_prev_in[i];
+        let state = self.integ.iter_mut().chain(&mut self.held);
+        for (v, saved) in state.zip(&self.saved).skip(l).step_by(self.lanes) {
+            *v = *saved;
         }
     }
 
@@ -756,20 +612,18 @@ impl<'p, 'd> BatchSession<'p, 'd> {
             &self.ts,
             &mut self.stim_rows_s,
         );
-        for g in &plan.graphs {
-            let base = g.base * stride;
-            let nb = g.graph.len() * stride;
-            let inputs = EvalInputs {
-                stim_rows: &self.stim_rows_s,
-                state: &self.saved_integ[base..base + nb],
-                discrete: &self.saved_discrete[base..base + nb],
-                prev_in: &self.saved_prev_in[base..base + nb],
-                signals: &self.signals,
-                dt: &self.dt,
-            };
-            let out = &mut self.values[base..base + nb];
-            eval_graph_span::<0>(g, &g.tape, (stride, l, l + 1), &inputs, out);
-        }
+        let (integ, held) = self.saved.split_at(self.integ.len());
+        let tape = Kernel::<0> {
+            plan,
+            tape: &plan.tape,
+            stride,
+            stim_rows: &self.stim_rows_s,
+            held,
+            signals: &self.signals,
+            dt: &self.dt,
+        };
+        let k = &mut self.slopes[0];
+        eval(&tape, l..l + 1, integ, &mut self.values, k);
     }
 
     /// Record lane `l`'s fault and retire it from the batch: its trace
@@ -784,13 +638,11 @@ impl<'p, 'd> BatchSession<'p, 'd> {
         });
         self.active[l] = false;
         self.alive -= 1;
-        let stride = self.lanes;
-        for b in 0..self.plan.total_blocks() {
-            let i = b * stride + l;
-            self.values[i] = 0.0;
-            self.integ[i] = 0.0;
-            self.discrete[i] = 0.0;
-            self.prev_in[i] = 0.0;
+        for buf in [&mut self.values, &mut self.integ, &mut self.held] {
+            buf.iter_mut()
+                .skip(l)
+                .step_by(self.lanes)
+                .for_each(|v| *v = 0.0);
         }
     }
 
@@ -798,12 +650,12 @@ impl<'p, 'd> BatchSession<'p, 'd> {
     /// deterministic stream.
     fn draw_poison(&mut self, l: usize) -> Option<(usize, f64)> {
         let inj = self.plan.injection?;
-        let total = self.plan.total_blocks();
+        let blocks = self.plan.blocks;
         let rng = self.rngs[l].as_mut()?;
-        if total == 0 || rng.next_f64() >= inj.rate {
+        if blocks == 0 || rng.next_f64() >= inj.rate {
             return None;
         }
-        Some((rng.index(total), inj.value))
+        Some((rng.index(blocks), inj.value))
     }
 
     /// Fire machine `mi` for lane `l` if any watched event changed
@@ -925,15 +777,15 @@ struct StimTable {
     /// The varying slots a graph kernel reads: the recovery substeps
     /// refill these.
     graph_varying: Vec<usize>,
-    /// The varying slots an RK stage reads: `graph_varying` when some
-    /// graph has integrators, else none. Only these need the mid- and
+    /// The varying slots an RK stage reads: `graph_varying` when the
+    /// design has integrators, else none. Only these need the mid- and
     /// end-stage rows.
     stage_varying: Vec<usize>,
 }
 
 impl StimTable {
     /// Transpose the lanes' stimulus vectors and classify each slot.
-    fn new(plan: &CompiledSim<'_>, lane_specs: &[BatchLane]) -> Self {
+    fn new(plan: &CompiledSim, lane_specs: &[BatchLane]) -> Self {
         let stride = lane_specs.len();
         let nslots = plan.stims.len();
         let mut stims = vec![Stimulus::Constant { level: 0.0 }; nslots * stride];
@@ -985,16 +837,15 @@ impl StimTable {
             .iter()
             .copied()
             .filter(|&s| {
-                let reads = |ins: &Instr| match ins.op {
+                plan.tape.iter().any(|&(_, op)| match op {
                     CompiledOp::Input(i) | CompiledOp::ControlInput(CtlSrc::Stim(i)) => {
                         i as usize == s
                     }
                     _ => false,
-                };
-                plan.graphs.iter().flat_map(|g| &g.tape).any(reads)
+                })
             })
             .collect();
-        let stage_varying = if plan.graphs.iter().any(|g| !g.integrators.is_empty()) {
+        let stage_varying = if !plan.integrators.is_empty() {
             graph_varying.clone()
         } else {
             Vec::new()
@@ -1084,244 +935,197 @@ enum StimKind {
 /// Parameter rows per slot in the lowered stimulus table.
 const STIM_PARAMS: usize = 4;
 
-/// Copy lanes `span.1..span.2` of each of `rows` from `src` to `dst`.
+/// An RK4 stage state of lanes `span.1`: each integrator row of `stage`
+/// becomes `y + (dt · c) · k`, with `c` one half or one and `span.0`
+/// the stride. Both scalings of `dt` are exact, so this is the
+/// `y + dt / 2.0 * k` and `y + dt * k` of the textbook stages, bit for
+/// bit.
 #[inline]
-fn copy_rows(rows: &[u32], src: &[f64], span: (usize, usize, usize), dst: &mut [f64]) {
-    let (stride, l0, l1) = span;
-    for &r in rows {
-        let lanes = r as usize * stride + l0..r as usize * stride + l1;
-        dst[lanes.clone()].copy_from_slice(&src[lanes]);
-    }
-}
-
-/// RK4 slopes of lanes `span.1..span.2`: `k[j] = gain_j · v[driver_j]`
-/// for every integrator `(block, driver, gain)`; `span.0` is the stride.
-#[inline]
-fn slopes(ints: &[(u32, u32, f64)], v: &[f64], span: (usize, usize, usize), k: &mut [f64]) {
-    let (stride, l0, l1) = span;
-    for (j, &(_, driver, gain)) in ints.iter().enumerate() {
-        let k = &mut k[j * stride..][l0..l1];
-        let v = &v[driver as usize * stride..][l0..l1];
-        for (k, v) in k.iter_mut().zip(v) {
-            *k = gain * v;
-        }
-    }
-}
-
-/// An RK4 stage state of lanes `span.1..span.2`: each integrator row of
-/// `stage` becomes `y + (dt · c) · k`, with `c` one half or one. Both
-/// scalings of `dt` are exact, so this is the `y + dt / 2.0 * k` and
-/// `y + dt * k` of the textbook stages, bit for bit.
-#[inline]
-fn shift(
-    ints: &[(u32, u32, f64)],
-    y: &[f64],
-    k: &[f64],
-    dt: &[f64],
-    c: f64,
-    span: (usize, usize, usize),
-    stage: &mut [f64],
-) {
-    let (stride, l0, l1) = span;
-    for (j, &(i, _, _)) in ints.iter().enumerate() {
-        let row = i as usize * stride;
-        let out = &mut stage[row..][l0..l1];
-        let lanes = y[row..][l0..l1]
-            .iter()
-            .zip(&k[j * stride..][l0..l1])
-            .zip(&dt[l0..l1]);
-        for (s, ((y, k), dt)) in out.iter_mut().zip(lanes) {
+fn shift(y: &[f64], k: &[f64], dt: &[f64], c: f64, span: (usize, Range<usize>), stage: &mut [f64]) {
+    let (stride, lanes) = span;
+    for (j, out) in stage.chunks_exact_mut(stride).enumerate() {
+        let row = j * stride..;
+        let ys = y[row.clone()][lanes.clone()].iter();
+        let ks = &k[row][lanes.clone()];
+        for ((s, (y, k)), dt) in out[lanes.clone()]
+            .iter_mut()
+            .zip(ys.zip(ks))
+            .zip(&dt[lanes.clone()])
+        {
             *s = y + dt * c * k;
         }
     }
 }
 
-/// Copy one driver row (lanes `l0..l0 + W`) into a stack array; an
-/// unconnected port reads as 0.0 in every lane. The local copy breaks
-/// the read/write aliasing on `out` that would otherwise force the
-/// compiler to assume the destination row overlaps its sources, so the
-/// fixed-width lane loops unroll and vectorize.
-#[inline(always)]
-fn row<const W: usize>(buf: &[f64], d: i32, stride: usize, l0: usize) -> [f64; W] {
-    let mut r = [0.0; W];
-    if d != NO_DRIVER {
-        let b = d as usize * stride + l0;
-        r.copy_from_slice(&buf[b..b + W]);
-    }
-    r
+/// [`lanes::walk`] over `lanes`, which are the whole batch when `S` is
+/// nonzero: the walk then folds to the one span of the batch width.
+fn eval<const S: usize>(
+    tape: &Kernel<'_, S>,
+    lanes: Range<usize>,
+    integ: &[f64],
+    slots: &mut [f64],
+    k: &mut [f64],
+) {
+    let lanes = if S == 0 { lanes } else { 0..S };
+    lanes::walk(tape, lanes, integ, slots, k);
 }
 
-/// What a graph evaluation reads besides the rows it writes, each slice
-/// graph-local and lane-strided except the stimulus rows, the signals
-/// and the per-lane step sizes `dt`.
-#[derive(Clone, Copy)]
-struct EvalInputs<'a> {
+/// One evaluation of a tape (the full tape or the stage tape) over the
+/// session's slots: what it reads besides the slots and the integrator
+/// states. A nonzero `S` is the stride, known at compile time; `S == 0`
+/// takes it from `stride`.
+struct Kernel<'a, const S: usize> {
+    plan: &'a CompiledSim,
+    tape: &'a [(Slot, CompiledOp)],
+    stride: usize,
     stim_rows: &'a [f64],
-    state: &'a [f64],
-    discrete: &'a [f64],
-    prev_in: &'a [f64],
+    held: &'a [f64],
     signals: &'a [f64],
+    /// Per-lane step sizes.
     dt: &'a [f64],
 }
 
-/// Evaluate `tape` (all of graph `g`'s instructions or its stage tape)
-/// for lanes `[l0, l1)` into `out` by dispatching to fixed-width
-/// kernels. Lanes are independent, so any partition of the span into
-/// sub-spans computes identical bits; the fixed widths exist purely so
-/// the lane loops compile to straight-line SIMD ([`MAX_LANES`] = 8 keeps
-/// the ladder short). A nonzero `S` is the stride of a whole-batch span
-/// of `S` lanes, so every row offset folds to a shift.
-#[inline]
-fn eval_graph_span<const S: usize>(
-    g: &GraphPlan<'_>,
-    tape: &[Instr],
-    (stride, l0, l1): (usize, usize, usize),
-    inputs: &EvalInputs<'_>,
-    out: &mut [f64],
-) {
-    if S != 0 {
-        return eval_graph_span_w::<S, S>(&g.operands, tape, S, 0, inputs, out);
-    }
-    macro_rules! kernel {
-        ($w:literal, $l:expr) => {
-            eval_graph_span_w::<$w, 0>(&g.operands, tape, stride, $l, inputs, out)
-        };
-    }
-    let mut l = l0;
-    while l < l1 {
-        let w = match l1 - l {
-            8.. => 8,
-            4..=7 => 4,
-            2..=3 => 2,
-            _ => 1,
-        };
-        match w {
-            8 => kernel!(8, l),
-            4 => kernel!(4, l),
-            2 => kernel!(2, l),
-            _ => kernel!(1, l),
+impl<const S: usize> lanes::Tape for Kernel<'_, S> {
+    #[inline(always)]
+    fn span<const W: usize, const WIDE: bool>(
+        &self,
+        lanes: Range<usize>,
+        integ: &[f64],
+        slots: &mut [f64],
+        k: &mut [f64],
+    ) -> usize {
+        let stride = if S == 0 { self.stride } else { S };
+        for &(out, op) in self.tape {
+            self.op_w::<W, WIDE>(stride, out, op, lanes.clone(), integ, slots);
         }
-        l += w;
+        for (j, &(driver, gain)) in self.plan.integrators.iter().enumerate() {
+            let kb = j * stride;
+            chunks::<W, WIDE>(lanes.clone(), |l0| {
+                let v = lane_row::<W>(slots, driver, stride, l0);
+                for l in 0..W {
+                    k[kb + l0 + l] = gain * v[l];
+                }
+            });
+        }
+        W
     }
 }
 
-/// The fixed-width kernel: lanes `[l0, l0 + W)`. A nonzero `S` is the
-/// stride, known at compile time; `S == 0` takes it from `stride`.
-fn eval_graph_span_w<const W: usize, const S: usize>(
-    operands: &[i32],
-    tape: &[Instr],
-    stride: usize,
-    l0: usize,
-    inputs: &EvalInputs<'_>,
-    out: &mut [f64],
-) {
-    let stride = if S == 0 { stride } else { S };
-    let EvalInputs {
-        stim_rows,
-        state,
-        discrete,
-        prev_in,
-        signals,
-        dt,
-    } = *inputs;
-    let dt: &[f64; W] = dt[l0..l0 + W].try_into().expect("W lanes");
-    // Apply `f` lane by lane to the driver row of `d`.
-    macro_rules! unary {
-        ($ob:expr, $d:expr, |$x:ident| $e:expr) => {{
-            let r = row::<W>(out, $d, stride, l0);
-            let dst = &mut out[$ob..$ob + W];
-            for l in 0..W {
-                let $x = r[l];
-                dst[l] = $e;
+impl<const S: usize> Kernel<'_, S> {
+    /// One block's operation over `lanes`, chunk by chunk, into row
+    /// `out`.
+    #[inline(always)]
+    fn op_w<const W: usize, const WIDE: bool>(
+        &self,
+        stride: usize,
+        out: Slot,
+        op: CompiledOp,
+        lanes: Range<usize>,
+        integ: &[f64],
+        slots: &mut [f64],
+    ) {
+        let operands = &self.plan.operands;
+        let row = |s: &[f64], slot: Slot, l0| lane_row::<W>(s, slot, stride, l0);
+        let ob = out as usize * stride;
+        // Apply `f` lane by lane to the row of `a` (and of `b`).
+        macro_rules! unary {
+            ($a:expr, |$x:ident| $e:expr) => {
+                each::<W, WIDE>(slots, ob, lanes, |s, l0, v| {
+                    let a = row(s, $a, l0);
+                    for l in 0..W {
+                        let $x = a[l];
+                        v[l] = $e;
+                    }
+                })
+            };
+        }
+        macro_rules! binary {
+            ($a:expr, $b:expr, |$x:ident, $y:ident| $e:expr) => {
+                each::<W, WIDE>(slots, ob, lanes, |s, l0, v| {
+                    let (a, b) = (row(s, $a, l0), row(s, $b, l0));
+                    for l in 0..W {
+                        let ($x, $y) = (a[l], b[l]);
+                        v[l] = $e;
+                    }
+                })
+            };
+        }
+        match op {
+            CompiledOp::Input(i) | CompiledOp::ControlInput(CtlSrc::Stim(i)) => {
+                each::<W, WIDE>(slots, ob, lanes, |_, l0, v| *v = row(self.stim_rows, i, l0))
             }
-        }};
-    }
-    macro_rules! binary {
-        ($ob:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $e:expr) => {{
-            let a = row::<W>(out, $a, stride, l0);
-            let b = row::<W>(out, $b, stride, l0);
-            let dst = &mut out[$ob..$ob + W];
-            for l in 0..W {
-                let ($x, $y) = (a[l], b[l]);
-                dst[l] = $e;
+            CompiledOp::ControlInput(CtlSrc::Signal(i)) => {
+                each::<W, WIDE>(slots, ob, lanes, |_, l0, v| *v = row(self.signals, i, l0))
             }
-        }};
-    }
-    for ins in tape {
-        let ob = ins.out as usize * stride + l0;
-        match ins.op {
-            CompiledOp::Input(s) | CompiledOp::ControlInput(CtlSrc::Stim(s)) => {
-                let sb = s as usize * stride + l0;
-                out[ob..ob + W].copy_from_slice(&stim_rows[sb..sb + W]);
+            CompiledOp::ControlInput(CtlSrc::Zero) => {
+                each::<W, WIDE>(slots, ob, lanes, |_, _, v| *v = [0.0; W])
             }
-            CompiledOp::ControlInput(CtlSrc::Signal(s)) => {
-                let sb = s as usize * stride + l0;
-                out[ob..ob + W].copy_from_slice(&signals[sb..sb + W]);
-            }
-            CompiledOp::ControlInput(CtlSrc::Zero) => out[ob..ob + W].fill(0.0),
-            CompiledOp::Const(v) => out[ob..ob + W].fill(v),
-            CompiledOp::Scale(gain, a) => unary!(ob, a, |x| gain * x),
-            CompiledOp::Add(at, arity) => {
+            CompiledOp::Const(c) => each::<W, WIDE>(slots, ob, lanes, |_, _, v| *v = [c; W]),
+            CompiledOp::Scale(gain, a) => unary!(a, |x| gain * x),
+            CompiledOp::Add(at, arity) => each::<W, WIDE>(slots, ob, lanes, |s, l0, v| {
                 // Per-lane accumulation in port order, from -0.0 as
                 // `Iterator::sum` folds: an all -0.0 sum stays -0.0.
-                let mut acc = [-0.0_f64; W];
+                *v = [-0.0; W];
                 for &d in &operands[at as usize..(at + arity) as usize] {
-                    let r = row::<W>(out, d, stride, l0);
+                    let r = row(s, d, l0);
                     for l in 0..W {
-                        acc[l] += r[l];
+                        v[l] += r[l];
                     }
                 }
-                out[ob..ob + W].copy_from_slice(&acc);
-            }
-            CompiledOp::Sub(a, b) => binary!(ob, a, b, |x, y| x - y),
-            CompiledOp::Mul(a, b) => binary!(ob, a, b, |x, y| x * y),
-            CompiledOp::Div(a, b) => binary!(ob, a, b, |x, d| x / if d.abs() < 1e-12 {
+            }),
+            CompiledOp::Sub(a, b) => binary!(a, b, |x, y| x - y),
+            CompiledOp::Mul(a, b) => binary!(a, b, |x, y| x * y),
+            CompiledOp::Div(a, b) => binary!(a, b, |x, d| x / if d.abs() < 1e-12 {
                 1e-12_f64.copysign(d + 1e-30)
             } else {
                 d
             }),
-            CompiledOp::Integrate => out[ob..ob + W].copy_from_slice(&state[ob..ob + W]),
-            CompiledOp::Differentiate(gain, a) => {
-                let r = row::<W>(out, a, stride, l0);
-                let prev = &prev_in[ob..ob + W];
-                let dst = &mut out[ob..ob + W];
-                for l in 0..W {
-                    dst[l] = gain * (r[l] - prev[l]) / dt[l];
-                }
+            CompiledOp::Integrate(j) => {
+                each::<W, WIDE>(slots, ob, lanes, |_, l0, v| *v = row(integ, j, l0))
             }
-            CompiledOp::Log(a) => unary!(ob, a, |x| crate::math::ln(x.max(1e-12))),
-            CompiledOp::Antilog(a) => unary!(ob, a, |x| crate::math::exp(x.clamp(-50.0, 50.0))),
-            CompiledOp::Abs(a) => unary!(ob, a, |x| x.abs()),
-            CompiledOp::DiscreteState => {
-                out[ob..ob + W].copy_from_slice(&discrete[ob..ob + W]);
+            CompiledOp::Differentiate(gain, a, h) => {
+                each::<W, WIDE>(slots, ob, lanes, |s, l0, v| {
+                    let (a, prev) = (row(s, a, l0), row(self.held, h, l0));
+                    let dt = &self.dt[l0..l0 + W];
+                    for l in 0..W {
+                        v[l] = gain * (a[l] - prev[l]) / dt[l];
+                    }
+                })
             }
-            CompiledOp::Switch(a, c) => binary!(ob, a, c, |x, c| if c > 0.5 { x } else { 0.0 }),
-            CompiledOp::Mux(at, arity) => {
+            CompiledOp::Log(a) => unary!(a, |x| crate::math::ln(x.max(1e-12))),
+            CompiledOp::Antilog(a) => unary!(a, |x| crate::math::exp(x.clamp(-50.0, 50.0))),
+            CompiledOp::Abs(a) => unary!(a, |x| x.abs()),
+            CompiledOp::Held(h) => {
+                each::<W, WIDE>(slots, ob, lanes, |_, l0, v| *v = row(self.held, h, l0))
+            }
+            CompiledOp::Switch(a, c) => binary!(a, c, |x, c| if c > 0.5 { x } else { 0.0 }),
+            CompiledOp::Mux(at, arity) => each::<W, WIDE>(slots, ob, lanes, |s, l0, v| {
                 let ports = &operands[at as usize..=(at + arity) as usize];
-                let sel = row::<W>(out, ports[arity as usize], stride, l0);
+                let sel = row(s, ports[arity as usize], l0);
                 for l in 0..W {
-                    let s = sel[l].round().clamp(0.0, (arity - 1) as f64) as usize;
-                    out[ob + l] = lane_port!(out, ports[s], stride, l0 + l);
+                    let p = sel[l].round().clamp(0.0, (arity - 1) as f64) as usize;
+                    v[l] = s[ports[p] as usize * stride + l0 + l];
                 }
-            }
-            CompiledOp::Comparator(threshold, a) => unary!(ob, a, |x| f64::from(x > threshold)),
-            CompiledOp::Adc(lsb, a) => unary!(ob, a, |x| (x / lsb).round() * lsb),
-            CompiledOp::Limiter(level, a) => unary!(ob, a, |x| x.clamp(-level, level)),
-            CompiledOp::OutputStage(Some(limit), a) => unary!(ob, a, |x| x.clamp(-limit, limit)),
-            CompiledOp::OutputStage(None, a) | CompiledOp::Output(a) => unary!(ob, a, |x| x),
-            CompiledOp::Logic(op, at, arity) => {
+            }),
+            CompiledOp::Comparator(threshold, a) => unary!(a, |x| f64::from(x > threshold)),
+            CompiledOp::Adc(lsb, a) => unary!(a, |x| (x / lsb).round() * lsb),
+            CompiledOp::Limiter(level, a) => unary!(a, |x| x.clamp(-level, level)),
+            CompiledOp::OutputStage(Some(limit), a) => unary!(a, |x| x.clamp(-limit, limit)),
+            CompiledOp::OutputStage(None, a) | CompiledOp::Output(a) => unary!(a, |x| x),
+            CompiledOp::Logic(op, at, arity) => each::<W, WIDE>(slots, ob, lanes, |s, l0, v| {
                 let ports = &operands[at as usize..(at + arity) as usize];
-                for l in l0..l0 + W {
-                    let high = |&d: &i32| lane_port!(out, d, stride, l) > 0.5;
+                for l in 0..W {
+                    let lane = |d: Slot| s[d as usize * stride + l0 + l];
+                    let high = |&d: &Slot| lane(d) > 0.5;
                     let b = match op {
-                        LogicOp::Not => lane_port!(out, operands[at as usize], stride, l) <= 0.5,
+                        LogicOp::Not => lane(operands[at as usize]) <= 0.5,
                         LogicOp::And => ports.iter().all(high),
                         LogicOp::Or => ports.iter().any(high),
                         LogicOp::Xor => ports.iter().filter(|d| high(d)).count() % 2 == 1,
                     };
-                    out[ins.out as usize * stride + l] = f64::from(b);
+                    v[l] = f64::from(b);
                 }
-            }
+            }),
         }
     }
 }

@@ -3,6 +3,8 @@
 use std::error::Error as StdError;
 use std::fmt;
 
+use crate::fault::SimFault;
+
 /// An error during transient simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
@@ -25,6 +27,14 @@ pub enum SimError {
         /// Description.
         what: String,
     },
+    /// A frequency-sweep point's run ended in a numerical fault, so the
+    /// point has no steady state to measure.
+    SweepFault {
+        /// The point's stimulus frequency, Hz.
+        frequency_hz: f64,
+        /// The fault that ended the point's run.
+        fault: SimFault,
+    },
     /// The simulation panicked; the panic was caught by a
     /// panic-isolated batch driver (see `vase::flow`) and converted so
     /// the rest of the batch could continue.
@@ -45,6 +55,12 @@ impl fmt::Display for SimError {
                 write!(f, "event-driven part references unknown quantity `{name}`")
             }
             SimError::BadConfig { what } => write!(f, "bad simulation config: {what}"),
+            SimError::SweepFault {
+                frequency_hz,
+                fault,
+            } => {
+                write!(f, "sweep point at {frequency_hz} Hz faulted: {fault}")
+            }
             SimError::Panicked { message } => write!(f, "simulation panicked: {message}"),
         }
     }

@@ -59,6 +59,7 @@ pub mod batch;
 pub mod error;
 pub mod fault;
 pub mod graph_sim;
+mod lanes;
 pub mod math;
 pub mod monte;
 pub mod netlist_sim;

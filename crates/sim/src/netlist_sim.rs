@@ -14,19 +14,16 @@
 //! component outputs, then the stimuli, then the zero slot and the
 //! other constants. Every operand slot, lane-parameter row and state
 //! index is resolved at compile time, so a step does no name lookups
-//! and no per-read dispatch on the source kind. Fixed-width kernels
-//! (8, 4, 2 and 1 lanes) evaluate each op over stack-copied rows, as
-//! the behavioral lane kernels do ([`crate::batch`]), and each stimulus
+//! and no per-read dispatch on the source kind. The tape steps on the
+//! lane machine the behavioral engine shares ([`crate::lanes`]): the
+//! same fixed-width kernels, walk and held-state update. Each stimulus
 //! is evaluated once per RK4 stage time and broadcast to its row.
 //!
-//! A batch holds up to [`MAX_NETLIST_LANES`] lanes. One of up to eight
-//! lanes walks the tape once per kernel chunk (chunk-major); a wider
-//! one walks it once per RK4 stage, each op running its 8-lane kernel
-//! over every chunk before the next op starts (op-major), so a 64-lane
-//! Monte Carlo batch pays the tape's dispatch once, not eight times.
-//! A scalar run ([`CompiledNetlist::run`]) is the one-lane instance of
-//! the same kernels with unit parameter factors, so each component's
-//! transfer function is written once, in `Tape::op_w`.
+//! A batch holds up to [`MAX_NETLIST_LANES`] lanes, so a 64-lane Monte
+//! Carlo batch is one op-major span per RK4 stage. A scalar run
+//! ([`CompiledNetlist::run`]) is the one-lane instance of the same
+//! kernels with unit parameter factors, so each component's transfer
+//! function is written once, in `Tape::op_w`.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -36,6 +33,7 @@ use vase_library::{ComponentKind, Netlist, SourceRef};
 use crate::error::SimError;
 use crate::fault::{FaultKind, SimFault};
 use crate::graph_sim::SimConfig;
+use crate::lanes::{self, chunks, each, lane_row, Held, Slot};
 use crate::stimulus::Stimulus;
 use crate::trace::SimResult;
 
@@ -45,14 +43,10 @@ pub const AMP_SATURATION: f64 = 2.2;
 
 /// Maximum lanes per netlist batch: a Monte Carlo run of up to 64
 /// samples is one batch. A batch wider than eight lanes walks its tape
-/// op-major (see the module docs), so the tape's dispatch is paid once
+/// op-major ([`crate::lanes`]), so the tape's dispatch is paid once
 /// per RK4 stage however many lanes it carries. The behavioral engine
 /// keeps its own cap, [`crate::MAX_LANES`].
 pub const MAX_NETLIST_LANES: usize = 64;
-
-/// Lanes per kernel chunk: the widest fixed-width kernel, as in the
-/// behavioral engine. Eight f64 lanes fill two AVX2 registers.
-const CHUNK_LANES: usize = 8;
 
 /// Simulate a netlist.
 ///
@@ -99,9 +93,6 @@ pub fn simulate_netlist_with_cancel(
     config.recorded_steps(plan.traces.len())?;
     Ok(plan.run_with_cancel(token))
 }
-
-/// Index of a row of the lane-strided slot array.
-type Slot = u32;
 
 /// One tape instruction: a component's transfer function with its
 /// operand slots (`a`, `b`, ...), first lane-parameter row (`p`) and
@@ -205,16 +196,6 @@ enum Op {
     },
 }
 
-/// End-of-step update of one held state (the state's index is the
-/// update's position in the plan's list), read from the start-of-step
-/// slots.
-#[derive(Clone, Copy)]
-enum HeldUpdate {
-    Latch { data: Slot, clock: Slot },
-    Hysteresis { input: Slot, low: f64, high: f64 },
-    PrevIn { input: Slot },
-}
-
 /// A compiled netlist-simulation plan: the tape over the slot layout,
 /// its operand runs, and the integrator and held-state lists.
 ///
@@ -232,7 +213,7 @@ pub struct CompiledNetlist<'n> {
     /// parameter row of its weighted input sum.
     integrators: Vec<(u32, u32, u32)>,
     integ_init: Vec<f64>,
-    held: Vec<HeldUpdate>,
+    held: Vec<Held>,
     /// Stimulus per slot after the component outputs (sorted by name).
     stims: Vec<Stimulus>,
     /// Constant slot values after the stimuli; the first is the zero
@@ -407,7 +388,7 @@ impl<'n> CompiledNetlist<'n> {
                     }
                 }
                 ComponentKind::Differentiator { .. } => {
-                    held.push(HeldUpdate::PrevIn { input: a });
+                    held.push(Held::PrevIn { input: a });
                     Op::Differentiator { a, p, s }
                 }
                 ComponentKind::LogAmp => Op::Log { a },
@@ -421,7 +402,7 @@ impl<'n> CompiledNetlist<'n> {
                 },
                 ComponentKind::ZeroCrossDetector { level, hysteresis } => {
                     let (low, high) = (level - hysteresis, level + hysteresis);
-                    held.push(HeldUpdate::Hysteresis {
+                    held.push(Held::Hysteresis {
                         input: a,
                         low,
                         high,
@@ -429,7 +410,7 @@ impl<'n> CompiledNetlist<'n> {
                     Op::Held { s }
                 }
                 ComponentKind::SchmittTrigger { low, high } => {
-                    held.push(HeldUpdate::Hysteresis {
+                    held.push(Held::Hysteresis {
                         input: a,
                         low: *low,
                         high: *high,
@@ -437,7 +418,7 @@ impl<'n> CompiledNetlist<'n> {
                     Op::Held { s }
                 }
                 ComponentKind::SampleHold | ComponentKind::MemoryCell => {
-                    held.push(HeldUpdate::Latch {
+                    held.push(Held::Latch {
                         data: a,
                         clock: port(1),
                     });
@@ -882,28 +863,7 @@ impl<'p, 'n> BatchNetlistSession<'p, 'n> {
             }
         }
 
-        let row = |slot: Slot| &self.slots[slot as usize * stride..][..stride];
-        for (update, state) in plan.held.iter().zip(self.held.chunks_exact_mut(stride)) {
-            match *update {
-                HeldUpdate::Latch { data, clock } => {
-                    for ((s, &c), &d) in state.iter_mut().zip(row(clock)).zip(row(data)) {
-                        if c > 0.5 {
-                            *s = d;
-                        }
-                    }
-                }
-                HeldUpdate::Hysteresis { input, low, high } => {
-                    for (s, &u) in state.iter_mut().zip(row(input)) {
-                        if u > high {
-                            *s = 1.0;
-                        } else if u < low {
-                            *s = 0.0;
-                        }
-                    }
-                }
-                HeldUpdate::PrevIn { input } => state.copy_from_slice(row(input)),
-            }
-        }
+        lanes::update_held(&plan.held, &self.slots, stride, 0..stride, &mut self.held);
     }
 }
 
@@ -916,35 +876,7 @@ struct Tape<'a, 'n> {
     held: &'a [f64],
 }
 
-impl Tape<'_, '_> {
-    /// Evaluate every component output into `slots` and every
-    /// integrator's input slope into `k`, for all lanes, with integrator
-    /// (or RK4 stage) states `integ`, through the fixed-width kernels.
-    /// The whole [`CHUNK_LANES`]-lane chunks form one span, walked
-    /// op-major; the lanes left over walk the 4 → 2 → 1 ladder, a span
-    /// per chunk. A batch of up to eight lanes is thus walked
-    /// chunk-major, as a one-lane run is. Lanes are independent, so any
-    /// partition of the batch and either order compute identical bits;
-    /// the fixed widths exist so the lane loops compile to straight-line
-    /// SIMD.
-    fn eval(&self, integ: &[f64], slots: &mut [f64], k: &mut [f64]) {
-        let mut l0 = self.stride - self.stride % CHUNK_LANES;
-        if l0 > 0 {
-            self.span::<CHUNK_LANES, true>(0..l0, integ, slots, k);
-        }
-        while l0 < self.stride {
-            l0 += match self.stride - l0 {
-                w if w >= 4 => self.span::<4, false>(l0..l0 + 4, integ, slots, k),
-                w if w >= 2 => self.span::<2, false>(l0..l0 + 2, integ, slots, k),
-                _ => self.span::<1, false>(l0..l0 + 1, integ, slots, k),
-            };
-        }
-    }
-
-    /// Walk the tape once over `lanes`, a run of whole `W`-lane chunks
-    /// (one chunk unless `WIDE`): each op runs its kernel over every
-    /// chunk before the next op starts, then each integrator's slope
-    /// does; returns `W`.
+impl lanes::Tape for Tape<'_, '_> {
     #[inline(always)]
     fn span<const W: usize, const WIDE: bool>(
         &self,
@@ -964,6 +896,13 @@ impl Tape<'_, '_> {
             });
         }
         W
+    }
+}
+
+impl Tape<'_, '_> {
+    /// [`lanes::walk`] over every lane of the batch.
+    fn eval(&self, integ: &[f64], slots: &mut [f64], k: &mut [f64]) {
+        lanes::walk(self, 0..self.stride, integ, slots, k);
     }
 
     /// One component's transfer function over `lanes`, chunk by chunk,
@@ -1156,51 +1095,6 @@ impl Tape<'_, '_> {
         }
         acc
     }
-}
-
-/// Run `kernel(slots, l0, v)` on every `W`-lane chunk of `lanes` and
-/// store each chunk's `v` in the slot row starting at `ob`. The kernel
-/// fills `v` through a reference: an array it returned by value took a
-/// stack copy whose split stores stalled the full-width load of the
-/// store below, which made 8-lane batches 1.4–2.6× slower.
-#[inline(always)]
-fn each<const W: usize, const WIDE: bool>(
-    slots: &mut [f64],
-    ob: usize,
-    lanes: Range<usize>,
-    kernel: impl Fn(&[f64], usize, &mut [f64; W]),
-) {
-    chunks::<W, WIDE>(lanes, |l0| {
-        let mut v = [0.0; W];
-        kernel(slots, l0, &mut v);
-        slots[ob + l0..ob + l0 + W].copy_from_slice(&v);
-    });
-}
-
-/// Call `f` with the first lane of every `W`-lane chunk of `lanes`, a
-/// nonempty run of whole chunks, which is one chunk unless `WIDE`: a
-/// chunk-major walk compiles to no loop here.
-#[inline(always)]
-fn chunks<const W: usize, const WIDE: bool>(lanes: Range<usize>, mut f: impl FnMut(usize)) {
-    let mut l0 = lanes.start;
-    loop {
-        f(l0);
-        l0 += W;
-        if !WIDE || l0 >= lanes.end {
-            break;
-        }
-    }
-}
-
-/// Copy lanes `l0 .. l0 + W` of row `slot` into a stack array. The
-/// local copy breaks the read/write aliasing on the slot array that
-/// would otherwise keep the fixed-width lane loops from vectorizing.
-#[inline(always)]
-fn lane_row<const W: usize>(buf: &[f64], slot: u32, stride: usize, l0: usize) -> [f64; W] {
-    let b = slot as usize * stride + l0;
-    let mut r = [0.0; W];
-    r.copy_from_slice(&buf[b..b + W]);
-    r
 }
 
 /// Topological order over component dependencies (including

@@ -1,55 +1,66 @@
-//! Compiled evaluation plans for behavioral (VHIF-level) simulation.
+//! The compiled plan of the behavioral (VHIF) engine.
 //!
-//! [`simulate_design`](crate::simulate_design) used to interpret the
-//! design directly: every block evaluation chased `BTreeMap` lookups
-//! for stimuli and FSM signals, every FSM event rendered its `Display`
-//! form to a fresh `String` per step for edge bookkeeping, and each of
-//! the four RK4 stages returned a freshly allocated value vector. This
-//! module moves all of that name resolution to *compile time*:
+//! [`CompiledSim::new`] resolves every name of a [`VhifDesign`] once:
+//! stimulus and FSM-signal names become dense indices, and every graph
+//! lowers into one design-wide tape of one instruction per block, graph
+//! after graph and each graph in topological order, over one
+//! lane-strided slot array: every graph's block rows, then the zero row
+//! that unconnected ports read. Integrators and held states (latches,
+//! Schmitt triggers, differentiator inputs) get compact state indices,
+//! as the netlist engine's do, and the plan borrows nothing from the
+//! design. Graphs never read each other within a step: they meet only
+//! through FSM signals, which hold for the whole step, so the one tape
+//! computes the bits a tape per graph would.
 //!
-//! * [`CompiledSim`] is the immutable plan — per graph, a tape of one
-//!   instruction per block in topological order, with stimulus and
-//!   signal names replaced by dense indices and every operand resolved
-//!   to its driver block; the shorter tape an RK stage runs; and
-//!   precomputed integrator/discrete-update lists. Per FSM,
-//!   deduplicated event tables and expression trees with every name
-//!   pre-resolved.
-//! * A [`BatchSession`](crate::BatchSession) owns the mutable state
-//!   (integrator values, discrete states, FSM edge levels) plus reusable
-//!   scratch buffers for the RK4 stages, so the steady-state step loop
-//!   performs **no heap allocation** (asserted by
-//!   `crates/sim/tests/no_alloc.rs`). [`CompiledSim::run`] is a session
-//!   of one lane.
-//!
-//! The plan borrows nothing mutable and is `Sync`, so one compilation
-//! can drive many concurrent sessions — the basis of the parallel
-//! frequency sweeps in [`crate::response`].
+//! Per FSM, the plan holds deduplicated event tables and expression
+//! trees with every name pre-resolved. A
+//! [`BatchSession`](crate::BatchSession) owns the mutable state and
+//! steps the plan on the shared lane machine ([`crate::lanes`]);
+//! [`CompiledSim::run`] is a session of one lane.
 
 use std::collections::BTreeMap;
 
 use vase_vhif::block::LogicOp;
 use vase_vhif::{
-    BlockKind, DpBinaryOp, DpExpr, Event, Fsm, SignalFlowGraph, StateId, Trigger, VhifDesign,
+    BlockId, BlockKind, DpBinaryOp, DpExpr, Event, Fsm, SignalFlowGraph, StateId, Trigger,
+    VhifDesign,
 };
 
 use crate::error::SimError;
 use crate::fault::FaultInjection;
 use crate::graph_sim::SimConfig;
+use crate::lanes::{Held, Slot};
 use crate::stimulus::Stimulus;
 use crate::trace::SimResult;
 
-// ------------------------------------------------------------ the plan
-
 /// A fully resolved simulation plan for one [`VhifDesign`].
 ///
-/// Construction performs every name lookup the interpreter used to do
-/// per step — stimulus names, FSM signal names, trace names, event
-/// identities — and fails with the same [`SimError`]s `simulate_design`
-/// reports. The plan is immutable and `Sync`; start any number of
-/// [`BatchSession`](crate::BatchSession)s from it, concurrently if
-/// desired.
-pub struct CompiledSim<'d> {
-    pub(crate) graphs: Vec<GraphPlan<'d>>,
+/// Construction performs every name lookup a step would otherwise do
+/// (stimulus names, FSM signal names, trace names, event identities)
+/// and fails with the [`SimError`]s `simulate_design` reports. The plan
+/// is immutable and `Sync`; start any number of
+/// [`BatchSession`](crate::BatchSession)s from it.
+pub struct CompiledSim {
+    /// `(output slot, op)` per block, graph after graph, each graph in
+    /// topological order.
+    pub(crate) tape: Vec<(Slot, CompiledOp)>,
+    /// The instructions an RK stage evaluation runs, in tape order: the
+    /// blocks some integrator's driver depends on whose value can change
+    /// within a step, because they read an integrator state or a
+    /// stimulus. A stage reads nothing else of its evaluation.
+    pub(crate) stage_tape: Vec<(Slot, CompiledOp)>,
+    /// The blocks a stage reads that hold their start-of-step value
+    /// through the step (they read only constants, FSM signals and
+    /// held states): copied from the step's values, not evaluated.
+    pub(crate) stage_copies: Vec<Slot>,
+    /// Operand runs of the n-ary instructions (`Add`, `Mux`, `Logic`).
+    pub(crate) operands: Vec<Slot>,
+    /// Per integrator state: driver slot and gain.
+    pub(crate) integrators: Vec<(Slot, f64)>,
+    pub(crate) integ_init: Vec<f64>,
+    pub(crate) held: Vec<Held>,
+    /// Block count: the slot array holds these rows, then the zero row.
+    pub(crate) blocks: usize,
     pub(crate) machines: Vec<MachinePlan>,
     /// Stimulus name per dense index (sorted; mirrors the input map).
     pub(crate) stim_names: Vec<String>,
@@ -70,44 +81,9 @@ pub struct CompiledSim<'d> {
     pub(crate) injection: Option<FaultInjection>,
 }
 
-/// Compiled per-graph evaluation plan.
-pub(crate) struct GraphPlan<'d> {
-    pub(crate) graph: &'d SignalFlowGraph,
-    /// One instruction per block, in topological order.
-    pub(crate) tape: Vec<Instr>,
-    /// The instructions an RK stage evaluation runs, in tape order: the
-    /// blocks some integrator's driver depends on whose value can change
-    /// within a step, because they read an integrator state or a
-    /// stimulus. A stage reads nothing else of its evaluation.
-    pub(crate) stage_tape: Vec<Instr>,
-    /// The blocks a stage reads that hold their start-of-step value
-    /// through the step (they read only constants, FSM signals and
-    /// discrete states): copied from the step's values, not evaluated.
-    pub(crate) stage_copies: Vec<u32>,
-    /// Operand lists of the n-ary instructions (`Add`, `Mux`, `Logic`),
-    /// padded with `NO_DRIVER` to the length each one reads.
-    pub(crate) operands: Vec<i32>,
-    /// One entry per integrator: (block index, driver block index, gain).
-    pub(crate) integrators: Vec<(u32, u32, f64)>,
-    /// Discrete-state updates applied at the end of each step.
-    pub(crate) discretes: Vec<DiscreteUpdate>,
-    /// Offset of this graph's slice in the session-wide value buffers.
-    pub(crate) base: usize,
-}
-
-/// An operand that reads as 0.0: an unconnected input port.
-pub(crate) const NO_DRIVER: i32 = -1;
-
-/// One kernel instruction: the operation of block `out`.
-#[derive(Clone, Copy)]
-pub(crate) struct Instr {
-    pub(crate) out: u32,
-    pub(crate) op: CompiledOp,
-}
-
 /// A block operation with every name resolved to a dense index and
-/// every operand to its driver block (graph-local, or `NO_DRIVER`).
-/// `Add`, `Mux` and `Logic` hold `(start, arity)` into the graph's
+/// every operand to its driver's slot (the zero row when unconnected).
+/// `Add`, `Mux` and `Logic` hold `(start, arity)` into the plan's
 /// operand list; a `Mux` selector follows its `arity` data operands,
 /// and a `Logic` list has at least one operand.
 #[derive(Clone, Copy)]
@@ -117,41 +93,41 @@ pub(crate) enum CompiledOp {
     /// Control input: FSM signal index, stimulus fallback, or zero.
     ControlInput(CtlSrc),
     Const(f64),
-    Scale(f64, i32),
+    Scale(f64, Slot),
     Add(u32, u32),
-    Sub(i32, i32),
-    Mul(i32, i32),
-    Div(i32, i32),
-    /// Integrator output = its state slot (the block's own index).
-    Integrate,
-    /// `gain * (u - prev_in) / dt`.
-    Differentiate(f64, i32),
-    Log(i32),
-    Antilog(i32),
-    Abs(i32),
-    /// Sample/hold, memory, Schmitt trigger: emit the discrete state.
-    DiscreteState,
+    Sub(Slot, Slot),
+    Mul(Slot, Slot),
+    Div(Slot, Slot),
+    /// Integrator output = its state.
+    Integrate(u32),
+    /// `gain * (u - prev_in) / dt`, `prev_in` a held state.
+    Differentiate(f64, Slot, u32),
+    Log(Slot),
+    Antilog(Slot),
+    Abs(Slot),
+    /// Sample/hold, memory, Schmitt trigger: emit the held state.
+    Held(u32),
     /// Pass the data operand while the control operand is high.
-    Switch(i32, i32),
+    Switch(Slot, Slot),
     Mux(u32, u32),
-    Comparator(f64, i32),
+    Comparator(f64, Slot),
     /// ADC with the LSB precomputed from the bit width.
-    Adc(f64, i32),
-    Limiter(f64, i32),
-    OutputStage(Option<f64>, i32),
-    Output(i32),
+    Adc(f64, Slot),
+    Limiter(f64, Slot),
+    OutputStage(Option<f64>, Slot),
+    Output(Slot),
     Logic(LogicOp, u32, u32),
 }
 
 impl CompiledOp {
-    /// The driver blocks this operation reads (`NO_DRIVER` included).
-    fn reads(&self, operands: &[i32]) -> Vec<i32> {
+    /// The slots this operation reads.
+    fn reads(&self, operands: &[Slot]) -> Vec<Slot> {
         use CompiledOp::*;
         let list = |at: u32, len: u32| operands[at as usize..(at + len) as usize].to_vec();
         match *self {
-            Input(_) | ControlInput(_) | Const(_) | Integrate | DiscreteState => Vec::new(),
+            Input(_) | ControlInput(_) | Const(_) | Integrate(_) | Held(_) => Vec::new(),
             Scale(_, a)
-            | Differentiate(_, a)
+            | Differentiate(_, a, _)
             | Log(a)
             | Antilog(a)
             | Abs(a)
@@ -175,21 +151,6 @@ pub(crate) enum CtlSrc {
     Signal(u32),
     Stim(u32),
     Zero,
-}
-
-/// End-of-step discrete-state updates, pre-resolved.
-pub(crate) enum DiscreteUpdate {
-    /// S/H and memory: latch port 0 while port 1 is high.
-    Latch { block: u32, data: i32, clock: i32 },
-    /// Schmitt trigger hysteresis on port 0.
-    Schmitt {
-        block: u32,
-        input: i32,
-        low: f64,
-        high: f64,
-    },
-    /// Differentiator: remember port 0 for the next step.
-    PrevIn { block: u32, input: i32 },
 }
 
 /// Compiled per-FSM plan.
@@ -264,7 +225,7 @@ pub(crate) enum TraceSrc {
     Zero,
 }
 
-impl<'d> CompiledSim<'d> {
+impl CompiledSim {
     /// Compile `design` against the given stimuli and configuration.
     ///
     /// # Errors
@@ -274,7 +235,7 @@ impl<'d> CompiledSim<'d> {
     /// [`SimError::BadConfig`], [`SimError::AlgebraicLoop`], and
     /// [`SimError::MissingStimulus`].
     pub fn new(
-        design: &'d VhifDesign,
+        design: &VhifDesign,
         inputs: &BTreeMap<String, Stimulus>,
         config: &SimConfig,
     ) -> Result<Self, SimError> {
@@ -310,30 +271,128 @@ impl<'d> CompiledSim<'d> {
         let stim_index = |name: &str| stim_names.binary_search_by(|n| n.as_str().cmp(name)).ok();
         let signal_index = |name: &str| signal_names.iter().position(|n| n == name);
 
-        // Per-graph plans.
-        let mut graphs = Vec::with_capacity(design.graphs.len());
-        let mut base = 0usize;
+        // The design-wide tape: block `b` of a graph whose rows start at
+        // `base` is slot `base + b`.
+        let mut bases = Vec::with_capacity(design.graphs.len());
+        let mut blocks = 0;
         for graph in &design.graphs {
-            let plan = GraphPlan::new(graph, base, &stim_index, &signal_index)?;
-            base += graph.len();
-            graphs.push(plan);
+            bases.push(blocks);
+            blocks += graph.len();
         }
+        let zero = blocks as Slot;
+        let mut tape = Vec::with_capacity(blocks);
+        let mut operands = Vec::new();
+        let mut integrators = Vec::new();
+        let mut integ_init = Vec::new();
+        let mut held = Vec::new();
+        for (graph, &base) in design.graphs.iter().zip(&bases) {
+            let order = graph.topo_order().map_err(|_| SimError::AlgebraicLoop)?;
+            let slot = |id: BlockId| (base + id.index()) as Slot;
+            let mut ops = Vec::with_capacity(graph.len());
+            for (id, block) in graph.iter() {
+                let ports = graph.block_inputs(id);
+                let port = |p: usize| ports.get(p).copied().flatten().map_or(zero, slot);
+                // The first `len` ports of an n-ary block, appended to the
+                // operand list; returns where they start.
+                let mut list = |len: usize| -> u32 {
+                    let start = operands.len() as u32;
+                    operands.extend((0..len).map(port));
+                    start
+                };
+                let s = held.len() as u32;
+                let op = match &block.kind {
+                    BlockKind::Input { name } => match stim_index(name) {
+                        Some(s) => CompiledOp::Input(s as u32),
+                        None => {
+                            return Err(SimError::MissingStimulus { name: name.clone() });
+                        }
+                    },
+                    BlockKind::ControlInput { name } => {
+                        let src = if let Some(s) = signal_index(name) {
+                            CtlSrc::Signal(s as u32)
+                        } else if let Some(s) = stim_index(name) {
+                            CtlSrc::Stim(s as u32)
+                        } else {
+                            return Err(SimError::MissingStimulus { name: name.clone() });
+                        };
+                        CompiledOp::ControlInput(src)
+                    }
+                    BlockKind::Const { value } => CompiledOp::Const(*value),
+                    BlockKind::Scale { gain } => CompiledOp::Scale(*gain, port(0)),
+                    BlockKind::Add { arity } => CompiledOp::Add(list(*arity), *arity as u32),
+                    BlockKind::Sub => CompiledOp::Sub(port(0), port(1)),
+                    BlockKind::Mul => CompiledOp::Mul(port(0), port(1)),
+                    BlockKind::Div => CompiledOp::Div(port(0), port(1)),
+                    BlockKind::Integrate { gain, initial } => {
+                        let driver = ports
+                            .first()
+                            .copied()
+                            .flatten()
+                            .expect("validated graph: integrator has a driver");
+                        integrators.push((slot(driver), *gain));
+                        integ_init.push(*initial);
+                        CompiledOp::Integrate(integ_init.len() as u32 - 1)
+                    }
+                    BlockKind::Differentiate { gain } => {
+                        held.push(Held::PrevIn { input: port(0) });
+                        CompiledOp::Differentiate(*gain, port(0), s)
+                    }
+                    BlockKind::Log => CompiledOp::Log(port(0)),
+                    BlockKind::Antilog => CompiledOp::Antilog(port(0)),
+                    BlockKind::Abs => CompiledOp::Abs(port(0)),
+                    BlockKind::SampleHold | BlockKind::Memory => {
+                        held.push(Held::Latch {
+                            data: port(0),
+                            clock: port(1),
+                        });
+                        CompiledOp::Held(s)
+                    }
+                    BlockKind::SchmittTrigger { low, high } => {
+                        held.push(Held::Hysteresis {
+                            input: port(0),
+                            low: *low,
+                            high: *high,
+                        });
+                        CompiledOp::Held(s)
+                    }
+                    BlockKind::Switch => CompiledOp::Switch(port(0), port(1)),
+                    BlockKind::Mux { arity } => CompiledOp::Mux(list(*arity + 1), *arity as u32),
+                    BlockKind::Comparator { threshold } => {
+                        CompiledOp::Comparator(*threshold, port(0))
+                    }
+                    BlockKind::Adc { bits } => {
+                        CompiledOp::Adc(5.0 / f64::from(1u32 << (*bits).min(24)), port(0))
+                    }
+                    BlockKind::Limiter { level } => CompiledOp::Limiter(*level, port(0)),
+                    BlockKind::OutputStage { limit, .. } => {
+                        CompiledOp::OutputStage(*limit, port(0))
+                    }
+                    BlockKind::Output { .. } => CompiledOp::Output(port(0)),
+                    // `Not` reads its first port whatever the arity.
+                    BlockKind::Logic { op, arity } => {
+                        CompiledOp::Logic(*op, list((*arity).max(1)), *arity as u32)
+                    }
+                };
+                ops.push(op);
+            }
+            tape.extend(order.into_iter().map(|id| (slot(id), ops[id.index()])));
+        }
+        let (stage_tape, stage_copies) = stage_plan(&tape, &operands, &integrators, blocks);
 
+        // The slot of the first graph's block that `pick` finds.
+        let find = |pick: &dyn Fn(&SignalFlowGraph) -> Option<BlockId>| {
+            let mut graphs = design.graphs.iter().zip(&bases);
+            graphs.find_map(|(g, base)| pick(g).map(|id| base + id.index()))
+        };
         // Quantity resolution for FSMs: first graph with an interface
         // port or labelled block of that name, else stimulus, else 0.
         let quantity_src = |name: &str| -> ValueSrc {
-            for plan in &graphs {
-                if let Some(id) = plan
-                    .graph
-                    .find_interface(name)
-                    .or_else(|| plan.graph.find_labelled(name))
-                {
-                    return ValueSrc::Value(plan.base + id.index());
-                }
-            }
-            match stim_index(name) {
-                Some(s) => ValueSrc::Stim(s as u32),
-                None => ValueSrc::Zero,
+            match find(&|g| g.find_interface(name).or_else(|| g.find_labelled(name))) {
+                Some(slot) => ValueSrc::Value(slot),
+                None => match stim_index(name) {
+                    Some(s) => ValueSrc::Stim(s as u32),
+                    None => ValueSrc::Zero,
+                },
             }
         };
         let machines: Vec<MachinePlan> = design
@@ -347,13 +406,8 @@ impl<'d> CompiledSim<'d> {
         let traces = trace_names
             .into_iter()
             .map(|name| {
-                let src = graphs
-                    .iter()
-                    .find_map(|plan| {
-                        plan.graph
-                            .find_interface(&name)
-                            .map(|id| TraceSrc::Value(plan.base + id.index()))
-                    })
+                let src = find(&|g| g.find_interface(&name))
+                    .map(TraceSrc::Value)
                     .or_else(|| signal_index(&name).map(|s| TraceSrc::Signal(s as u32)))
                     .or_else(|| stim_index(&name).map(|s| TraceSrc::Stim(s as u32)))
                     .unwrap_or(TraceSrc::Zero);
@@ -362,7 +416,14 @@ impl<'d> CompiledSim<'d> {
             .collect();
 
         Ok(CompiledSim {
-            graphs,
+            tape,
+            stage_tape,
+            stage_copies,
+            operands,
+            integrators,
+            integ_init,
+            held,
+            blocks,
             machines,
             stim_names,
             stims,
@@ -403,188 +464,50 @@ impl<'d> CompiledSim<'d> {
         session.run();
         session.into_results().pop().unwrap_or_default()
     }
-
-    /// Total block count across graphs (the flattened value-buffer
-    /// length).
-    pub(crate) fn total_blocks(&self) -> usize {
-        self.graphs
-            .last()
-            .map(|g| g.base + g.graph.len())
-            .unwrap_or(0)
-    }
 }
 
-impl GraphPlan<'_> {
-    fn new<'d>(
-        graph: &'d SignalFlowGraph,
-        base: usize,
-        stim_index: &dyn Fn(&str) -> Option<usize>,
-        signal_index: &dyn Fn(&str) -> Option<usize>,
-    ) -> Result<GraphPlan<'d>, SimError> {
-        let order: Vec<u32> = graph
-            .topo_order()
-            .map_err(|_| SimError::AlgebraicLoop)?
-            .into_iter()
-            .map(|id| id.index() as u32)
-            .collect();
-
-        let n = graph.len();
-        let mut ops = Vec::with_capacity(n);
-        let mut operands: Vec<i32> = Vec::new();
-        let mut integrators = Vec::new();
-        let mut discretes = Vec::new();
-
-        for (id, block) in graph.iter() {
-            let i = id.index();
-            let ports = graph.block_inputs(id);
-            let port = |p: usize| -> i32 {
-                ports
-                    .get(p)
-                    .copied()
-                    .flatten()
-                    .map(|b| b.index() as i32)
-                    .unwrap_or(NO_DRIVER)
-            };
-            // The first `len` ports of an n-ary block, appended to the
-            // operand list; returns where they start.
-            let mut list = |len: usize| -> u32 {
-                let start = operands.len() as u32;
-                operands.extend((0..len).map(port));
-                start
-            };
-
-            let op = match &block.kind {
-                BlockKind::Input { name } => match stim_index(name) {
-                    Some(s) => CompiledOp::Input(s as u32),
-                    None => {
-                        return Err(SimError::MissingStimulus { name: name.clone() });
-                    }
-                },
-                BlockKind::ControlInput { name } => {
-                    let src = if let Some(s) = signal_index(name) {
-                        CtlSrc::Signal(s as u32)
-                    } else if let Some(s) = stim_index(name) {
-                        CtlSrc::Stim(s as u32)
-                    } else {
-                        return Err(SimError::MissingStimulus { name: name.clone() });
-                    };
-                    CompiledOp::ControlInput(src)
-                }
-                BlockKind::Const { value } => CompiledOp::Const(*value),
-                BlockKind::Scale { gain } => CompiledOp::Scale(*gain, port(0)),
-                BlockKind::Add { arity } => CompiledOp::Add(list(*arity), *arity as u32),
-                BlockKind::Sub => CompiledOp::Sub(port(0), port(1)),
-                BlockKind::Mul => CompiledOp::Mul(port(0), port(1)),
-                BlockKind::Div => CompiledOp::Div(port(0), port(1)),
-                BlockKind::Integrate { gain, .. } => {
-                    let driver = ports
-                        .first()
-                        .copied()
-                        .flatten()
-                        .expect("validated graph: integrator has a driver");
-                    integrators.push((i as u32, driver.index() as u32, *gain));
-                    CompiledOp::Integrate
-                }
-                BlockKind::Differentiate { gain } => {
-                    discretes.push(DiscreteUpdate::PrevIn {
-                        block: i as u32,
-                        input: port(0),
-                    });
-                    CompiledOp::Differentiate(*gain, port(0))
-                }
-                BlockKind::Log => CompiledOp::Log(port(0)),
-                BlockKind::Antilog => CompiledOp::Antilog(port(0)),
-                BlockKind::Abs => CompiledOp::Abs(port(0)),
-                BlockKind::SampleHold | BlockKind::Memory => {
-                    discretes.push(DiscreteUpdate::Latch {
-                        block: i as u32,
-                        data: port(0),
-                        clock: port(1),
-                    });
-                    CompiledOp::DiscreteState
-                }
-                BlockKind::SchmittTrigger { low, high } => {
-                    discretes.push(DiscreteUpdate::Schmitt {
-                        block: i as u32,
-                        input: port(0),
-                        low: *low,
-                        high: *high,
-                    });
-                    CompiledOp::DiscreteState
-                }
-                BlockKind::Switch => CompiledOp::Switch(port(0), port(1)),
-                BlockKind::Mux { arity } => CompiledOp::Mux(list(*arity + 1), *arity as u32),
-                BlockKind::Comparator { threshold } => CompiledOp::Comparator(*threshold, port(0)),
-                BlockKind::Adc { bits } => {
-                    CompiledOp::Adc(5.0 / f64::from(1u32 << (*bits).min(24)), port(0))
-                }
-                BlockKind::Limiter { level } => CompiledOp::Limiter(*level, port(0)),
-                BlockKind::OutputStage { limit, .. } => CompiledOp::OutputStage(*limit, port(0)),
-                BlockKind::Output { .. } => CompiledOp::Output(port(0)),
-                // `Not` reads its first port whatever the arity.
-                BlockKind::Logic { op, arity } => {
-                    CompiledOp::Logic(*op, list((*arity).max(1)), *arity as u32)
-                }
-            };
-            ops.push(op);
-        }
-        let tape: Vec<Instr> = order
-            .into_iter()
-            .map(|out| Instr {
-                out,
-                op: ops[out as usize],
-            })
-            .collect();
-        // A block varies within a step when it reads an integrator state
-        // or a stimulus, or a block that varies.
-        let mut varies = vec![false; n];
-        for ins in &tape {
-            varies[ins.out as usize] = match ins.op {
-                CompiledOp::Integrate
-                | CompiledOp::Input(_)
-                | CompiledOp::ControlInput(CtlSrc::Stim(_)) => true,
-                op => op
-                    .reads(&operands)
-                    .iter()
-                    .any(|&d| d != NO_DRIVER && varies[d as usize]),
-            };
-        }
-        // Walk the tape backwards from the integrators' drivers: a stage
-        // evaluates the varying blocks they depend on and copies the
-        // other blocks it reads.
-        let mut read = vec![false; n];
-        for &(_, driver, _) in &integrators {
-            read[driver as usize] = true;
-        }
-        for ins in tape.iter().rev() {
-            if read[ins.out as usize] && varies[ins.out as usize] {
-                for d in ins.op.reads(&operands) {
-                    if d != NO_DRIVER {
-                        read[d as usize] = true;
-                    }
-                }
+/// The stage tape and stage copies of a design-wide `tape` (see
+/// [`CompiledSim`]'s fields).
+fn stage_plan(
+    tape: &[(Slot, CompiledOp)],
+    operands: &[Slot],
+    integrators: &[(Slot, f64)],
+    blocks: usize,
+) -> (Vec<(Slot, CompiledOp)>, Vec<Slot>) {
+    // A block varies within a step when it reads an integrator state
+    // or a stimulus, or a block that varies; the zero row never does.
+    let mut varies = vec![false; blocks + 1];
+    for &(out, op) in tape {
+        varies[out as usize] = match op {
+            CompiledOp::Integrate(_)
+            | CompiledOp::Input(_)
+            | CompiledOp::ControlInput(CtlSrc::Stim(_)) => true,
+            op => op.reads(operands).iter().any(|&d| varies[d as usize]),
+        };
+    }
+    // Walk the tape backwards from the integrators' drivers: a stage
+    // evaluates the varying blocks they depend on and copies the
+    // other blocks it reads.
+    let mut read = vec![false; blocks + 1];
+    for &(driver, _) in integrators {
+        read[driver as usize] = true;
+    }
+    for &(out, op) in tape.iter().rev() {
+        if read[out as usize] && varies[out as usize] {
+            for d in op.reads(operands) {
+                read[d as usize] = true;
             }
         }
-        let stage_tape = tape
-            .iter()
-            .copied()
-            .filter(|ins| read[ins.out as usize] && varies[ins.out as usize])
-            .collect();
-        let stage_copies = (0..n as u32)
-            .filter(|&b| read[b as usize] && !varies[b as usize])
-            .collect();
-
-        Ok(GraphPlan {
-            graph,
-            tape,
-            stage_tape,
-            stage_copies,
-            operands,
-            integrators,
-            discretes,
-            base,
-        })
     }
+    let stage_tape = tape
+        .iter()
+        .copied()
+        .filter(|&(out, _)| read[out as usize] && varies[out as usize])
+        .collect();
+    let stage_copies = (0..blocks as Slot)
+        .filter(|&b| read[b as usize] && !varies[b as usize])
+        .collect();
+    (stage_tape, stage_copies)
 }
 
 impl MachinePlan {

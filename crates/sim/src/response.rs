@@ -81,9 +81,10 @@ fn bad_frequency(frequency: f64) -> SimError {
 /// # Errors
 ///
 /// Propagates simulation errors; fails with
-/// [`SimError::BadConfig`] at a frequency that is not positive and with
+/// [`SimError::BadConfig`] at a frequency that is not positive, with
 /// [`SimError::UnknownQuantity`] if `output` is not a trace of the
-/// design.
+/// design, and with [`SimError::SweepFault`] at a point whose run ends
+/// in a numerical fault.
 pub fn frequency_response(
     design: &VhifDesign,
     input: &str,
@@ -116,19 +117,18 @@ pub fn frequency_response(
 }
 
 /// Measure one batch of sweep points in lockstep lanes. Error order
-/// follows the sequential per-point loop: the lowest lane index with an
-/// invalid frequency (checked before anything runs) or a missing output
-/// trace wins.
+/// follows the sequential per-point loop: the lowest index with an
+/// invalid frequency, a missing output trace or a faulted run wins, so
+/// the points before the first invalid one still run.
 fn measure_chunk(
-    plan: &CompiledSim<'_>,
+    plan: &CompiledSim,
     input_slot: usize,
     output: &str,
     amplitude: f64,
     freqs: &[f64],
 ) -> Result<Vec<ResponsePoint>, SimError> {
     let has_output = plan.traces.iter().any(|(name, _)| name == output);
-    let mut lanes = Vec::with_capacity(freqs.len());
-    for &f in freqs {
+    let lane = |f: f64| {
         if f <= 0.0 {
             return Err(bad_frequency(f));
         }
@@ -145,16 +145,34 @@ fn measure_chunk(
         }
         let mut stims = plan.stimuli().to_vec();
         stims[input_slot] = Stimulus::sine(amplitude, f);
-        lanes.push(BatchLane { stims, dt });
+        Ok(BatchLane { stims, dt })
+    };
+    let mut lanes = Vec::with_capacity(freqs.len());
+    let mut invalid = Ok(());
+    for &f in freqs {
+        match lane(f) {
+            Ok(lane) => lanes.push(lane),
+            Err(e) => {
+                invalid = Err(e);
+                break;
+            }
+        }
     }
-    let mut batch = plan.batch_session(&lanes);
-    batch.run();
-    batch
-        .into_results()
-        .iter()
-        .zip(freqs)
-        .map(|(result, &f)| correlate(result, output, amplitude, f))
-        .collect()
+    let mut points = Vec::with_capacity(lanes.len());
+    if !lanes.is_empty() {
+        let mut batch = plan.batch_session(&lanes);
+        batch.run();
+        for (result, &f) in batch.into_results().iter().zip(freqs) {
+            if let Some(fault) = result.fault {
+                return Err(SimError::SweepFault {
+                    frequency_hz: f,
+                    fault,
+                });
+            }
+            points.push(correlate(result, output, amplitude, f)?);
+        }
+    }
+    invalid.map(|()| points)
 }
 
 /// Quadrature correlation of the settled tail of one transient run —
@@ -288,6 +306,34 @@ mod tests {
         assert!(points[2].gain < 0.15, "stopband {}", points[2].gain);
         // Phase lags toward -90°.
         assert!(points[2].phase_rad < -1.2, "phase {}", points[2].phase_rad);
+    }
+
+    #[test]
+    fn a_faulted_sweep_point_is_an_error() {
+        // y' = 10^4 (x + y) grows without bound, so every point's run
+        // faults; the 100 Hz point's fault comes first, also ahead of a
+        // later invalid frequency.
+        let mut g = SignalFlowGraph::new("unstable");
+        let x = g.add(BlockKind::Input { name: "x".into() });
+        let sum = g.add(BlockKind::Add { arity: 2 });
+        let integ = g.add(BlockKind::Integrate {
+            gain: 1e4,
+            initial: 0.0,
+        });
+        let y = g.add(BlockKind::Output { name: "y".into() });
+        g.connect(x, sum, 0).expect("wire");
+        g.connect(integ, sum, 1).expect("wire");
+        g.connect(sum, integ, 0).expect("wire");
+        g.connect(integ, y, 0).expect("wire");
+        let mut d = VhifDesign::new("t");
+        d.graphs.push(g);
+        for freqs in [[100.0, 1_000.0], [100.0, -1.0]] {
+            let err = frequency_response(&d, "x", "y", 0.1, &freqs, &BTreeMap::new()).unwrap_err();
+            assert!(
+                matches!(err, SimError::SweepFault { frequency_hz, .. } if frequency_hz == 100.0),
+                "{err}"
+            );
+        }
     }
 
     #[test]

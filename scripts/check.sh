@@ -27,6 +27,13 @@ echo "== tier 1: sim_bench --smoke =="
 echo "== tier 1: archgen_bench --smoke =="
 ./target/release/archgen_bench --smoke
 
+echo "== tier 1: every example runs =="
+# The examples drive the public API end to end; biquad_filter is the
+# only caller of frequency_response outside tests and sim_bench.
+for f in examples/*.rs; do
+    cargo run -q --release -p vase --example "$(basename "$f" .rs)" >/dev/null
+done
+
 echo "== tier 1: cover-cache round trip (vase synth --cache-file) =="
 # Synthesize twice against the same cache file: the first run populates
 # it, the second must be served from it (nonzero hit count reported).

@@ -150,6 +150,27 @@ fn sim_lane_injections_that_poison_nothing_are_errors() {
     }
 }
 
+#[test]
+fn sim_stimulus_parameters_that_are_not_finite_are_errors() {
+    let follower = format!("{}/../../examples/lint/clean_follower.vhd", env!("CARGO_MANIFEST_DIR"));
+    let inputs = [
+        "vin=const:nan",
+        "vin=sine:1,nan",
+        "vin=const:inf",
+        "vin=step:0,1,nan",
+        "vin=pulse:0,1,nan,0.5",
+    ];
+    for input in inputs {
+        let output = Command::new(VASE)
+            .args(["sim", &follower, "--input", input, "--dt", "1e-6", "--tend", "1e-5"])
+            .output()
+            .expect("vase runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{input}: {stderr}");
+        assert!(stderr.contains(&format!("`{input}`")), "{input} must be named: {stderr}");
+    }
+}
+
 /// Spawn `vase serve`, feed it request lines on stdin, and collect the
 /// parsed response lines plus the daemon's exit code.
 fn serve_round_trip(requests: &[String], cache: &std::path::Path) -> (i32, Vec<Json>) {
