@@ -959,6 +959,9 @@ fn shift(y: &[f64], k: &[f64], dt: &[f64], c: f64, span: (usize, Range<usize>), 
 
 /// [`lanes::walk`] over `lanes`, which are the whole batch when `S` is
 /// nonzero: the walk then folds to the one span of the batch width.
+/// The walk stays behind this call: inlined at each of `advance`'s
+/// four evaluations, it made the 8-lane step of four Table 1 apps
+/// 1.04–1.23× slower (EXPERIMENTS.md §22).
 fn eval<const S: usize>(
     tape: &Kernel<'_, S>,
     lanes: Range<usize>,

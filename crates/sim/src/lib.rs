@@ -15,9 +15,14 @@
 //!   (ideal transfer + rail saturation, output-stage limiting,
 //!   hysteretic detectors).
 //!
-//! Both engines step a fixed grid, and nothing in this crate starts a
-//! thread: a frequency sweep ([`frequency_response`]) or a Monte Carlo
-//! run ([`monte_carlo_netlist`]) packs its points into lane batches and
+//! Both engines compile their input into one tape over a lane-strided
+//! slot array and step it on one lane machine (`lanes.rs`): the same
+//! fixed-width kernels, span walk and held-state update, each engine
+//! adding only its op set and stimulus handling, and the behavioral
+//! one its FSM walk, per-lane step size and step-halving recovery.
+//! Both step a fixed grid, and nothing in this crate starts a thread: a
+//! frequency sweep ([`frequency_response`]) or a Monte Carlo run
+//! ([`monte_carlo_netlist`]) packs its points into lane batches and
 //! runs them in order.
 //!
 //! # Examples

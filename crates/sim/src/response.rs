@@ -148,16 +148,9 @@ fn measure_chunk(
         Ok(BatchLane { stims, dt })
     };
     let mut lanes = Vec::with_capacity(freqs.len());
-    let mut invalid = Ok(());
-    for &f in freqs {
-        match lane(f) {
-            Ok(lane) => lanes.push(lane),
-            Err(e) => {
-                invalid = Err(e);
-                break;
-            }
-        }
-    }
+    let invalid = freqs
+        .iter()
+        .try_for_each(|&f| lane(f).map(|l| lanes.push(l)));
     let mut points = Vec::with_capacity(lanes.len());
     if !lanes.is_empty() {
         let mut batch = plan.batch_session(&lanes);

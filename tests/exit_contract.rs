@@ -152,7 +152,10 @@ fn sim_lane_injections_that_poison_nothing_are_errors() {
 
 #[test]
 fn sim_stimulus_parameters_that_are_not_finite_are_errors() {
-    let follower = format!("{}/../../examples/lint/clean_follower.vhd", env!("CARGO_MANIFEST_DIR"));
+    let follower = format!(
+        "{}/../../examples/lint/clean_follower.vhd",
+        env!("CARGO_MANIFEST_DIR")
+    );
     let inputs = [
         "vin=const:nan",
         "vin=sine:1,nan",
@@ -162,12 +165,17 @@ fn sim_stimulus_parameters_that_are_not_finite_are_errors() {
     ];
     for input in inputs {
         let output = Command::new(VASE)
-            .args(["sim", &follower, "--input", input, "--dt", "1e-6", "--tend", "1e-5"])
+            .args([
+                "sim", &follower, "--input", input, "--dt", "1e-6", "--tend", "1e-5",
+            ])
             .output()
             .expect("vase runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{input}: {stderr}");
-        assert!(stderr.contains(&format!("`{input}`")), "{input} must be named: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{input}`")),
+            "{input} must be named: {stderr}"
+        );
     }
 }
 
